@@ -9,7 +9,7 @@ The instance: two disjoint triples where one edge carries weight 1.5.
 from hyperspec import Hypergraph, SolverConfig, rank_vertices
 
 g = Hypergraph.from_edges(
-    n=6, r=3, edges=[((1, 2, 3), 1.0), ((4, 5, 6), 1.5)]
+    n=6, r=3, edges=[(1, 2, 3), (4, 5, 6)], weights=[1.0, 1.5]
 )
 
 for p in (4.0 / 3.0, 5.0, 16.0):

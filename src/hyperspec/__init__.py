@@ -11,11 +11,8 @@ from .families import (
     loose_path_value,
 )
 from .hypergraph import (
-    Edge,
     Hypergraph,
-    IncidenceIndex,
     ParseError,
-    build_incidence,
     degree,
     parse_edge_list,
     serialize_edge_list,
@@ -37,27 +34,15 @@ from .solver import (
     solve_multistart,
     solve_single,
 )
-from .tensor_ops import (
-    GradientValue,
-    ObjectiveValue,
-    objective,
-    objective_grad,
-    signed_power,
-    tensor_apply,
-    weight_poly,
-)
+from .tensor_ops import objective, signed_power, tensor_apply, value_and_grad
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ClosedForm",
-    "Edge",
-    "GradientValue",
     "Hypergraph",
-    "IncidenceIndex",
     "LagrangianApproximation",
     "MultistartResult",
-    "ObjectiveValue",
     "ParseError",
     "RankingReport",
     "SolveResult",
@@ -65,7 +50,6 @@ __all__ = [
     "SolverError",
     "beta_star_value",
     "brute_force_radius",
-    "build_incidence",
     "cayley_step",
     "cg_direction",
     "complete_lagrangian",
@@ -78,7 +62,6 @@ __all__ = [
     "line_search_wolfe",
     "loose_path_value",
     "objective",
-    "objective_grad",
     "parse_edge_list",
     "rank_vertices",
     "random_unit_sphere",
@@ -88,5 +71,5 @@ __all__ = [
     "solve_single",
     "tensor_apply",
     "validate",
-    "weight_poly",
+    "value_and_grad",
 ]

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -26,10 +25,10 @@ from .families import (
     gen_loose_path,
     loose_path_value,
 )
-from .hypergraph import Hypergraph, ParseError, parse_edge_list, serialize_edge_list, validate
+from .hypergraph import Hypergraph, ParseError, parse_edge_list, serialize_edge_list
 from .ranking import rank_vertices
 from .solver import SolverConfig, SolverError, lagrangian_approx, solve_multistart
-from .tensor_ops import objective, objective_grad
+from .tensor_ops import objective, value_and_grad
 
 
 def parse_p(text: str) -> float:
@@ -40,13 +39,6 @@ def parse_p(text: str) -> float:
         raise argparse.ArgumentTypeError(f"cannot parse p value {text!r}") from None
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("HYPERSPEC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _load_graph(path: str) -> Hypergraph:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -55,9 +47,6 @@ def _load_graph(path: str) -> Hypergraph:
         raise SystemExit(f"error: cannot read {path}: {exc}")
     except ParseError as exc:
         raise SystemExit(f"error: {path}: {exc}")
-    problems = validate(g)
-    if problems:
-        raise SystemExit(f"error: {path}: " + "; ".join(problems))
     return g
 
 
@@ -76,7 +65,6 @@ def _make_config(args, default_runs: int) -> SolverConfig:
         max_iter=args.max_iter,
         runs=args.runs if args.runs is not None else default_runs,
         seed=args.seed,
-        deterministic=args.deterministic,
     )
 
 
@@ -85,7 +73,7 @@ def cmd_solve(args) -> int:
     cfg = _make_config(args, default_runs=100)
     t0 = time.perf_counter()
     try:
-        res = solve_multistart(g, cfg, threads=args.threads)
+        res = solve_multistart(g, cfg)
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -125,11 +113,8 @@ def cmd_rank(args) -> int:
     g = _load_graph(args.graph)
     cfg = _make_config(args, default_runs=10)
     top = args.top if args.top is not None else min(10, g.n)
-    if top > g.n:
-        print(f"error: --top {top} exceeds vertex count {g.n}", file=sys.stderr)
-        return 2
     try:
-        report = rank_vertices(g, cfg, top_k=top, threads=args.threads)
+        report = rank_vertices(g, cfg, top_k=top)
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -163,7 +148,7 @@ def cmd_lagrangian(args) -> int:
     g = _load_graph(args.graph)
     cfg = _make_config(args, default_runs=100)
     try:
-        approx = lagrangian_approx(g, cfg, steps=args.steps, threads=args.threads)
+        approx = lagrangian_approx(g, cfg, steps=args.steps)
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -192,16 +177,12 @@ def cmd_lagrangian(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        if args.family == "beta-star":
-            g = gen_beta_star(args.r, args.m)
-        elif args.family == "loose-path":
-            g = gen_loose_path(args.r, args.m)
-        else:
-            g = gen_complete(args.n, args.r)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.family == "beta-star":
+        g = gen_beta_star(args.r, args.m)
+    elif args.family == "loose-path":
+        g = gen_loose_path(args.r, args.m)
+    else:
+        g = gen_complete(args.n, args.r)
     _emit(serialize_edge_list(g), args.out)
     return 0
 
@@ -228,21 +209,27 @@ def _selftest_tetrahedron(runs: int, seed: int, report: list) -> None:
     report.append(("tetrahedron-z p=2 vs 3.0", rel, 3e-8, res.accuracy_rate))
 
 
+def _random_edges(rng, n: int, r: int, m: int) -> tuple[list, list]:
+    """m random edges of r distinct vertices of 1..n, weights in [0.5, 2)."""
+    edges, weights = [], []
+    for _ in range(m):
+        edges.append(rng.choice(np.arange(1, n + 1), size=r, replace=False))
+        weights.append(float(rng.uniform(0.5, 2.0)))
+    return edges, weights
+
+
 def _selftest_gradient_fd(seed: int, report: list) -> None:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(3, 11))
         r = int(rng.integers(2, min(n, 4) + 1))
-        edges = []
-        for _ in range(int(rng.integers(1, 6))):
-            verts = tuple(sorted(rng.choice(np.arange(1, n + 1), size=r, replace=False)))
-            edges.append((verts, float(rng.uniform(0.5, 2.0))))
-        g = Hypergraph.from_edges(n=n, r=r, edges=edges)
+        edges, weights = _random_edges(rng, n, r, int(rng.integers(1, 6)))
+        g = Hypergraph.from_edges(n=n, r=r, edges=edges, weights=weights)
         p = float(rng.choice([1.5, 2.0, 3.0, 8.0]))
         x = rng.uniform(0.2, 1.0, size=n) * rng.choice([-1.0, 1.0], size=n)
         x /= np.linalg.norm(x)
-        grad = objective_grad(g, x, p).g
+        _, grad = value_and_grad(g, x, p)
         fd = np.zeros(n)
         h = 1e-6
         for i in range(n):
@@ -250,7 +237,7 @@ def _selftest_gradient_fd(seed: int, report: list) -> None:
             xp[i] += h
             xm = x.copy()
             xm[i] -= h
-            fd[i] = (objective(g, xp, p).f - objective(g, xm, p).f) / (2 * h)
+            fd[i] = (objective(g, xp, p) - objective(g, xm, p)) / (2 * h)
         worst = max(worst, float(np.linalg.norm(grad - fd) / np.linalg.norm(grad)))
     report.append(("gradient-fd 100 probes", worst, 1e-6, None))
 
@@ -260,11 +247,8 @@ def _selftest_brute_force(seed: int, report: list) -> None:
     worst = 0.0
     for trial in range(5):
         n = int(rng.integers(4, 7))
-        edges = []
-        for _ in range(int(rng.integers(2, 8))):
-            verts = tuple(sorted(rng.choice(np.arange(1, n + 1), size=3, replace=False)))
-            edges.append((verts, float(rng.uniform(0.5, 2.0))))
-        g = Hypergraph.from_edges(n=n, r=3, edges=edges)
+        edges, weights = _random_edges(rng, n, 3, int(rng.integers(2, 8)))
+        g = Hypergraph.from_edges(n=n, r=3, edges=edges, weights=weights)
         for p in (2.0, 3.0):
             oracle = brute_force_radius(g, p, budget=400, seed=trial)
             res = solve_multistart(g, SolverConfig(p=p, runs=40, seed=seed + trial))
@@ -315,10 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tol", type=float, default=1e-8, help="gradient-norm stop tolerance")
         sp.add_argument("--max-iter", type=int, default=1000, help="iteration cap per run")
         sp.add_argument("--seed", type=int, default=0, help="base random seed")
-        sp.add_argument("--deterministic", action="store_true",
-                        help="bit-identical reruns for identical inputs")
-        sp.add_argument("--threads", type=int, default=_default_threads(),
-                        help="concurrent runs (default $HYPERSPEC_THREADS or 1)")
         sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
         sp.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
@@ -368,7 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # an invalid flag value, e.g. --p 1 or --top 0
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

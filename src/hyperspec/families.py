@@ -35,11 +35,8 @@ def gen_beta_star(r: int, m: int) -> Hypergraph:
     if r < 2 or m < 1:
         raise ValueError(f"need r >= 2 and m >= 1, got r={r} m={m}")
     n = m * (r - 1) + 1
-    edges = []
-    for i in range(m):
-        start = 2 + i * (r - 1)
-        edges.append((tuple([1] + list(range(start, start + r - 1))), 1.0))
-    return Hypergraph.from_edges(n=n, r=r, edges=edges)
+    leaves = np.arange(2, n + 1).reshape(m, r - 1)
+    return Hypergraph.from_edges(n=n, r=r, edges=np.column_stack([np.ones(m, int), leaves]))
 
 
 def gen_loose_path(r: int, m: int) -> Hypergraph:
@@ -50,19 +47,15 @@ def gen_loose_path(r: int, m: int) -> Hypergraph:
     if r < 2 or m < 1:
         raise ValueError(f"need r >= 2 and m >= 1, got r={r} m={m}")
     n = m * (r - 1) + 1
-    edges = []
-    for i in range(m):
-        start = 1 + i * (r - 1)
-        edges.append((tuple(range(start, start + r)), 1.0))
-    return Hypergraph.from_edges(n=n, r=r, edges=edges)
+    starts = 1 + (r - 1) * np.arange(m)
+    return Hypergraph.from_edges(n=n, r=r, edges=starts[:, None] + np.arange(r))
 
 
 def gen_complete(n: int, r: int) -> Hypergraph:
     """All C(n, r) distinct-vertex edges on n vertices, weights 1."""
     if r < 2 or n < r:
         raise ValueError(f"need n >= r >= 2, got n={n} r={r}")
-    edges = [(combo, 1.0) for combo in combinations(range(1, n + 1), r)]
-    return Hypergraph.from_edges(n=n, r=r, edges=edges)
+    return Hypergraph.from_edges(n=n, r=r, edges=list(combinations(range(1, n + 1), r)))
 
 
 def beta_star_value(r: int, m: int, p: float) -> ClosedForm:
@@ -116,18 +109,18 @@ def complete_lagrangian(n: int, r: int) -> ClosedForm:
 def _naive_weight_and_grad(g: Hypergraph, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weight polynomial and its gradient at each row of ``points``, naively.
 
-    Direct per-edge, per-slot products (no prefix/suffix trick, no incidence
-    index); kept separate from the tensor_ops kernel on purpose.
+    Direct per-edge, per-slot products (no prefix/suffix trick); kept
+    separate from the tensor_ops kernel on purpose.
     """
     count, n = points.shape
     w = np.zeros(count)
     dw = np.zeros((count, n))
-    for e in g.edges:
-        cols = points[:, np.asarray(e.vertices) - 1]  # (count, r)
-        w += e.weight * cols.prod(axis=1)
-        for j, v in enumerate(e.vertices):
+    for verts, weight in zip(g.slots, g.weights):
+        cols = points[:, verts]  # (count, r)
+        w += weight * cols.prod(axis=1)
+        for j, v in enumerate(verts):
             others = np.prod(np.delete(cols, j, axis=1), axis=1)
-            dw[:, v - 1] += e.weight * others
+            dw[:, v] += weight * others
     return w, dw
 
 

@@ -1,16 +1,15 @@
-"""Uniform weighted hypergraph data model, validation, incidence index and file I/O.
+"""Uniform weighted hypergraph data model, validation and file I/O.
 
-Vertices are numbered 1..n everywhere in the public API and in the edge-list
-file format; the cached numpy arrays used by the numeric kernels are 0-based.
+A hypergraph is two arrays: an (m, r) table of 0-based vertex slots, one row
+per edge, and the (m,) edge weights.  Vertices are numbered 1..n in the
+public API (``from_edges``, ``degree``) and in the edge-list file format.
 Edges are multisets: a vertex may appear several times inside one edge.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -19,46 +18,45 @@ class ParseError(ValueError):
     """Raised when an edge-list file cannot be parsed."""
 
 
-@dataclass(frozen=True)
-class Edge:
-    """One hyperedge: r vertex ids (1-based, sorted, repeats allowed) and a weight."""
-
-    vertices: tuple[int, ...]
-    weight: float = 1.0
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hypergraph:
     """An r-uniform weighted (multi-)hypergraph on vertices 1..n.
 
-    Instances built through :meth:`from_edges` or :func:`parse_edge_list` are
-    canonical: edge slots sorted nondecreasing, duplicate edges merged by
-    summing weights, edge list in lexicographic order.  The raw constructor
-    performs no checks so that :func:`validate` can report violations.
+    ``slots`` is the (m, r) int64 table of 0-based vertex ids and ``weights``
+    the (m,) float64 edge weights; both are stored read-only.  Instances built
+    through :meth:`from_edges` or :func:`parse_edge_list` are canonical: each
+    row sorted nondecreasing, duplicate rows merged by summing weights, rows
+    in lexicographic order.  The raw constructor performs no checks so that
+    :func:`validate` can report violations.
     """
 
     n: int
     r: int
-    edges: tuple[Edge, ...]
+    slots: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("slots", np.int64), ("weights", np.float64)):
+            array = np.array(getattr(self, name), dtype=dtype)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    def __eq__(self, other):
+        if not isinstance(other, Hypergraph):
+            return NotImplemented
+        return (
+            (self.n, self.r) == (other.n, other.r)
+            and np.array_equal(self.slots, other.slots)
+            and np.array_equal(self.weights, other.weights)
+        )
 
     @classmethod
-    def from_edges(
-        cls,
-        n: int,
-        r: int,
-        edges: Iterable[tuple[Iterable[int], float]] | Iterable[Edge],
-    ) -> "Hypergraph":
-        """Build a canonical hypergraph, merging duplicate edges by weight sum."""
-        merged: dict[tuple[int, ...], float] = {}
-        for item in edges:
-            if isinstance(item, Edge):
-                verts, w = item.vertices, item.weight
-            else:
-                verts, w = item
-            key = tuple(sorted(int(v) for v in verts))
-            merged[key] = merged.get(key, 0.0) + float(w)
-        canon = tuple(Edge(v, w) for v, w in sorted(merged.items()))
-        g = cls(n=int(n), r=int(r), edges=canon)
+    def from_edges(cls, n: int, r: int, edges, weights=None) -> "Hypergraph":
+        """Build a canonical hypergraph from an (m, r) array-like of 1-based
+        vertex ids and optional (m,) weights (default 1.0 each), merging
+        duplicate edges by weight sum."""
+        slots, merged, _ = _merge(edges, r, weights)
+        g = cls(n=int(n), r=int(r), slots=slots, weights=merged)
         problems = validate(g)
         if problems:
             raise ValueError("invalid hypergraph: " + "; ".join(problems))
@@ -67,42 +65,28 @@ class Hypergraph:
     @property
     def m(self) -> int:
         """Number of (merged) edges."""
-        return len(self.edges)
-
-    @cached_property
-    def vertex_array(self) -> np.ndarray:
-        """(m, r) int64 array of 0-based vertex slots, one row per edge."""
-        if not self.edges:
-            return np.empty((0, self.r), dtype=np.int64)
-        return np.asarray([e.vertices for e in self.edges], dtype=np.int64) - 1
-
-    @cached_property
-    def weight_array(self) -> np.ndarray:
-        """(m,) float64 array of edge weights, same order as ``edges``."""
-        return np.asarray([e.weight for e in self.edges], dtype=np.float64)
+        return len(self.slots)
 
 
-@dataclass(frozen=True)
-class IncidenceIndex:
-    """Per-vertex list of (edge position, multiplicity of the vertex in that edge).
-
-    ``entries[i - 1]`` holds the incidences of vertex i.  The total multiplicity
-    over all vertices equals r * m.
-    """
-
-    entries: tuple[tuple[tuple[int, int], ...], ...]
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(mult for per_vertex in self.entries for _, mult in per_vertex)
-
-    def incident(self, vertex: int) -> tuple[tuple[int, int], ...]:
-        """Incidences of a 1-based vertex id."""
-        return self.entries[vertex - 1]
+def _merge(edges, r, weights=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted distinct 0-based rows of ``edges``, their summed weights, and
+    the row each input edge was merged into.  Weights are summed in input
+    order."""
+    edges = np.asarray(edges, dtype=np.int64)
+    if edges.size == 0:
+        edges = edges.reshape(0, r)
+    slots, inverse = np.unique(np.sort(edges, axis=1) - 1, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    if weights is None:
+        weights = np.ones(len(edges))
+    merged = np.bincount(inverse, weights=np.asarray(weights, dtype=np.float64),
+                         minlength=len(slots))
+    return slots, merged, inverse
 
 
 def validate(g: Hypergraph) -> list[str]:
-    """Check every hypergraph invariant; return one message per violation.
+    """Check every hypergraph invariant; return one message per kind of
+    violation, naming the first edge position that shows it.
 
     An empty list means the instance is a valid canonical hypergraph.
     """
@@ -111,19 +95,25 @@ def validate(g: Hypergraph) -> list[str]:
         problems.append(f"vertex count must be positive, got {g.n}")
     if g.r < 2:
         problems.append(f"edge cardinality must be at least 2, got {g.r}")
-    seen: set[tuple[int, ...]] = set()
-    for pos, e in enumerate(g.edges):
-        if len(e.vertices) != g.r:
-            problems.append(f"edge {pos}: has {len(e.vertices)} slots, expected {g.r}")
-        if any(v < 1 or v > g.n for v in e.vertices):
-            problems.append(f"edge {pos}: vertex out of range [1, {g.n}]")
-        if any(a > b for a, b in zip(e.vertices, e.vertices[1:])):
-            problems.append(f"edge {pos}: vertex slots not in nondecreasing order")
-        if not (e.weight > 0.0) or not np.isfinite(e.weight):
-            problems.append(f"edge {pos}: nonpositive weight {e.weight}")
-        if e.vertices in seen:
-            problems.append(f"edge {pos}: duplicate of an earlier edge")
-        seen.add(e.vertices)
+    slots, weights = g.slots, g.weights
+    if slots.ndim != 2 or slots.shape[1] != g.r:
+        return problems + [f"edges have {slots.shape[-1]} slots, expected {g.r}"]
+    if weights.shape != (len(slots),):
+        return problems + [f"{weights.size} weights for {len(slots)} edges"]
+    duplicate = np.ones(len(slots), dtype=bool)
+    duplicate[np.unique(slots, axis=0, return_index=True)[1]] = False
+    checks = [
+        (((slots < 0) | (slots >= g.n)).any(axis=1), f"vertex out of range [1, {g.n}]"),
+        ((np.diff(slots, axis=1) < 0).any(axis=1), "vertex slots not in nondecreasing order"),
+        (~(weights > 0.0), "nonpositive weight"),
+        (np.isinf(weights), "infinite weight"),
+        (duplicate, "duplicate of an earlier edge"),
+    ]
+    for bad, what in checks:
+        count = int(np.count_nonzero(bad))
+        if count:
+            more = f" (and {count - 1} more)" if count > 1 else ""
+            problems.append(f"edge {int(np.argmax(bad))}: {what}{more}")
     return problems
 
 
@@ -131,19 +121,7 @@ def degree(g: Hypergraph, vertex: int) -> float:
     """Sum of weights of edges containing ``vertex`` (once per edge, even for repeats)."""
     if not 1 <= vertex <= g.n:
         raise ValueError(f"vertex {vertex} out of range [1, {g.n}]")
-    return float(sum(e.weight for e in g.edges if vertex in e.vertices))
-
-
-def build_incidence(g: Hypergraph) -> IncidenceIndex:
-    """Index edges by vertex, recording the multiplicity of each vertex per edge."""
-    per_vertex: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for pos, e in enumerate(g.edges):
-        counts: dict[int, int] = {}
-        for v in e.vertices:
-            counts[v] = counts.get(v, 0) + 1
-        for v, mult in counts.items():
-            per_vertex[v - 1].append((pos, mult))
-    return IncidenceIndex(entries=tuple(tuple(lst) for lst in per_vertex))
+    return float(g.weights[(g.slots == vertex - 1).any(axis=1)].sum())
 
 
 def parse_edge_list(source: str | TextIO) -> Hypergraph:
@@ -152,21 +130,20 @@ def parse_edge_list(source: str | TextIO) -> Hypergraph:
     Format: '#' comment lines anywhere, first non-comment line "r n", then one
     edge per line as r whitespace-separated 1-based vertex ids followed by an
     optional positive weight (default 1.0).  Duplicate edges are merged by
-    summing their weights.
+    summing their weights.  Every ParseError names the offending line.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
-
+    text = source if isinstance(source, str) else source.read()
     r = n = None
-    raw_edges: list[tuple[tuple[int, ...], float]] = []
-    for lineno, line in enumerate(source, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+    ids: list[int] = []
+    weights: list[float] = []
+    linenos: list[int] = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = stripped.split()
         if r is None:
             if len(tokens) != 2:
-                raise ParseError(f"line {lineno}: header must be 'r n', got {stripped!r}")
+                raise ParseError(f"line {lineno}: header must be 'r n', got {line.strip()!r}")
             try:
                 r, n = int(tokens[0]), int(tokens[1])
             except ValueError:
@@ -180,29 +157,44 @@ def parse_edge_list(source: str | TextIO) -> Hypergraph:
                 f"got {len(tokens)} tokens"
             )
         try:
-            verts = tuple(int(t) for t in tokens[:r])
+            ids.extend(map(int, tokens[:r]))
         except ValueError:
             raise ParseError(f"line {lineno}: vertex ids must be integers") from None
-        if any(v < 1 or v > n for v in verts):
-            raise ParseError(f"line {lineno}: vertex id out of range [1, {n}]")
-        weight = 1.0
-        if len(tokens) == r + 1:
-            try:
-                weight = float(tokens[r])
-            except ValueError:
-                raise ParseError(f"line {lineno}: weight must be a number") from None
-        if not weight > 0.0 or not np.isfinite(weight):
-            raise ParseError(f"line {lineno}: nonpositive weight {tokens[r]}")
-        raw_edges.append((verts, weight))
+        try:
+            weights.append(float(tokens[r]) if len(tokens) > r else 1.0)
+        except ValueError:
+            raise ParseError(f"line {lineno}: weight must be a number") from None
+        linenos.append(lineno)
 
     if r is None:
         raise ParseError("empty input: missing 'r n' header line")
-    return Hypergraph.from_edges(n=n, r=r, edges=raw_edges)
+    try:
+        edges = np.array(ids, dtype=np.int64)
+    except OverflowError:  # beyond int64: clamp, keeping each id out of range
+        edges = np.array([min(max(v, 0), n + 1) for v in ids], dtype=np.int64)
+    edges = edges.reshape(-1, r)
+    w = np.array(weights, dtype=np.float64)
+    for bad, what in (
+        (((edges < 1) | (edges > n)).any(axis=1), f"vertex id out of range [1, {n}]"),
+        (~(w > 0.0) | np.isinf(w), "weight must be positive and finite"),
+    ):
+        if bad.any():
+            raise ParseError(f"line {linenos[int(np.argmax(bad))]}: {what}")
+    try:
+        return Hypergraph.from_edges(n=n, r=r, edges=edges, weights=w)
+    except ValueError:
+        # every line passed its checks, so a merged weight overflowed
+        _, merged, inverse = _merge(edges, r, w)
+        lines = [linenos[k] for k in np.flatnonzero(np.isinf(merged)[inverse])]
+        raise ParseError(
+            f"line {lines[-1]}: weights of the duplicate edges on lines "
+            f"{', '.join(map(str, lines))} sum to inf"
+        ) from None
 
 
 def serialize_edge_list(g: Hypergraph) -> str:
     """Emit the edge-list format with explicit weights; inverse of parse_edge_list."""
     lines = [f"{g.r} {g.n}"]
-    for e in g.edges:
-        lines.append(" ".join(str(v) for v in e.vertices) + f" {e.weight!r}")
+    for row, w in zip((g.slots + 1).tolist(), g.weights.tolist()):
+        lines.append(" ".join(map(str, row)) + f" {w!r}")
     return "\n".join(lines) + "\n"

@@ -25,12 +25,7 @@ def ranked_order(impact: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(len(impact)), -np.asarray(impact)))
 
 
-def rank_vertices(
-    g: Hypergraph,
-    cfg: SolverConfig,
-    top_k: int | None = None,
-    threads: int = 1,
-) -> RankingReport:
+def rank_vertices(g: Hypergraph, cfg: SolverConfig, top_k: int | None = None) -> RankingReport:
     """Rank vertices by the weighting of the best multistart run.
 
     Small p concentrates the weighting on the strongest group of vertices;
@@ -38,7 +33,7 @@ def rank_vertices(
     """
     if top_k is not None and not 1 <= top_k <= g.n:
         raise ValueError(f"top_k must be in [1, {g.n}], got {top_k}")
-    res = solve_multistart(g, cfg, threads=threads)
+    res = solve_multistart(g, cfg)
     impact = res.best.weighting
     order = ranked_order(impact)
     if top_k is not None:

@@ -11,7 +11,6 @@ points and keeps the largest value found.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,7 +47,6 @@ class SolverConfig:
     max_iter: int = 1000
     runs: int = 100
     seed: int = 0
-    deterministic: bool = True
     max_linesearch_steps: int = 40
 
     def __post_init__(self):
@@ -399,7 +397,7 @@ def solve_single(
     converged = stop in ("grad_tol", "reference")
     weighting = np.abs(x)
     if math.isfinite(f):
-        lam = objective(g, weighting, cfg.p).f
+        lam = objective(g, weighting, cfg.p)
     else:
         lam = math.nan
     return SolveResult(
@@ -429,24 +427,15 @@ def solve_multistart(
     cfg: SolverConfig,
     reference: float | None = None,
     track: bool = False,
-    threads: int = 1,
 ) -> MultistartResult:
     """cfg.runs independent runs from seeds cfg.seed + run index; keep the max.
 
-    Runs share only the immutable hypergraph and write disjoint result slots,
-    so they may execute on a thread pool; the reduction (argmax by run order)
-    does not depend on completion order.  Ties keep the earliest run.
+    Ties keep the earliest run.
     """
-
-    def one_run(i: int) -> SolveResult:
+    results = []
+    for i in range(cfg.runs):
         rng = np.random.default_rng(cfg.seed + i)
-        return solve_single(g, cfg, _start_point(g, cfg, rng), reference, track)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_run, range(cfg.runs)))
-    else:
-        results = [one_run(i) for i in range(cfg.runs)]
+        results.append(solve_single(g, cfg, _start_point(g, cfg, rng), reference, track))
 
     lams = np.array([res.lam for res in results])
     if not np.any(np.isfinite(lams)):
@@ -483,12 +472,7 @@ def lagrangian_schedule(steps: int) -> list[float]:
     return [1.0 + 1.0 / (2 * theta + 1) for theta in range(1, steps + 1)]
 
 
-def lagrangian_approx(
-    g: Hypergraph,
-    cfg: SolverConfig,
-    steps: int,
-    threads: int = 1,
-) -> LagrangianApproximation:
+def lagrangian_approx(g: Hypergraph, cfg: SolverConfig, steps: int) -> LagrangianApproximation:
     """Approximate the hypergraph Lagrangian by driving p down the schedule
     p_theta = 1 + 1/(2 theta + 1) and normalizing each p-spectral radius by r!.
 
@@ -497,7 +481,7 @@ def lagrangian_approx(
     rfact = math.factorial(g.r)
     rows = []
     for theta, p_theta in enumerate(lagrangian_schedule(steps), start=1):
-        res = solve_multistart(g, replace(cfg, p=p_theta), threads=threads)
+        res = solve_multistart(g, replace(cfg, p=p_theta))
         rows.append(
             ScheduleRow(theta=theta, p=p_theta, lam=res.best.lam, normalized=res.best.lam / rfact)
         )

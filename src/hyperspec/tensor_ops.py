@@ -1,5 +1,9 @@
-"""Matrix-free evaluation of the weight polynomial, adjacency-tensor products,
-the spherically constrained objective and its gradient.
+"""Matrix-free evaluation of the spherically constrained objective, its
+gradient and the adjacency-tensor products.
+
+One kernel, :func:`_value_grad_prefix`, forms the p-norm, the r! scaling and
+the gradient; :func:`objective` and :func:`value_and_grad` are views of it and
+:func:`tensor_apply` is a view of the edge products beneath it.
 
 All operations are pure functions of (hypergraph, vector, p) and cost
 O(sum of edge sizes) arithmetic: per edge, the partial products of the other
@@ -17,28 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypergraph import Hypergraph
-
-
-@dataclass(frozen=True)
-class ObjectiveValue:
-    """Objective f(x) = r! * w(G, x) / ||x||_p^r together with its two factors."""
-
-    f: float
-    w: float
-    pnorm: float
-
-
-@dataclass(frozen=True)
-class GradientValue:
-    """Gradient of f at x plus the tensor products it is assembled from.
-
-    ``axr`` is the scalar adjacency-tensor form A x^r and ``axr1`` the vector
-    A x^{r-1}; they satisfy x . axr1 == axr exactly as computed.
-    """
-
-    g: np.ndarray
-    axr: float
-    axr1: np.ndarray
 
 
 def _check_vector(g: Hypergraph, x: np.ndarray) -> np.ndarray:
@@ -59,8 +41,7 @@ def _edge_products(g: Hypergraph, x: np.ndarray) -> tuple[float, np.ndarray, np.
     m, r = g.m, g.r
     if m == 0:
         return 0.0, np.zeros(g.n), np.ones((0, r + 1))
-    slots = g.vertex_array                     # (m, r), 0-based
-    weights = g.weight_array                   # (m,)
+    slots, weights = g.slots, g.weights
     entries = x[slots]                         # (m, r)
 
     prefix = np.ones((m, r + 1))
@@ -72,13 +53,6 @@ def _edge_products(g: Hypergraph, x: np.ndarray) -> tuple[float, np.ndarray, np.
     partials = weights[:, None] * prefix[:, :r] * suffix[:, 1:]
     dw = np.bincount(slots.ravel(), weights=partials.ravel(), minlength=g.n)
     return w, dw, prefix
-
-
-def weight_poly(g: Hypergraph, x: np.ndarray) -> float:
-    """Weight polynomial w(G, x) = sum_e s(e) * prod of the r slot entries."""
-    x = _check_vector(g, x)
-    w, _, _ = _edge_products(g, x)
-    return w
 
 
 def tensor_apply(g: Hypergraph, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -103,35 +77,9 @@ def signed_power(x: np.ndarray, q: float) -> np.ndarray:
     return np.sign(x) * np.abs(x) ** q
 
 
-def objective(g: Hypergraph, x: np.ndarray, p: float) -> ObjectiveValue:
-    """Evaluate f(x) = r! * w(G, x) / ||x||_p^r; zero-order homogeneous in x."""
-    x = _check_vector(g, x)
-    pnorm_p = float(np.sum(np.abs(x) ** p))
-    if pnorm_p == 0.0:
-        raise ValueError("objective is undefined at the zero vector")
-    pnorm = pnorm_p ** (1.0 / p)
-    w, _, _ = _edge_products(g, x)
-    f = math.factorial(g.r) * w / pnorm**g.r
-    return ObjectiveValue(f=f, w=w, pnorm=pnorm)
-
-
-def objective_grad(g: Hypergraph, x: np.ndarray, p: float) -> GradientValue:
-    """Gradient of the objective,
-    (r! / ||x||_p^r) * (A x^{r-1} - A x^r * ||x||_p^{-p} * x^<p-1>).
-
-    The signed power x^<p-1> is evaluated exactly as written for every p > 1;
-    it is continuous (though not Lipschitz for p < 2) at zero components.
-    """
-    x = _check_vector(g, x)
-    pnorm_p = float(np.sum(np.abs(x) ** p))
-    if pnorm_p == 0.0:
-        raise ValueError("gradient is undefined at the zero vector")
-    pnorm = pnorm_p ** (1.0 / p)
-    _, axr1, _ = _edge_products(g, x)
-    axr = float(x @ axr1)
-    scale = math.factorial(g.r) / pnorm**g.r
-    grad = scale * (axr1 - (axr / pnorm_p) * signed_power(x, p - 1.0))
-    return GradientValue(g=grad, axr=axr, axr1=axr1)
+def objective(g: Hypergraph, x: np.ndarray, p: float) -> float:
+    """f(x) = r! * w(G, x) / ||x||_p^r; zero-order homogeneous in x."""
+    return _value_grad_prefix(g, x, p)[0]
 
 
 def value_and_grad(g: Hypergraph, x: np.ndarray, p: float) -> tuple[float, np.ndarray]:
@@ -176,7 +124,7 @@ class _IncrementBase:
 def _increment_base(g: Hypergraph, x: np.ndarray, p: float) -> _IncrementBase:
     """Precompute the factors of x for increments f(y) - f(x)."""
     x = _check_vector(g, x)
-    entries = x[g.vertex_array]
+    entries = x[g.slots]
     # column by column: for large m this is several times faster than the
     # kernel's reversed cumprod along axis 1, and gives the same products
     suffix = np.ones((g.m, g.r + 1))
@@ -191,7 +139,7 @@ def _increment_base(g: Hypergraph, x: np.ndarray, p: float) -> _IncrementBase:
         zeros=np.flatnonzero(x == 0.0),
         pow_x=pow_x,
         pnorm_p=float(np.sum(pow_x)),
-        w=float(g.weight_array @ suffix[:, 0]),
+        w=float(g.weights @ suffix[:, 0]),
         p=p,
     )
 
@@ -217,11 +165,11 @@ def _increment(
     when y equals x.
     """
     x, p, r = base.x, base.p, g.r
-    steps = (y - x)[g.vertex_array]
+    steps = (y - x)[g.slots]
     terms = prefix_y[:, 0] * steps[:, 0] * base.suffix[:, 1]
     for j in range(1, r):
         terms += prefix_y[:, j] * steps[:, j] * base.suffix[:, j + 1]
-    dw = float(g.weight_array @ terms)
+    dw = float(g.weights @ terms)
 
     abs_y = np.abs(y)
     with np.errstate(divide="ignore", invalid="ignore"):

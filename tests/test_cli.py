@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hyperspec
 from hyperspec import parse_edge_list
 from hyperspec.cli import main, parse_p
 
@@ -71,7 +76,7 @@ class TestSolve:
 
     def test_deterministic_bytes(self, single_edge_file, capsys):
         args = ["solve", single_edge_file, "--p", "2", "--runs", "3", "--seed", "5",
-                "--deterministic", "--format", "json"]
+                "--format", "json"]
         main(args)
         first = capsys.readouterr().out
         main(args)
@@ -156,20 +161,26 @@ class TestLagrangian:
         assert payload["estimate"] == payload["schedule"][-1]["normalized"]
 
 
-class TestThreads:
-    def test_threads_flag(self, single_edge_file, capsys):
-        rc = main(["solve", single_edge_file, "--p", "2", "--runs", "4", "--threads", "2",
-                   "--format", "json"])
-        assert rc == 0
-        assert json.loads(capsys.readouterr().out)["lambda"] == pytest.approx(1.0, abs=1e-10)
-
-    def test_env_var_sets_default(self, monkeypatch):
-        from hyperspec.cli import _default_threads
-
-        monkeypatch.setenv("HYPERSPEC_THREADS", "3")
-        assert _default_threads() == 3
-        monkeypatch.setenv("HYPERSPEC_THREADS", "junk")
-        assert _default_threads() == 1
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["rank", "{edge}", "--p", "2", "--top", "0"], 2),
+        (["solve", "{edge}", "--p", "1"], 2),
+        (["solve", "{edge}", "--p", "2", "--runs", "0"], 2),
+        # duplicate edges whose weights sum to inf: a bad file, like any other
+        (["solve", "{overflow}", "--p", "2"], 1),
+    ],
+)
+def test_bad_input_prints_error_without_traceback(argv, status, single_edge_file, tmp_path):
+    overflow = tmp_path / "overflow.txt"
+    overflow.write_text("2 3\n1 2 1e308\n2 1 1e308\n")
+    argv = [a.format(edge=single_edge_file, overflow=overflow) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperspec.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "hyperspec.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == status
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 class TestSelftest:

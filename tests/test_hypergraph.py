@@ -4,10 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperspec import (
-    Edge,
     Hypergraph,
     ParseError,
-    build_incidence,
     degree,
     gen_beta_star,
     gen_complete,
@@ -17,22 +15,42 @@ from hyperspec import (
 )
 
 
+def edge(g, pos):
+    """Edge ``pos`` as (1-based vertex ids, weight)."""
+    return tuple(int(v) + 1 for v in g.slots[pos]), float(g.weights[pos])
+
+
+def raw(n, r, edges, weights):
+    """A hypergraph built without canonicalization or checks."""
+    return Hypergraph(n=n, r=r, slots=np.array(edges, dtype=np.int64) - 1, weights=weights)
+
+
+def incident(g, vertex):
+    """(edge position, multiplicity of ``vertex`` in that edge) per edge holding it."""
+    counts = np.count_nonzero(g.slots == vertex - 1, axis=1)
+    return tuple((int(pos), int(counts[pos])) for pos in np.flatnonzero(counts))
+
+
+def total_multiplicity(g):
+    return sum(mult for v in range(1, g.n + 1) for _, mult in incident(g, v))
+
+
 class TestParse:
     def test_two_triangles(self):
         g = parse_edge_list("3 4\n1 2 3 1.0\n2 3 4 1.0")
         assert (g.n, g.r, g.m) == (4, 3, 2)
-        assert g.edges[0] == Edge((1, 2, 3), 1.0)
-        assert g.edges[1] == Edge((2, 3, 4), 1.0)
+        assert edge(g, 0) == ((1, 2, 3), 1.0)
+        assert edge(g, 1) == ((2, 3, 4), 1.0)
 
     def test_default_weight(self):
         g = parse_edge_list("2 2\n1 2")
         assert g.m == 1
-        assert g.edges[0].weight == 1.0
+        assert edge(g, 0)[1] == 1.0
 
     def test_duplicate_edges_merge_weights(self):
         g = parse_edge_list("3 4\n1 2 3 1\n1 2 3 0.5")
         assert g.m == 1
-        assert g.edges[0] == Edge((1, 2, 3), 1.5)
+        assert edge(g, 0) == ((1, 2, 3), 1.5)
 
     def test_comments_and_blank_lines(self):
         g = parse_edge_list("# a comment\n\n3 4\n# another\n1 2 3\n")
@@ -40,11 +58,11 @@ class TestParse:
 
     def test_unsorted_slots_are_canonicalized(self):
         g = parse_edge_list("3 4\n3 1 2\n")
-        assert g.edges[0].vertices == (1, 2, 3)
+        assert edge(g, 0)[0] == (1, 2, 3)
 
     def test_multiset_edge(self):
         g = parse_edge_list("3 2\n1 1 2\n")
-        assert g.edges[0].vertices == (1, 1, 2)
+        assert edge(g, 0)[0] == (1, 1, 2)
 
     @pytest.mark.parametrize(
         "text, line",
@@ -53,6 +71,8 @@ class TestParse:
             ("3 4\n1 2 5\n", 2),                     # vertex out of range
             ("3 4\n1 2 3 0\n", 2),                   # nonpositive weight
             ("3 4\n1 2 3 -2\n", 2),                  # negative weight
+            ("3 4\n1 2 3 inf\n", 2),                 # infinite weight
+            ("2 3\n1 2 1e308\n2 1 1e308\n", 3),      # merged weight overflows
             ("3 4\na b c\n", 2),                     # malformed ids
             ("3\n", 1),                              # bad header
             ("0 4\n", 1),                            # r too small
@@ -72,23 +92,23 @@ class TestValidate:
         assert validate(gen_complete(4, 3)) == []
 
     def test_nonpositive_weight(self):
-        g = Hypergraph(n=4, r=3, edges=(Edge((1, 2, 3), 0.0),))
+        g = raw(4, 3, [(1, 2, 3)], [0.0])
         assert any("nonpositive weight" in v for v in validate(g))
 
     def test_vertex_out_of_range(self):
-        g = Hypergraph(n=4, r=3, edges=(Edge((1, 2, 5), 1.0),))
+        g = raw(4, 3, [(1, 2, 5)], [1.0])
         assert any("out of range" in v for v in validate(g))
 
     def test_wrong_edge_size(self):
-        g = Hypergraph(n=4, r=3, edges=(Edge((1, 2), 1.0),))
+        g = raw(4, 3, [(1, 2)], [1.0])
         assert any("slots" in v for v in validate(g))
 
     def test_unsorted_slots(self):
-        g = Hypergraph(n=4, r=3, edges=(Edge((3, 2, 1), 1.0),))
+        g = raw(4, 3, [(3, 2, 1)], [1.0])
         assert any("nondecreasing" in v for v in validate(g))
 
     def test_duplicate_edge(self):
-        g = Hypergraph(n=4, r=3, edges=(Edge((1, 2, 3), 1.0), Edge((1, 2, 3), 2.0)))
+        g = raw(4, 3, [(1, 2, 3), (1, 2, 3)], [1.0, 2.0])
         assert any("duplicate" in v for v in validate(g))
 
 
@@ -100,11 +120,11 @@ class TestDegree:
         assert degree(gen_beta_star(3, 10), 1) == 10.0
 
     def test_isolated_vertex(self):
-        g = Hypergraph.from_edges(n=5, r=3, edges=[((1, 2, 3), 1.0)])
+        g = Hypergraph.from_edges(n=5, r=3, edges=[(1, 2, 3)])
         assert degree(g, 5) == 0.0
 
     def test_multiset_counted_once(self):
-        g = Hypergraph.from_edges(n=2, r=3, edges=[((1, 1, 2), 2.5)])
+        g = Hypergraph.from_edges(n=2, r=3, edges=[(1, 1, 2)], weights=[2.5])
         assert degree(g, 1) == 2.5
 
     def test_out_of_range(self):
@@ -114,33 +134,33 @@ class TestDegree:
 
 class TestIncidence:
     def test_single_edge(self):
-        g = Hypergraph.from_edges(n=3, r=3, edges=[((1, 2, 3), 1.0)])
-        idx = build_incidence(g)
-        assert idx.incident(1) == ((0, 1),)
+        g = Hypergraph.from_edges(n=3, r=3, edges=[(1, 2, 3)])
+        assert incident(g, 1) == ((0, 1),)
 
     def test_multiset_multiplicity(self):
-        g = Hypergraph.from_edges(n=2, r=3, edges=[((1, 1, 2), 1.0)])
-        idx = build_incidence(g)
-        assert idx.incident(1) == ((0, 2),)
-        assert idx.incident(2) == ((0, 1),)
+        g = Hypergraph.from_edges(n=2, r=3, edges=[(1, 1, 2)])
+        assert incident(g, 1) == ((0, 2),)
+        assert incident(g, 2) == ((0, 1),)
 
     def test_total_multiplicity_complete(self):
         g = gen_complete(4, 3)
-        assert build_incidence(g).total_multiplicity == 3 * 4
+        assert total_multiplicity(g) == 3 * 4
 
 
 def test_vertex_array_is_zero_based():
     g = parse_edge_list("2 3\n1 3\n2 3\n")
-    assert g.vertex_array.tolist() == [[0, 2], [1, 2]]
-    assert g.weight_array.tolist() == [1.0, 1.0]
+    assert g.slots.tolist() == [[0, 2], [1, 2]]
+    assert g.weights.tolist() == [1.0, 1.0]
 
 
 def test_hypergraph_is_immutable():
     g = gen_complete(4, 3)
     with pytest.raises(AttributeError):
         g.n = 5
-    with pytest.raises(AttributeError):
-        g.edges[0].weight = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        g.weights[0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        g.slots[0, 0] = 3
 
 
 def test_header_only_file_is_an_empty_graph():
@@ -160,7 +180,7 @@ def hypergraphs(draw, allow_multisets=False):
     r = draw(st.integers(min_value=2, max_value=4))
     n = draw(st.integers(min_value=r if not allow_multisets else 1, max_value=7))
     m = draw(st.integers(min_value=0, max_value=6))
-    edges = []
+    edges, edge_weights = [], []
     for _ in range(m):
         if allow_multisets:
             verts = draw(st.lists(st.integers(1, n), min_size=r, max_size=r))
@@ -168,8 +188,9 @@ def hypergraphs(draw, allow_multisets=False):
             verts = draw(
                 st.lists(st.integers(1, n), min_size=r, max_size=r, unique=True)
             )
-        edges.append((tuple(verts), draw(weights)))
-    return Hypergraph.from_edges(n=n, r=r, edges=edges)
+        edges.append(verts)
+        edge_weights.append(draw(weights))
+    return Hypergraph.from_edges(n=n, r=r, edges=edges, weights=edge_weights)
 
 
 @given(hypergraphs(allow_multisets=True))
@@ -183,14 +204,14 @@ def test_parse_serialize_roundtrip(g):
 def test_degree_sum_identity(g):
     # distinct-vertex edges: every edge contributes r times to the degree sum
     total = sum(degree(g, i) for i in range(1, g.n + 1))
-    expected = g.r * sum(e.weight for e in g.edges)
+    expected = g.r * sum(g.weights.tolist())
     assert total == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 @given(hypergraphs(allow_multisets=True))
 @settings(max_examples=60, deadline=None)
 def test_incidence_total_multiplicity(g):
-    assert build_incidence(g).total_multiplicity == g.r * g.m
+    assert total_multiplicity(g) == g.r * g.m
 
 
 @given(hypergraphs(allow_multisets=True))

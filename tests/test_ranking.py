@@ -6,7 +6,7 @@ from hyperspec.ranking import ranked_order
 
 
 def two_edge_graph():
-    return Hypergraph.from_edges(n=6, r=3, edges=[((1, 2, 3), 1.0), ((4, 5, 6), 1.5)])
+    return Hypergraph.from_edges(n=6, r=3, edges=[(1, 2, 3), (4, 5, 6)], weights=[1.0, 1.5])
 
 
 class TestRankedOrder:
