@@ -7,7 +7,7 @@ step length, and monotone objective values.
 import numpy as np
 
 from hyperspec import SolverConfig, gen_beta_star, solve_single
-from hyperspec.solver import random_unit_sphere
+from hyperspec.solver import ASCENT_COEFF, C1, C2, DIRECTION_BOUND, random_unit_sphere
 
 g = gen_beta_star(3, 10)
 cfg = SolverConfig(p=3.0, seed=0)
@@ -23,14 +23,14 @@ for rec in res.trace[:8] + res.trace[-3:]:
 print()
 
 # every accepted step satisfies the guarantees the iteration is built on
-coeff = cfg.ascent_coeff          # 1 - 1/(4 tau)
-cap = cfg.direction_bound         # 1 + 1/eps + tau/eps^2
+# ASCENT_COEFF = 1 - 1/(4 tau), DIRECTION_BOUND = 1 + 1/eps + tau/eps^2
 checks = {
     "unit-norm drift <= 1e-12": all(r.drift <= 1e-12 for r in res.trace),
-    "sufficient ascent":        all(r.ascent >= coeff * r.gnorm**2 * (1 - 1e-12) for r in res.trace),
-    "bounded direction":        all(r.dir_norm <= cap * r.gnorm for r in res.trace),
-    "Wolfe increase":           all(r.f_next >= r.f + cfg.c1 * r.alpha * r.ascent for r in res.trace),
-    "Wolfe curvature":          all(r.curv_next <= cfg.c2 * r.ascent for r in res.trace),
+    "sufficient ascent":        all(r.ascent >= ASCENT_COEFF * r.gnorm**2 * (1 - 1e-12)
+                                    for r in res.trace),
+    "bounded direction":        all(r.dir_norm <= DIRECTION_BOUND * r.gnorm for r in res.trace),
+    "Wolfe increase":           all(r.f_next >= r.f + C1 * r.alpha * r.ascent for r in res.trace),
+    "Wolfe curvature":          all(r.curv_next <= C2 * r.ascent for r in res.trace),
     "step length closed form":  all(abs(r.step_norm - r.step_pred) <= 1e-10 for r in res.trace),
     "f strictly increasing":    all(r.f_next > r.f for r in res.trace),
 }

@@ -29,49 +29,40 @@ class SolverError(RuntimeError):
     """Raised when every run of a multistart solve fails numerically."""
 
 
+# The paper's method constants: Wolfe constants 0 < C1 < C2 < 1, and TAU in
+# (1/4, 1) and EPS > 0 of the conjugate-gradient beta formula.
+C1 = 1e-4
+C2 = 0.5
+TAU = 0.5
+EPS = 1e-6
+MAX_LINESEARCH_STEPS = 40
+# guaranteed direction . grad / ||grad||^2 floor, 1 - 1/(4 tau)
+ASCENT_COEFF = 1.0 - 1.0 / (4.0 * TAU)
+# M0 = 1 + 1/eps + tau/eps^2, the guaranteed ||direction|| / ||grad|| cap
+DIRECTION_BOUND = 1.0 + 1.0 / EPS + TAU / EPS**2
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """All solver parameters.
+    """The settable solver parameters, validated on construction.
 
-    c1 < c2 are the Wolfe constants, tau in (1/4, 1) and eps > 0 control the
-    conjugate-gradient beta formula, grad_tol is the stationarity stop, and
-    runs/seed drive the multistart.  Every field is validated on construction.
+    grad_tol is the stationarity stop, max_iter the iteration cap per run,
+    and runs/seed drive the multistart.
     """
 
     p: float
-    c1: float = 1e-4
-    c2: float = 0.5
-    tau: float = 0.5
-    eps: float = 1e-6
     grad_tol: float = 1e-8
     max_iter: int = 1000
     runs: int = 100
     seed: int = 0
-    max_linesearch_steps: int = 40
 
     def __post_init__(self):
         if not self.p > 1.0:
             raise ValueError(f"need p > 1, got p={self.p}")
-        if not 0.0 < self.c1 < self.c2 < 1.0:
-            raise ValueError(f"need 0 < c1 < c2 < 1, got c1={self.c1} c2={self.c2}")
-        if not 0.25 < self.tau < 1.0:
-            raise ValueError(f"need 1/4 < tau < 1, got tau={self.tau}")
-        if not self.eps > 0.0:
-            raise ValueError(f"need eps > 0, got eps={self.eps}")
         if not self.grad_tol > 0.0:
             raise ValueError(f"need grad_tol > 0, got grad_tol={self.grad_tol}")
-        if self.max_iter < 1 or self.runs < 1 or self.max_linesearch_steps < 1:
-            raise ValueError("max_iter, runs and max_linesearch_steps must be >= 1")
-
-    @property
-    def direction_bound(self) -> float:
-        """M0 = 1 + 1/eps + tau/eps^2, the guaranteed ||direction||/||grad|| cap."""
-        return 1.0 + 1.0 / self.eps + self.tau / self.eps**2
-
-    @property
-    def ascent_coeff(self) -> float:
-        """1 - 1/(4 tau), the guaranteed direction . grad / ||grad||^2 floor."""
-        return 1.0 - 1.0 / (4.0 * self.tau)
+        if self.max_iter < 1 or self.runs < 1:
+            raise ValueError("max_iter and runs must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -116,24 +107,13 @@ class SolveResult:
 
 
 @dataclass(frozen=True)
-class RunSummary:
-    """Scalar facts about one multistart run (no vectors, cheap to keep)."""
-
-    lam: float
-    iterations: int
-    converged: bool
-    stop_reason: str
-    grad_norm: float
-
-
-@dataclass(frozen=True)
 class MultistartResult:
+    """Every run's result, in run order, and the best of them."""
+
     best: SolveResult
     best_run: int
     all_lambdas: tuple[float, ...]
-    run_summaries: tuple[RunSummary, ...]
-    accuracy_rate: float | None = None
-    results: tuple[SolveResult, ...] | None = None
+    run_summaries: tuple[SolveResult, ...]
 
 
 @dataclass(frozen=True)
@@ -175,7 +155,6 @@ def cg_direction(
     grad: np.ndarray,
     step_prev: np.ndarray | None,
     grad_diff_prev: np.ndarray | None,
-    cfg: SolverConfig,
 ) -> np.ndarray:
     """Conjugate-gradient ascent direction grad + beta * previous step.
 
@@ -189,11 +168,11 @@ def cg_direction(
     dty = float(step_prev @ grad_diff_prev)
     dnorm = float(np.linalg.norm(step_prev))
     ynorm = float(np.linalg.norm(grad_diff_prev))
-    if abs(dty) < cfg.eps * dnorm * ynorm or dty == 0.0:
+    if abs(dty) < EPS * dnorm * ynorm or dty == 0.0:
         return grad.copy()
     y_sq = float(grad_diff_prev @ grad_diff_prev)
     beta_tilde = (
-        cfg.tau * y_sq / dty * float(step_prev @ grad) - float(grad_diff_prev @ grad)
+        TAU * y_sq / dty * float(step_prev @ grad) - float(grad_diff_prev @ grad)
     ) / dty
     if not math.isfinite(beta_tilde) or beta_tilde <= 0.0:
         return grad.copy()
@@ -278,12 +257,12 @@ def line_search_wolfe(
     trial = 2.0 / (1.0 + float(np.linalg.norm(direction)))
     base = None
     evals = 0
-    for _ in range(cfg.max_linesearch_steps):
+    for _ in range(MAX_LINESEARCH_STEPS):
         x_t = cayley_step(x, direction, trial)
         f_t, grad_t, prefix_t = _value_grad_prefix(g, x_t, cfg.p)
         evals += 1
         finite = math.isfinite(f_t) and bool(np.all(np.isfinite(grad_t)))
-        required = cfg.c1 * trial * slope0
+        required = C1 * trial * slope0
         if not finite:
             inc_t, increase_ok = -math.inf, False
         elif f0 + required == f0:
@@ -296,7 +275,7 @@ def line_search_wolfe(
         else:
             inc_t = f_t - f0
             increase_ok = f_t >= f0 + required
-        curvature_ok = finite and float(grad_t @ direction) <= cfg.c2 * slope0
+        curvature_ok = finite and float(grad_t @ direction) <= C2 * slope0
         if increase_ok and curvature_ok:
             return LineSearchResult(True, trial, x_t, f_t, grad_t, evals)
 
@@ -319,16 +298,15 @@ def solve_single(
     g: Hypergraph,
     cfg: SolverConfig,
     x0: np.ndarray,
-    reference: float | None = None,
     track: bool = False,
 ) -> SolveResult:
     """Run the iteration from one unit starting point.
 
-    Stops when ||grad|| <= grad_tol, when the value matches an optional
-    reference to 1e-12, at max_iter, or on line-search/numerical failure
-    (after one steepest-ascent restart).  The reported weighting is the
-    entrywise absolute value of the final iterate, which can only increase
-    the objective because edge weights are nonnegative.
+    Stops when ||grad|| <= grad_tol (the only converged stop), at max_iter,
+    or on line-search/numerical failure (after one steepest-ascent restart).
+    The reported weighting is the entrywise absolute value of the final
+    iterate, which can only increase the objective because edge weights are
+    nonnegative.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     norm = float(np.linalg.norm(x))
@@ -349,16 +327,13 @@ def solve_single(
         if gnorm <= cfg.grad_tol:
             stop = "grad_tol"
             break
-        if reference is not None and abs(f - reference) <= 1e-12:
-            stop = "reference"
-            break
         if k >= cfg.max_iter:
             stop = "max_iter"
             break
 
-        direction = cg_direction(grad, step_prev, grad_diff_prev, cfg)
+        direction = cg_direction(grad, step_prev, grad_diff_prev)
         ascent = float(direction @ grad)
-        required = cfg.ascent_coeff * gnorm * gnorm
+        required = ASCENT_COEFF * gnorm * gnorm
         if not math.isfinite(ascent) or ascent < required * (1.0 - 1e-12):
             direction = grad.copy()
             ascent = gnorm * gnorm
@@ -394,7 +369,6 @@ def solve_single(
         x, f, grad = search.x, search.f, search.grad
         k += 1
 
-    converged = stop in ("grad_tol", "reference")
     weighting = np.abs(x)
     if math.isfinite(f):
         lam = objective(g, weighting, cfg.p)
@@ -404,64 +378,32 @@ def solve_single(
         lam=lam,
         weighting=weighting,
         iterations=k,
-        converged=converged,
+        converged=stop == "grad_tol",
         stop_reason=stop,
         grad_norm=float(np.linalg.norm(grad)),
         trace=tuple(trace) if track else None,
     )
 
 
-def _start_point(g: Hypergraph, cfg: SolverConfig, rng: np.random.Generator) -> np.ndarray:
-    """Random start, redrawn up to 5 times if it happens to be stationary."""
-    x0 = random_unit_sphere(g.n, rng)
-    for _ in range(5):
-        _, grad = value_and_grad(g, x0, cfg.p)
-        if float(np.linalg.norm(grad)) > cfg.grad_tol:
-            break
-        x0 = random_unit_sphere(g.n, rng)
-    return x0
-
-
-def solve_multistart(
-    g: Hypergraph,
-    cfg: SolverConfig,
-    reference: float | None = None,
-    track: bool = False,
-) -> MultistartResult:
-    """cfg.runs independent runs from seeds cfg.seed + run index; keep the max.
+def solve_multistart(g: Hypergraph, cfg: SolverConfig, track: bool = False) -> MultistartResult:
+    """cfg.runs independent runs, run i from a uniform start drawn with seed
+    cfg.seed + i; keep the max.
 
     Ties keep the earliest run.
     """
-    results = []
-    for i in range(cfg.runs):
-        rng = np.random.default_rng(cfg.seed + i)
-        results.append(solve_single(g, cfg, _start_point(g, cfg, rng), reference, track))
-
+    results = tuple(
+        solve_single(g, cfg, random_unit_sphere(g.n, np.random.default_rng(cfg.seed + i)), track)
+        for i in range(cfg.runs)
+    )
     lams = np.array([res.lam for res in results])
     if not np.any(np.isfinite(lams)):
         raise SolverError(f"all {cfg.runs} runs failed numerically")
     best_run = int(np.nanargmax(lams))
-    accuracy = None
-    if reference is not None:
-        rel = np.abs(lams - reference) / abs(reference)
-        accuracy = float(np.mean(rel <= 1e-8))
-    summaries = tuple(
-        RunSummary(
-            lam=res.lam,
-            iterations=res.iterations,
-            converged=res.converged,
-            stop_reason=res.stop_reason,
-            grad_norm=res.grad_norm,
-        )
-        for res in results
-    )
     return MultistartResult(
         best=results[best_run],
         best_run=best_run,
         all_lambdas=tuple(float(v) for v in lams),
-        run_summaries=summaries,
-        accuracy_rate=accuracy,
-        results=tuple(results) if track else None,
+        run_summaries=results,
     )
 
 

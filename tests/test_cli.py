@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import hyperspec
-from hyperspec import parse_edge_list
+from hyperspec import SolverError, cli, parse_edge_list, ranking, solver
 from hyperspec.cli import main, parse_p
 
 
@@ -181,6 +181,22 @@ def test_bad_input_prints_error_without_traceback(argv, status, single_edge_file
     assert proc.returncode == status
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "{edge}", "--p", "2"], ["rank", "{edge}", "--p", "2"], ["lagrangian", "{edge}"]],
+    ids=["solve", "rank", "lagrangian"],
+)
+def test_solver_error_exits_one(argv, single_edge_file, monkeypatch, capsys):
+    def fails(*args, **kwargs):
+        raise SolverError("all 3 runs failed numerically")
+
+    monkeypatch.setattr(solver, "solve_multistart", fails)
+    monkeypatch.setattr(cli, "solve_multistart", fails)
+    monkeypatch.setattr(ranking, "solve_multistart", fails)
+    assert main([a.format(edge=single_edge_file) for a in argv]) == 1
+    assert capsys.readouterr().err == "error: all 3 runs failed numerically\n"
 
 
 class TestSelftest:

@@ -1,17 +1,26 @@
-"""Every name a demo imports from the package still exists.
+"""Every name a demo imports from the package still exists, and the fast
+demos run clean.
 
 Running all demos takes about half a minute, so their imports are checked
 statically: each script is parsed with ``ast`` and every ``hyperspec``
-module and name it imports must resolve.
+module and name it imports must resolve.  The demos that take under a
+second or two are also run, since a static check cannot catch a stale
+attribute or keyword argument.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hyperspec
+
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+FAST_DEMOS = [p for p in DEMOS if p.name.startswith(("02_", "06_"))]
 
 
 def package_imports(path: Path) -> list[tuple[str, str | None]]:
@@ -37,3 +46,12 @@ def test_demo_imports_resolve(path):
     for module, name in imports:
         mod = importlib.import_module(module)
         assert name is None or hasattr(mod, name), f"{path.name}: {module} has no {name!r}"
+
+
+@pytest.mark.parametrize("path", FAST_DEMOS, ids=lambda p: p.name)
+def test_fast_demo_runs_clean(path, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperspec.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, str(path)], cwd=tmp_path,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "BAD" not in proc.stdout, proc.stdout
