@@ -49,6 +49,11 @@ class TestConfig:
         [
             {"p": 1.0},
             {"p": 0.5},
+            {"p": float("nan")},
+            {"p": 2.0, "grad_tol": -1e-8},
+            {"p": 2.0, "grad_tol": float("nan")},
+            {"p": 2.0, "max_iter": -1},
+            {"p": 2.0, "runs": -1},
             {"p": 2.0, "grad_tol": 0.0},
             {"p": 2.0, "max_iter": 0},
             {"p": 2.0, "runs": 0},
