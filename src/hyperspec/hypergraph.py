@@ -23,11 +23,13 @@ class Hypergraph:
     """An r-uniform weighted (multi-)hypergraph on vertices 1..n.
 
     ``slots`` is the (m, r) int64 table of 0-based vertex ids and ``weights``
-    the (m,) float64 edge weights; both are stored read-only.  Instances built
-    through :meth:`from_edges` or :func:`parse_edge_list` are canonical: each
-    row sorted nondecreasing, duplicate rows merged by summing weights, rows
-    in lexicographic order.  The raw constructor performs no checks so that
-    :func:`validate` can report violations.
+    the (m,) float64 edge weights; both are stored read-only, ``slots``
+    column-major so that ``slots.T`` is the C-contiguous (r, m) table the
+    objective kernel reads.  Instances built through :meth:`from_edges` or
+    :func:`parse_edge_list` are canonical: each row sorted nondecreasing,
+    duplicate rows merged by summing weights, rows in lexicographic order.
+    The raw constructor performs no checks so that :func:`validate` can
+    report violations.
     """
 
     n: int
@@ -37,7 +39,7 @@ class Hypergraph:
 
     def __post_init__(self):
         for name, dtype in (("slots", np.int64), ("weights", np.float64)):
-            array = np.array(getattr(self, name), dtype=dtype)
+            array = np.array(getattr(self, name), dtype=dtype, order="F")
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 
@@ -75,8 +77,14 @@ def _merge(edges, r, weights=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     edges = np.asarray(edges, dtype=np.int64)
     if edges.size == 0:
         edges = edges.reshape(0, r)
-    slots, inverse = np.unique(np.sort(edges, axis=1) - 1, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
+    rows = np.sort(edges, axis=1) - 1
+    order = np.lexsort(rows.T[::-1])            # column 0 is the primary key
+    rows = rows[order]
+    first = np.ones(len(rows), dtype=bool)      # row starts a run of equal rows
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    slots = rows[first]
     if weights is None:
         weights = np.ones(len(edges))
     merged = np.bincount(inverse, weights=np.asarray(weights, dtype=np.float64),

@@ -6,10 +6,11 @@ the gradient; :func:`objective` and :func:`value_and_grad` are views of it and
 :func:`tensor_apply` is a view of the edge products beneath it.
 
 All operations are pure functions of (hypergraph, vector, p) and cost
-O(sum of edge sizes) arithmetic: per edge, the partial products of the other
-slot entries are formed with prefix/suffix cumulative products, so no division
-by possibly-zero entries ever occurs and no order-r tensor is materialized.
-Accumulation order is fixed (edge order, then numpy's pairwise summation), so
+O(sum of edge sizes) arithmetic: on the slot-major (r, m) table ``g.slots.T``
+the partial products of the other slot entries come from prefix and suffix
+products built one slot row at a time, so no division by possibly-zero
+entries ever occurs and no order-r tensor is materialized.  Accumulation
+order is fixed (slot, then edge order, then numpy's pairwise summation), so
 repeated evaluations are bit-identical.
 """
 
@@ -32,27 +33,33 @@ def _check_vector(g: Hypergraph, x: np.ndarray) -> np.ndarray:
 
 def _edge_products(g: Hypergraph, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Return (w, dw, prefix): the weight polynomial, its gradient dw_i = dw/dx_i
-    and the (m, r+1) prefix products, prefix[e, j] = product of the first j
+    and the (r+1, m) prefix products, prefix[j, e] = product of the first j
     slot entries of edge e.
 
     For an edge with repeated vertices the slot-wise sum automatically yields
     the multiplicity factor of the partial derivative.
     """
-    m, r = g.m, g.r
-    if m == 0:
-        return 0.0, np.zeros(g.n), np.ones((0, r + 1))
-    slots, weights = g.slots, g.weights
-    entries = x[slots]                         # (m, r)
-
-    prefix = np.ones((m, r + 1))
-    np.cumprod(entries, axis=1, out=prefix[:, 1:])
-    suffix = np.ones((m, r + 1))
-    suffix[:, :-1] = np.cumprod(entries[:, ::-1], axis=1)[:, ::-1]
-
-    w = float(weights @ prefix[:, r])
-    partials = weights[:, None] * prefix[:, :r] * suffix[:, 1:]
-    dw = np.bincount(slots.ravel(), weights=partials.ravel(), minlength=g.n)
+    entries = x[g.slots.T]                     # (r, m): row j holds slot j
+    prefix = np.empty((g.r + 1, g.m))
+    prefix[0], prefix[1] = 1.0, entries[0]
+    for j in range(1, g.r):
+        np.multiply(prefix[j], entries[j], out=prefix[j + 1])
+    w = float(g.weights @ prefix[g.r])
+    partials = _suffix_products(entries)[1:]
+    partials *= prefix[:-1]
+    partials *= g.weights
+    dw = np.bincount(g.slots.T.ravel(), weights=partials.ravel(), minlength=g.n)
     return w, dw, prefix
+
+
+def _suffix_products(entries: np.ndarray) -> np.ndarray:
+    """(r+1, m) suffix products of the (r, m) slot entries: row j = slots j..r-1."""
+    r, m = entries.shape
+    suffix = np.empty((r + 1, m))
+    suffix[r], suffix[r - 1] = 1.0, entries[r - 1]
+    for j in range(r - 2, -1, -1):
+        np.multiply(entries[j], suffix[j + 1], out=suffix[j])
+    return suffix
 
 
 def tensor_apply(g: Hypergraph, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -91,8 +98,8 @@ def value_and_grad(g: Hypergraph, x: np.ndarray, p: float) -> tuple[float, np.nd
 def _value_grad_prefix(
     g: Hypergraph, x: np.ndarray, p: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """:func:`value_and_grad` plus the edge prefix products of x, which
-    :func:`_increment` reuses when x is a line-search trial."""
+    """:func:`value_and_grad` plus the (r+1, m) edge prefix products of x,
+    which :func:`_increment` reuses when x is a line-search trial."""
     x = _check_vector(g, x)
     pnorm_p = float(np.sum(np.abs(x) ** p))
     if pnorm_p == 0.0:
@@ -112,7 +119,7 @@ class _IncrementBase:
     one line search."""
 
     x: np.ndarray
-    suffix: np.ndarray     # (m, r+1) suffix products of x's slot entries
+    suffix: np.ndarray     # (r+1, m) suffix products of x's slot entries
     abs_x: np.ndarray
     zeros: np.ndarray      # indices where x is zero
     pow_x: np.ndarray      # |x|^p
@@ -124,12 +131,7 @@ class _IncrementBase:
 def _increment_base(g: Hypergraph, x: np.ndarray, p: float) -> _IncrementBase:
     """Precompute the factors of x for increments f(y) - f(x)."""
     x = _check_vector(g, x)
-    entries = x[g.slots]
-    # column by column: for large m this is several times faster than the
-    # kernel's reversed cumprod along axis 1, and gives the same products
-    suffix = np.ones((g.m, g.r + 1))
-    for j in range(g.r - 1, -1, -1):
-        np.multiply(entries[:, j], suffix[:, j + 1], out=suffix[:, j])
+    suffix = _suffix_products(x[g.slots.T])
     abs_x = np.abs(x)
     pow_x = abs_x**p
     return _IncrementBase(
@@ -139,7 +141,7 @@ def _increment_base(g: Hypergraph, x: np.ndarray, p: float) -> _IncrementBase:
         zeros=np.flatnonzero(x == 0.0),
         pow_x=pow_x,
         pnorm_p=float(np.sum(pow_x)),
-        w=float(g.weights @ suffix[:, 0]),
+        w=float(g.weights @ suffix[0]),
         p=p,
     )
 
@@ -155,7 +157,7 @@ def _increment(
 
     * w(y) - w(x) telescopes edge by edge,
       prod(a) - prod(b) = sum_j a_1..a_{j-1} (a_j - b_j) b_{j+1}..b_r,
-      from the prefix products of y (``prefix_y``, as returned by
+      from the (r+1, m) prefix products of y (``prefix_y``, as returned by
       :func:`_value_grad_prefix`) and the suffix products of x;
     * |a|^p - |b|^p = |b|^p * expm1(p * log1p((|a| - |b|) / |b|));
     * with P = ||.||_p^p, the ratio of the normalizers
@@ -165,11 +167,10 @@ def _increment(
     when y equals x.
     """
     x, p, r = base.x, base.p, g.r
-    steps = (y - x)[g.slots]
-    terms = prefix_y[:, 0] * steps[:, 0] * base.suffix[:, 1]
-    for j in range(1, r):
-        terms += prefix_y[:, j] * steps[:, j] * base.suffix[:, j + 1]
-    dw = float(g.weights @ terms)
+    terms = (y - x)[g.slots.T]                 # (r, m) slot steps
+    terms *= prefix_y[:-1]
+    terms *= base.suffix[1:]
+    dw = float(g.weights @ terms.sum(axis=0))
 
     abs_y = np.abs(y)
     with np.errstate(divide="ignore", invalid="ignore"):

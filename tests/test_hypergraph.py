@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperspec import (
@@ -9,10 +9,12 @@ from hyperspec import (
     degree,
     gen_beta_star,
     gen_complete,
+    gen_loose_path,
     parse_edge_list,
     serialize_edge_list,
     validate,
 )
+from hyperspec.hypergraph import _merge
 
 
 def edge(g, pos):
@@ -163,6 +165,27 @@ def test_hypergraph_is_immutable():
         g.slots[0, 0] = 3
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Hypergraph.from_edges(n=5, r=3, edges=[(3, 1, 2), (2, 4, 5), (1, 2, 3)]),
+        lambda: parse_edge_list("3 5\n3 1 2\n2 4 5 0.5\n1 2 3\n"),
+        lambda: raw(5, 3, [(1, 2, 3), (2, 4, 5)], [1.0, 1.0]),
+        lambda: gen_beta_star(3, 4),
+        lambda: gen_loose_path(4, 3),
+        lambda: gen_complete(6, 3),
+        lambda: parse_edge_list("3 5\n"),
+    ],
+    ids=["from_edges", "parse", "raw", "beta_star", "loose_path", "complete", "empty"],
+)
+def test_slots_stored_slot_major(build):
+    # the kernel reads g.slots.T as a contiguous (r, m) table
+    g = build()
+    assert g.slots.shape == (g.m, g.r)
+    assert g.slots.T.flags.c_contiguous
+    assert not g.slots.flags.writeable
+
+
 def test_header_only_file_is_an_empty_graph():
     g = parse_edge_list("3 5\n")
     assert g.m == 0 and g.n == 5
@@ -218,3 +241,37 @@ def test_incidence_total_multiplicity(g):
 @settings(max_examples=60, deadline=None)
 def test_canonical_graphs_validate_clean(g):
     assert validate(g) == []
+
+
+def merge_reference(edges, r, weights):
+    """``_merge`` as np.unique(axis=0, return_inverse=True) plus bincount."""
+    rows = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, r), axis=1) - 1
+    slots, inverse = np.unique(rows, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    if weights is None:
+        weights = np.ones(len(rows))
+    merged = np.bincount(inverse, weights=np.asarray(weights, dtype=np.float64),
+                         minlength=len(slots))
+    return slots, merged, inverse
+
+
+@st.composite
+def edge_tables(draw):
+    r = draw(st.integers(min_value=2, max_value=5))
+    m = draw(st.integers(min_value=0, max_value=12))
+    edges = draw(st.lists(st.lists(st.integers(1, 4), min_size=r, max_size=r),
+                          min_size=m, max_size=m))
+    edge_weights = draw(st.none() | st.lists(weights, min_size=m, max_size=m))
+    return edges, r, edge_weights
+
+
+@given(edge_tables())
+@example(([], 3, None))
+@example(([], 2, []))
+@settings(max_examples=100, deadline=None)
+def test_merge_matches_unique_reference(table):
+    got = _merge(*table)
+    expected = merge_reference(*table)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()

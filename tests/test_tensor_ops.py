@@ -25,6 +25,35 @@ def weight_poly(g, x):
     return float(g.weights @ np.prod(x[g.slots], axis=1))
 
 
+def reference_products(g, x):
+    """(w, dw) edge by edge: each partial is np.prod over the other slots of
+    its edge, scattered onto the vertices with np.add.at."""
+    entries = x[g.slots]
+    w = float(g.weights @ np.prod(entries, axis=1))
+    others = [np.prod(np.delete(entries, j, axis=1), axis=1) for j in range(g.r)]
+    dw = np.zeros(g.n)
+    np.add.at(dw, g.slots, g.weights[:, None] * np.stack(others, axis=1))
+    return w, dw
+
+
+def reference_value_and_grad(g, x, p, magnitudes=False):
+    """f and its gradient from :func:`reference_products`.  With
+    ``magnitudes`` every term enters with its absolute value, which bounds
+    the rounding error of any order of summation."""
+    w, dw = reference_products(g, np.abs(x) if magnitudes else x)
+    norm_p = float(np.sum(np.abs(x) ** p))
+    scale = math.factorial(g.r) / norm_p ** (g.r / p)
+    power = np.abs(x) ** (p - 1.0) * (1.0 if magnitudes else np.sign(x))
+    sign = 1.0 if magnitudes else -1.0
+    return scale * w, scale * (dw + sign * (g.r * w / norm_p) * power)
+
+
+def random_multiset_graph(rng, r, n, m):
+    """Random r-graph on n vertices whose edges may repeat vertices."""
+    edges = rng.integers(1, n + 1, size=(m, r))
+    return Hypergraph.from_edges(n=n, r=r, edges=edges, weights=rng.uniform(0.5, 2.0, size=m))
+
+
 def single_edge(verts, weight=1.0, n=None):
     n = n or max(verts)
     return Hypergraph.from_edges(n=n, r=len(verts), edges=[verts], weights=[weight])
@@ -155,6 +184,65 @@ class TestObjectiveGrad:
             value_and_grad(gen_complete(4, 3), np.zeros(4), 2.0)
 
 
+class TestAgainstReference:
+    """The kernel against the per-edge reference, to 1e-12 of the summed
+    term magnitudes (plain rtol 1e-12 where no terms cancel)."""
+
+    @staticmethod
+    def check(g, x, p):
+        f, grad = value_and_grad(g, x, p)
+        f_ref, grad_ref = reference_value_and_grad(g, x, p)
+        f_mag, grad_mag = reference_value_and_grad(g, x, p, magnitudes=True)
+        assert abs(f - f_ref) <= 1e-12 * f_mag
+        assert np.all(np.abs(grad - grad_ref) <= 1e-12 * grad_mag)
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+    def test_random_multiset_graphs(self, r):
+        rng = np.random.default_rng(100 + r)
+        multisets = 0
+        for _ in range(20):
+            n = int(rng.integers(2, 12))
+            g = random_multiset_graph(rng, r, n, int(rng.integers(1, 40)))
+            multisets += int(np.count_nonzero(np.diff(g.slots, axis=1) == 0))
+            x = rng.standard_normal(n)
+            x[rng.random(n) < 0.25] = 0.0
+            x[0] = 1.0
+            self.check(g, x, float(rng.choice([1.5, 2.0, 3.0, 8.0])))
+        assert multisets > 0
+
+    def test_zero_entries(self):
+        # x_1 = 0 sits once in {1,2,3} and twice in {1,1,4}: only the single
+        # occurrence leaves a nonzero partial at vertex 1
+        g = Hypergraph.from_edges(n=4, r=3, edges=[(1, 2, 3), (1, 1, 4), (2, 3, 4)],
+                                  weights=[1.0, 2.0, 0.5])
+        x = np.array([0.0, 0.6, -0.8, 0.5])
+        self.check(g, x, 2.0)
+        _, axr1 = tensor_apply(g, x)
+        assert axr1[0] == pytest.approx(0.6 * -0.8, rel=1e-15)
+
+    def test_empty_graph(self):
+        g = Hypergraph.from_edges(n=4, r=3, edges=[])
+        assert g.m == 0
+        x = np.array([0.5, -0.5, 0.5, 0.5])
+        f, grad = value_and_grad(g, x, 2.0)
+        assert f == 0.0 and np.array_equal(grad, np.zeros(4))
+        assert tensor_apply(g, x)[0] == 0.0
+        self.check(g, x, 2.0)
+
+    def test_repeated_calls_bit_identical(self):
+        rng = np.random.default_rng(7)
+        g = random_multiset_graph(rng, 4, 30, 200)
+        x, y = random_unit(rng, 30), random_unit(rng, 30)
+        f, grad, prefix = _value_grad_prefix(g, y, 3.0)
+        base = _increment_base(g, x, 3.0)
+        inc = _increment(g, base, y, prefix)
+        for _ in range(3):
+            f2, grad2, prefix2 = _value_grad_prefix(g, y, 3.0)
+            assert f2 == f and grad2.tobytes() == grad.tobytes()
+            assert prefix2.tobytes() == prefix.tobytes()
+            assert _increment(g, _increment_base(g, x, 3.0), y, prefix2) == inc
+
+
 class TestIncrement:
     """f(y) - f(x) as the line search evaluates it below the float64 value floor."""
 
@@ -199,6 +287,31 @@ class TestIncrement:
     def test_zero_at_the_base_point(self, p):
         x = self.X.copy()
         assert self.increment(self.GRAPH, self.X, x, p) == 0.0
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("r", [5, 6])
+    def test_higher_rank_multiset_edges(self, r, p):
+        rng = np.random.default_rng(r)
+        g = random_multiset_graph(rng, r, 8, 30)
+        assert np.any(np.diff(g.slots, axis=1) == 0)
+        x = random_unit(rng, 8)
+        x[3], x[5] = 0.0, 1e-3
+        # far above noise: vertex 2 changes sign, vertex 3 leaves zero
+        y = x.copy()
+        y[[2, 3]] = -x[2], 0.3
+        diff = value_and_grad(g, y, p)[0] - value_and_grad(g, x, p)[0]
+        assert abs(diff) > 1e-3
+        assert self.increment(g, x, y, p) == pytest.approx(diff, rel=1e-12)
+        # below noise: the first-order term, stepping the small entry x_5,
+        # whose steps resolve increases far below the spacing of f
+        f, grad = value_and_grad(g, x, p)
+        for alpha in (1e-10, 1e-13, 1e-16, 1e-17):
+            y = x.copy()
+            y[5] += alpha
+            first_order = float(grad @ (y - x))
+            assert abs(self.increment(g, x, y, p) - first_order) <= 1e-6 * abs(first_order)
+        assert abs(first_order) < 4.0 * abs(np.spacing(f))
+        assert self.increment(g, x, x.copy(), p) == 0.0
 
 
 # --- property tests -----------------------------------------------------------
