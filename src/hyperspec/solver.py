@@ -225,19 +225,24 @@ def line_search_wolfe(
     f0: float,
     grad0: np.ndarray,
     direction: np.ndarray,
+    trial: float | None = None,
 ) -> LineSearchResult:
     """Find alpha > 0 on the Cayley curve satisfying both Wolfe conditions:
 
         f(x(alpha)) >= f0 + c1 * alpha * grad0 . direction
         grad(x(alpha)) . direction <= c2 * grad0 . direction
 
-    Expansion by factor 2 until the peak of the curve section is bracketed
+    The first trial is ``trial`` when that is finite and positive, and
+    2 / (1 + ||direction||) otherwise.  Expansion by factor 2 from there until
+    the peak of the curve section is bracketed
     (sufficient increase fails, the value drops below the bracket floor, or the
     curve slope turns nonpositive), then safeguarded quadratic interpolation
     inside the bracket.  The slope phi'(alpha) comes from the closed-form
     identity phi'(alpha) = -grad(x(alpha)) . x / alpha, so every trial costs a
     single objective/gradient evaluation.  The bracket holds increases over
-    f0, not raw values.
+    f0, not raw values.  The search fails once the bracket collapses, or as
+    soon as the next trial equals the current one: that trial's evaluation
+    and bracket update would repeat unchanged up to MAX_LINESEARCH_STEPS.
 
     Near stationarity the true increase of f falls below the resolution of
     f's float64 values, and comparing two of them compares rounding noise; the
@@ -254,7 +259,8 @@ def line_search_wolfe(
 
     lo, inc_lo, d_lo = 0.0, 0.0, slope0
     hi, inc_hi = math.inf, math.inf
-    trial = 2.0 / (1.0 + float(np.linalg.norm(direction)))
+    if trial is None or not 0.0 < trial < math.inf:
+        trial = 2.0 / (1.0 + float(np.linalg.norm(direction)))
     base = None
     evals = 0
     for _ in range(MAX_LINESEARCH_STEPS):
@@ -280,6 +286,7 @@ def line_search_wolfe(
             return LineSearchResult(True, trial, x_t, f_t, grad_t, evals)
 
         slope_t = -float(grad_t @ x) / trial if finite else -math.inf
+        current = trial
         if not increase_ok or inc_t < inc_lo or slope_t <= 0.0:
             # peak bracketed: trial overshot the rising section
             hi, inc_hi = trial, inc_t
@@ -289,7 +296,7 @@ def line_search_wolfe(
             lo, inc_lo, d_lo = trial, inc_t, slope_t
             trial = trial * 2.0 if math.isinf(hi) else _interpolate(lo, inc_lo, d_lo, hi, inc_hi)
 
-        if math.isfinite(hi) and hi - lo <= 1e-16 * max(1.0, hi):
+        if trial == current or (math.isfinite(hi) and hi - lo <= 1e-16 * max(1.0, hi)):
             break
     return LineSearchResult(False, 0.0, None, f0, None, evals)
 
@@ -304,6 +311,11 @@ def solve_single(
 
     Stops when ||grad|| <= grad_tol (the only converged stop), at max_iter,
     or on line-search/numerical failure (after one steepest-ascent restart).
+    Each line search after the first starts from the trial that would repeat
+    the last step's value gain, 2 (f_k - f_{k-1}) / (direction . grad)
+    (Nocedal & Wright, eq. 3.60), with f_k - f_{k-1} the float64 difference
+    of the last accepted values; the first search, and the steepest-ascent
+    retry, start from the line search's default.
     The reported weighting is the entrywise absolute value of the final
     iterate, which can only increase the objective because edge weights are
     nonnegative.
@@ -318,6 +330,7 @@ def solve_single(
     trace: list[IterationRecord] = []
     step_prev: np.ndarray | None = None
     grad_diff_prev: np.ndarray | None = None
+    gain_prev: float | None = None
     k = 0
     while True:
         if not math.isfinite(f) or not np.all(np.isfinite(grad)):
@@ -337,7 +350,8 @@ def solve_single(
         if not math.isfinite(ascent) or ascent < required * (1.0 - 1e-12):
             direction = grad.copy()
             ascent = gnorm * gnorm
-        search = line_search_wolfe(g, cfg, x, f, grad, direction)
+        trial = 2.0 * gain_prev / ascent if gain_prev is not None and ascent > 0.0 else None
+        search = line_search_wolfe(g, cfg, x, f, grad, direction, trial)
         if not search.ok and not np.array_equal(direction, grad):
             # restart policy: retry the iteration with plain steepest ascent
             direction = grad.copy()
@@ -366,6 +380,7 @@ def solve_single(
             )
         step_prev = search.x - x
         grad_diff_prev = search.grad - grad
+        gain_prev = search.f - f
         x, f, grad = search.x, search.f, search.grad
         k += 1
 

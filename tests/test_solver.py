@@ -182,6 +182,79 @@ class TestLineSearch:
         res = line_search_wolfe(g, cfg, x, f0, grad0, grad0.copy())
         assert res.ok and res.evals == 1
 
+    @staticmethod
+    def _search_setup(seed):
+        g = gen_beta_star(3, 10)
+        x = random_unit_sphere(g.n, np.random.default_rng(seed))
+        f0, grad0 = value_and_grad(g, x, 3.0)
+        return g, SolverConfig(p=3.0), x, f0, grad0
+
+    @staticmethod
+    def _same(a, b):
+        return (a.ok, a.alpha, a.f, a.evals) == (b.ok, b.alpha, b.f, b.evals) and all(
+            (u is None and v is None) or u.tobytes() == v.tobytes()
+            for u, v in ((a.x, b.x), (a.grad, b.grad))
+        )
+
+    @staticmethod
+    def _record_trials(monkeypatch):
+        trials = []
+        real = solver.cayley_step
+
+        def recorded(x, direction, alpha):
+            trials.append(alpha)
+            return real(x, direction, alpha)
+
+        monkeypatch.setattr(solver, "cayley_step", recorded)
+        return trials
+
+    def test_trial_none_is_the_default(self):
+        for seed in range(5):
+            g, cfg, x, f0, grad0 = self._search_setup(seed)
+            for direction in (grad0.copy(), grad0 + 0.3 * np.roll(grad0, 1)):
+                plain = line_search_wolfe(g, cfg, x, f0, grad0, direction)
+                assert self._same(plain, line_search_wolfe(g, cfg, x, f0, grad0, direction, None))
+                keyword = line_search_wolfe(g, cfg, x, f0, grad0, direction, trial=None)
+                assert self._same(plain, keyword)
+
+    def test_first_point_is_the_given_trial(self, monkeypatch):
+        g, cfg, x, f0, grad0 = self._search_setup(1)
+        trials = self._record_trials(monkeypatch)
+        for trial in (0.37, 1e-3, 5.0):
+            trials.clear()
+            res = line_search_wolfe(g, cfg, x, f0, grad0, grad0.copy(), trial)
+            assert trials[0] == trial
+            assert res.evals == len(trials)
+
+    @pytest.mark.parametrize("trial", [0.0, -1.0, math.nan, math.inf])
+    def test_unusable_trial_falls_back_to_default(self, monkeypatch, trial):
+        g, cfg, x, f0, grad0 = self._search_setup(2)
+        direction = grad0.copy()
+        trials = self._record_trials(monkeypatch)
+        res = line_search_wolfe(g, cfg, x, f0, grad0, direction, trial)
+        assert trials[0] == 2.0 / (1.0 + float(np.linalg.norm(direction)))
+        assert self._same(res, line_search_wolfe(g, cfg, x, f0, grad0, direction))
+
+    def test_search_ends_at_exact_fixed_point(self, monkeypatch):
+        # The curve is flat past alpha = 1 while still rising with the
+        # curvature test unmet at 1, so the bracket shrinks onto [1, 1 + ulp]
+        # and interpolation returns 1 again: a repeat of that trial would
+        # repeat its evaluation and bracket update unchanged.
+        g, cfg, x, f0, grad0 = self._search_setup(0)
+        trials = []
+        real = solver.cayley_step
+
+        def flat_past_one(x, direction, alpha):
+            trials.append(alpha)
+            return real(x, direction, alpha) if alpha <= 1.0 else x.copy()
+
+        monkeypatch.setattr(solver, "cayley_step", flat_past_one)
+        res = line_search_wolfe(g, cfg, x, f0, grad0, 1e-3 * grad0, trial=1.0)
+        assert not res.ok and res.x is None and res.f == f0
+        assert trials[0] == trials[-1] == 1.0
+        assert all(a != b for a, b in zip(trials, trials[1:]))
+        assert res.evals == len(trials) < solver.MAX_LINESEARCH_STEPS
+
     def test_rejects_non_ascent_direction(self):
         g = gen_complete(4, 3)
         cfg = SolverConfig(p=2.0)
@@ -235,6 +308,78 @@ class TestSolveSingle:
         assert res.stop_reason == "line_search_failure"
         assert not res.converged
         assert res.lam == objective(g, res.weighting, 3.0)
+
+    # beta-star(3,10) start 0 has steps below the value resolution (zero
+    # gain); beta-star(6,4) start 0 has steepest-ascent retries
+    @pytest.mark.parametrize(
+        "build, p, path",
+        [
+            (lambda: gen_beta_star(3, 10), 3.0, "zero_gain"),
+            (lambda: gen_beta_star(6, 4), 4.0, "retry"),
+        ],
+    )
+    def test_searches_warm_start_from_last_gain(self, monkeypatch, build, p, path):
+        g = build()
+        searches = []  # (trial passed, first alpha evaluated, default trial, ok)
+        real_search, real_step = solver.line_search_wolfe, solver.cayley_step
+
+        def search(g, cfg, x, f0, grad0, direction, trial=None):
+            searches.append([trial, None, 2.0 / (1.0 + float(np.linalg.norm(direction))), None])
+            res = real_search(g, cfg, x, f0, grad0, direction, trial)
+            searches[-1][3] = res.ok
+            return res
+
+        def step(x, direction, alpha):
+            if searches[-1][1] is None:
+                searches[-1][1] = alpha
+            return real_step(x, direction, alpha)
+
+        monkeypatch.setattr(solver, "line_search_wolfe", search)
+        monkeypatch.setattr(solver, "cayley_step", step)
+        x0 = random_unit_sphere(g.n, np.random.default_rng(0))
+        res = solve_single(g, SolverConfig(p=p), x0, track=True)
+        assert res.stop_reason == "grad_tol"
+        trace = res.trace
+        # one successful search per record; a failed one is followed by the
+        # steepest-ascent retry of the same iteration
+        groups, k = [[] for _ in trace], 0
+        for entry in searches:
+            groups[k].append(entry)
+            k += entry[3]
+        assert k == len(trace)
+        seen = set()
+        for k, group in enumerate(groups):
+            assert [entry[3] for entry in group] == [False] * (len(group) - 1) + [True]
+            if len(group) == 2:
+                seen.add("retry")
+                assert group[1][0] is None and group[1][1] == group[1][2]
+                assert group[0][0] is not None or k == 0
+                continue
+            assert len(group) == 1
+            trial, first, default, _ = group[0]
+            if k == 0:
+                assert trial is None
+                continue
+            expected = 2.0 * (trace[k].f - trace[k - 1].f) / trace[k].ascent
+            assert trial == expected
+            if expected == 0.0:
+                seen.add("zero_gain")
+            assert first == (expected if 0.0 < expected < math.inf else default)
+        assert path in seen
+
+    def test_warm_start_evals_per_search(self, monkeypatch):
+        counts = []
+        real = solver.line_search_wolfe
+
+        def counted(*args, **kwargs):
+            res = real(*args, **kwargs)
+            counts.append(res.evals)
+            return res
+
+        monkeypatch.setattr(solver, "line_search_wolfe", counted)
+        multi = solve_multistart(gen_beta_star(3, 200), SolverConfig(p=3.0, runs=20, seed=0))
+        assert all(run.stop_reason == "grad_tol" for run in multi.run_summaries)
+        assert sum(counts) / len(counts) < 2.5
 
     def test_numerical_failure_on_overflow(self):
         edges = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
