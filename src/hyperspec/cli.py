@@ -75,6 +75,8 @@ def cmd_solve(args) -> int:
     res = solve_multistart(g, cfg)
     wall = time.perf_counter() - t0
     total_iters = sum(r.iterations for r in res.run_summaries)
+    total_evals = sum(r.evals for r in res.run_summaries)
+    total_grads = sum(r.grad_evals for r in res.run_summaries)
 
     payload = {
         "lambda": res.best.lam,
@@ -99,6 +101,7 @@ def cmd_solve(args) -> int:
             f"runs        {cfg.runs} (best run {res.best_run}, "
             f"{'converged' if res.best.converged else res.best.stop_reason})",
             f"iterations  {total_iters} total",
+            f"kernel      {total_evals} value passes, {total_grads} gradient passes",
             f"time        {wall:.3f} s",
         ]
         _emit("\n".join(lines) + "\n", args.out)

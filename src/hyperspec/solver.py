@@ -16,13 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hypergraph import Hypergraph
-from .tensor_ops import (
-    _increment,
-    _increment_base,
-    _value_grad_prefix,
-    objective,
-    value_and_grad,
-)
+from .tensor_ops import _Eval, _gradient, _increment, _value, objective
 
 
 class SolverError(RuntimeError):
@@ -98,6 +92,8 @@ class SolveResult:
     converged: bool
     stop_reason: str
     grad_norm: float
+    evals: int = 0         # value passes of the kernel, the final lam's included
+    grad_evals: int = 0    # gradient passes
     trace: tuple[IterationRecord, ...] | None = None
 
     def weighting_scaled(self, ord: float) -> np.ndarray:
@@ -123,7 +119,9 @@ class LineSearchResult:
     x: np.ndarray | None
     f: float
     grad: np.ndarray | None
-    evals: int
+    evals: int             # trials, one value pass each
+    grad_evals: int = 0    # trials that also ran the gradient stage
+    point: _Eval | None = None   # the accepted point's kernel record
 
 
 @dataclass(frozen=True)
@@ -226,6 +224,7 @@ def line_search_wolfe(
     grad0: np.ndarray,
     direction: np.ndarray,
     trial: float | None = None,
+    point: _Eval | None = None,
 ) -> LineSearchResult:
     """Find alpha > 0 on the Cayley curve satisfying both Wolfe conditions:
 
@@ -238,9 +237,11 @@ def line_search_wolfe(
     (sufficient increase fails, the value drops below the bracket floor, or the
     curve slope turns nonpositive), then safeguarded quadratic interpolation
     inside the bracket.  The slope phi'(alpha) comes from the closed-form
-    identity phi'(alpha) = -grad(x(alpha)) . x / alpha, so every trial costs a
-    single objective/gradient evaluation.  The bracket holds increases over
-    f0, not raw values.  The search fails once the bracket collapses, or as
+    identity phi'(alpha) = -grad(x(alpha)) . x / alpha.  Every trial costs the
+    kernel's value stage; only a trial that passes the sufficient-increase
+    test, and so reaches the curvature test and the slope, also runs the
+    gradient stage (Nocedal & Wright, Alg. 3.5).  The bracket holds increases
+    over f0, not raw values.  The search fails once the bracket collapses, or as
     soon as the next trial equals the current one: that trial's evaluation
     and bracket update would repeat unchanged up to MAX_LINESEARCH_STEPS.
 
@@ -251,7 +252,10 @@ def line_search_wolfe(
     evaluated as a difference of nearby factors that does not cancel against
     f, tested against c1*alpha*slope, and the accepted value is f0 plus that
     increase.  Rounding is monotone, so accepted steps always satisfy both
-    inequalities above exactly as written.
+    inequalities above exactly as written.  The increment reads the kernel
+    record of x: ``point``, which the previous search returned with its
+    accepted point, or else one evaluated here on first need; the result is
+    the same either way.
     """
     slope0 = float(grad0 @ direction)
     if not slope0 > 0.0:
@@ -261,31 +265,37 @@ def line_search_wolfe(
     hi, inc_hi = math.inf, math.inf
     if trial is None or not 0.0 < trial < math.inf:
         trial = 2.0 / (1.0 + float(np.linalg.norm(direction)))
-    base = None
-    evals = 0
+    evals = grad_evals = 0
     for _ in range(MAX_LINESEARCH_STEPS):
         x_t = cayley_step(x, direction, trial)
-        f_t, grad_t, prefix_t = _value_grad_prefix(g, x_t, cfg.p)
+        point_t = _value(g, x_t, cfg.p)
+        f_t = point_t.f
         evals += 1
-        finite = math.isfinite(f_t) and bool(np.all(np.isfinite(grad_t)))
         required = C1 * trial * slope0
-        if not finite:
+        if not math.isfinite(f_t):
             inc_t, increase_ok = -math.inf, False
         elif f0 + required == f0:
             # sub-resolution: f_t - f0 would be rounding noise
-            if base is None:
-                base = _increment_base(g, x, cfg.p)
-            inc_t = _increment(g, base, x_t, prefix_t)
+            if point is None:
+                point = _value(g, x, cfg.p)
+                _gradient(g, point)
+            inc_t = _increment(g, point, point_t)
             increase_ok = inc_t >= required
             f_t = f0 + inc_t
         else:
             inc_t = f_t - f0
             increase_ok = f_t >= f0 + required
-        curvature_ok = finite and float(grad_t @ direction) <= C2 * slope0
-        if increase_ok and curvature_ok:
-            return LineSearchResult(True, trial, x_t, f_t, grad_t, evals)
+        if increase_ok:
+            # only now are the curvature test and the slope read
+            grad_t = _gradient(g, point_t)
+            grad_evals += 1
+            if not np.all(np.isfinite(grad_t)):
+                inc_t, increase_ok = -math.inf, False
+            elif float(grad_t @ direction) <= C2 * slope0:
+                return LineSearchResult(True, trial, x_t, f_t, grad_t, evals, grad_evals, point_t)
+            else:
+                slope_t = -float(grad_t @ x) / trial
 
-        slope_t = -float(grad_t @ x) / trial if finite else -math.inf
         current = trial
         if not increase_ok or inc_t < inc_lo or slope_t <= 0.0:
             # peak bracketed: trial overshot the rising section
@@ -298,7 +308,7 @@ def line_search_wolfe(
 
         if trial == current or (math.isfinite(hi) and hi - lo <= 1e-16 * max(1.0, hi)):
             break
-    return LineSearchResult(False, 0.0, None, f0, None, evals)
+    return LineSearchResult(False, 0.0, None, f0, None, evals, grad_evals)
 
 
 def solve_single(
@@ -326,7 +336,9 @@ def solve_single(
         raise ValueError("starting point must be nonzero")
     x /= norm
 
-    f, grad = value_and_grad(g, x, cfg.p)
+    point = _value(g, x, cfg.p)
+    f, grad = point.f, _gradient(g, point)
+    evals = grad_evals = 1
     trace: list[IterationRecord] = []
     step_prev: np.ndarray | None = None
     grad_diff_prev: np.ndarray | None = None
@@ -351,12 +363,14 @@ def solve_single(
             direction = grad.copy()
             ascent = gnorm * gnorm
         trial = 2.0 * gain_prev / ascent if gain_prev is not None and ascent > 0.0 else None
-        search = line_search_wolfe(g, cfg, x, f, grad, direction, trial)
+        search = line_search_wolfe(g, cfg, x, f, grad, direction, trial, point=point)
+        evals, grad_evals = evals + search.evals, grad_evals + search.grad_evals
         if not search.ok and not np.array_equal(direction, grad):
             # restart policy: retry the iteration with plain steepest ascent
             direction = grad.copy()
             ascent = gnorm * gnorm
-            search = line_search_wolfe(g, cfg, x, f, grad, direction)
+            search = line_search_wolfe(g, cfg, x, f, grad, direction, point=point)
+            evals, grad_evals = evals + search.evals, grad_evals + search.grad_evals
         if not search.ok:
             stop = "line_search_failure"
             break
@@ -381,12 +395,13 @@ def solve_single(
         step_prev = search.x - x
         grad_diff_prev = search.grad - grad
         gain_prev = search.f - f
-        x, f, grad = search.x, search.f, search.grad
+        x, f, grad, point = search.x, search.f, search.grad, search.point
         k += 1
 
     weighting = np.abs(x)
     if math.isfinite(f):
         lam = objective(g, weighting, cfg.p)
+        evals += 1
     else:
         lam = math.nan
     return SolveResult(
@@ -396,6 +411,8 @@ def solve_single(
         converged=stop == "grad_tol",
         stop_reason=stop,
         grad_norm=float(np.linalg.norm(grad)),
+        evals=evals,
+        grad_evals=grad_evals,
         trace=tuple(trace) if track else None,
     )
 

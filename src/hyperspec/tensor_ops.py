@@ -1,9 +1,13 @@
 """Matrix-free evaluation of the spherically constrained objective, its
 gradient and the adjacency-tensor products.
 
-One kernel, :func:`_value_grad_prefix`, forms the p-norm, the r! scaling and
-the gradient; :func:`objective` and :func:`value_and_grad` are views of it and
-:func:`tensor_apply` is a view of the edge products beneath it.
+The kernel runs in two stages that share one record of the point, an
+:class:`_Eval`: the value stage :func:`_value` forms the p-norm, the prefix
+products and f, and the gradient stage :func:`_gradient` forms the suffix
+products and the gradient.  :func:`objective` runs the value stage alone and
+:func:`value_and_grad` runs both; the solver's line search runs the gradient
+stage only on trials whose value passes the sufficient-increase test.
+:func:`tensor_apply` is a view of the edge products beneath them.
 
 All operations are pure functions of (hypergraph, vector, p) and cost
 O(sum of edge sizes) arithmetic: on the slot-major (r, m) table ``g.slots.T``
@@ -31,25 +35,34 @@ def _check_vector(g: Hypergraph, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _edge_products(g: Hypergraph, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Return (w, dw, prefix): the weight polynomial, its gradient dw_i = dw/dx_i
+def _prefix_table(g: Hypergraph, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(entries, prefix): the (r, m) slot entries of x, row j holding slot j,
     and the (r+1, m) prefix products, prefix[j, e] = product of the first j
-    slot entries of edge e.
-
-    For an edge with repeated vertices the slot-wise sum automatically yields
-    the multiplicity factor of the partial derivative.
-    """
-    entries = x[g.slots.T]                     # (r, m): row j holds slot j
+    slot entries of edge e."""
+    entries = x[g.slots.T]
     prefix = np.empty((g.r + 1, g.m))
     prefix[0], prefix[1] = 1.0, entries[0]
     for j in range(1, g.r):
         np.multiply(prefix[j], entries[j], out=prefix[j + 1])
-    w = float(g.weights @ prefix[g.r])
-    partials = _suffix_products(entries)[1:]
-    partials *= prefix[:-1]
+    return entries, prefix
+
+
+def _weight_partials(
+    g: Hypergraph, entries: np.ndarray, prefix: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(suffix, dw): the (r+1, m) suffix products of the slot entries and the
+    gradient dw_i = dw/dx_i of the weight polynomial.  The edge partials are
+    formed in ``prefix``, which is spent afterwards.
+
+    For an edge with repeated vertices the slot-wise sum automatically yields
+    the multiplicity factor of the partial derivative.
+    """
+    suffix = _suffix_products(entries)
+    partials = prefix[:-1]
+    partials *= suffix[1:]
     partials *= g.weights
     dw = np.bincount(g.slots.T.ravel(), weights=partials.ravel(), minlength=g.n)
-    return w, dw, prefix
+    return suffix, dw
 
 
 def _suffix_products(entries: np.ndarray) -> np.ndarray:
@@ -71,7 +84,7 @@ def tensor_apply(g: Hypergraph, x: np.ndarray) -> tuple[float, np.ndarray]:
     r * w(G, x) up to round-off.
     """
     x = _check_vector(g, x)
-    _, axr1, _ = _edge_products(g, x)
+    _, axr1 = _weight_partials(g, *_prefix_table(g, x))
     axr = float(x @ axr1)
     return axr, axr1
 
@@ -86,70 +99,62 @@ def signed_power(x: np.ndarray, q: float) -> np.ndarray:
 
 def objective(g: Hypergraph, x: np.ndarray, p: float) -> float:
     """f(x) = r! * w(G, x) / ||x||_p^r; zero-order homogeneous in x."""
-    return _value_grad_prefix(g, x, p)[0]
+    return _value(g, x, p).f
 
 
 def value_and_grad(g: Hypergraph, x: np.ndarray, p: float) -> tuple[float, np.ndarray]:
-    """Objective value and gradient in one kernel pass (the solver's hot loop)."""
-    f, grad, _ = _value_grad_prefix(g, x, p)
-    return f, grad
+    """Objective value and gradient: the value stage, then the gradient stage."""
+    point = _value(g, x, p)
+    return point.f, _gradient(g, point)
 
 
-def _value_grad_prefix(
-    g: Hypergraph, x: np.ndarray, p: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """:func:`value_and_grad` plus the (r+1, m) edge prefix products of x,
-    which :func:`_increment` reuses when x is a line-search trial."""
-    x = _check_vector(g, x)
-    pnorm_p = float(np.sum(np.abs(x) ** p))
-    if pnorm_p == 0.0:
-        raise ValueError("objective is undefined at the zero vector")
-    pnorm = pnorm_p ** (1.0 / p)
-    w, axr1, prefix = _edge_products(g, x)
-    axr = float(x @ axr1)
-    rfact = math.factorial(g.r)
-    f = rfact * w / pnorm**g.r
-    grad = (rfact / pnorm**g.r) * (axr1 - (axr / pnorm_p) * signed_power(x, p - 1.0))
-    return f, grad, prefix
-
-
-@dataclass(frozen=True)
-class _IncrementBase:
-    """The factors of a base point x that :func:`_increment` needs, fixed over
-    one line search."""
+@dataclass
+class _Eval:
+    """The kernel tables of one point x.  :func:`_value` fills in ``prefix``;
+    :func:`_gradient` replaces it by ``suffix``.  :func:`_increment` reads the
+    prefix of a trial and the suffix of the line search's base point."""
 
     x: np.ndarray
-    suffix: np.ndarray     # (r+1, m) suffix products of x's slot entries
+    entries: np.ndarray    # (r, m) slot entries
+    prefix: np.ndarray | None   # (r+1, m) prefix products of the slot entries
     abs_x: np.ndarray
-    zeros: np.ndarray      # indices where x is zero
     pow_x: np.ndarray      # |x|^p
     pnorm_p: float         # sum of |x|^p
-    w: float               # w(G, x)
+    norm_r: float          # ||x||_p^r
+    f: float
     p: float
+    suffix: np.ndarray | None = None   # (r+1, m) suffix products
 
 
-def _increment_base(g: Hypergraph, x: np.ndarray, p: float) -> _IncrementBase:
-    """Precompute the factors of x for increments f(y) - f(x)."""
+def _value(g: Hypergraph, x: np.ndarray, p: float) -> _Eval:
+    """Value stage: the p-norm, the prefix products and f at x."""
     x = _check_vector(g, x)
-    suffix = _suffix_products(x[g.slots.T])
     abs_x = np.abs(x)
     pow_x = abs_x**p
-    return _IncrementBase(
-        x=x,
-        suffix=suffix,
-        abs_x=abs_x,
-        zeros=np.flatnonzero(x == 0.0),
-        pow_x=pow_x,
-        pnorm_p=float(np.sum(pow_x)),
-        w=float(g.weights @ suffix[0]),
-        p=p,
-    )
+    pnorm_p = float(np.sum(pow_x))
+    if pnorm_p == 0.0:
+        raise ValueError("objective is undefined at the zero vector")
+    norm_r = (pnorm_p ** (1.0 / p)) ** g.r
+    entries, prefix = _prefix_table(g, x)
+    w = float(g.weights @ prefix[g.r])
+    f = math.factorial(g.r) * w / norm_r
+    return _Eval(x, entries, prefix, abs_x, pow_x, pnorm_p, norm_r, f, p)
 
 
-def _increment(
-    g: Hypergraph, base: _IncrementBase, y: np.ndarray, prefix_y: np.ndarray
-) -> float:
-    """f(y) - f(x) for the base point x, evaluated without cancelling against f.
+def _gradient(g: Hypergraph, point: _Eval) -> np.ndarray:
+    """Gradient stage: grad f, with the suffix products kept on ``point`` in
+    place of the prefix products it spends."""
+    point.suffix, axr1 = _weight_partials(g, point.entries, point.prefix)
+    point.prefix = None
+    x, p = point.x, point.p
+    axr = float(x @ axr1)
+    scaled = axr1 - (axr / point.pnorm_p) * signed_power(x, p - 1.0)
+    return (math.factorial(g.r) / point.norm_r) * scaled
+
+
+def _increment(g: Hypergraph, base: _Eval, trial: _Eval) -> float:
+    """f(y) - f(x) for the base point x and the trial y, evaluated without
+    cancelling against f.
 
     Near a maximizer the increase can be far below the rounding error of f's
     float64 values, whose difference is then noise.  Here every factor is a
@@ -157,8 +162,8 @@ def _increment(
 
     * w(y) - w(x) telescopes edge by edge,
       prod(a) - prod(b) = sum_j a_1..a_{j-1} (a_j - b_j) b_{j+1}..b_r,
-      from the (r+1, m) prefix products of y (``prefix_y``, as returned by
-      :func:`_value_grad_prefix`) and the suffix products of x;
+      from the prefix products of y (``trial`` before its gradient stage)
+      and the suffix products of x (``base`` after it);
     * |a|^p - |b|^p = |b|^p * expm1(p * log1p((|a| - |b|) / |b|));
     * with P = ||.||_p^p, the ratio of the normalizers
       (P(y) / P(x))^(r/p) = 1 + q, q = expm1((r/p) * log1p(dP / P(x))).
@@ -166,20 +171,22 @@ def _increment(
     Then f(y) - f(x) = r! / P(y)^(r/p) * (dw - w(x) * q).  The result is 0.0
     when y equals x.
     """
-    x, p, r = base.x, base.p, g.r
-    terms = (y - x)[g.slots.T]                 # (r, m) slot steps
-    terms *= prefix_y[:-1]
+    p, r = base.p, g.r
+    terms = trial.entries - base.entries       # (r, m) slot steps
+    terms *= trial.prefix[:-1]
     terms *= base.suffix[1:]
     dw = float(g.weights @ terms.sum(axis=0))
 
-    abs_y = np.abs(y)
+    abs_x, abs_y = base.abs_x, trial.abs_x
+    zeros = np.flatnonzero(base.x == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         # an entry that drops to zero has log1p(-1) = -inf, so expm1 gives -1;
         # entries where x is zero come out nan here and are set directly
-        dpow = base.pow_x * np.expm1(p * np.log1p((abs_y - base.abs_x) / base.abs_x))
-    dpow[base.zeros] = abs_y[base.zeros] ** p
+        dpow = base.pow_x * np.expm1(p * np.log1p((abs_y - abs_x) / abs_x))
+    dpow[zeros] = abs_y[zeros] ** p
     dpnorm_p = float(np.sum(dpow))
 
     q = math.expm1((r / p) * math.log1p(dpnorm_p / base.pnorm_p))
     norm_y = (base.pnorm_p + dpnorm_p) ** (r / p)
-    return math.factorial(r) / norm_y * (dw - base.w * q)
+    w_x = float(g.weights @ base.suffix[0])
+    return math.factorial(r) / norm_y * (dw - w_x * q)

@@ -94,6 +94,16 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "lambda" in out and "time" in out
 
+    def test_text_reports_kernel_passes(self, beta_star_file, capsys):
+        main(["solve", beta_star_file, "--p", "3", "--runs", "4", "--seed", "2"])
+        out = capsys.readouterr().out
+        with open(beta_star_file) as fh:
+            g = parse_edge_list(fh)
+        runs = solver.solve_multistart(g, solver.SolverConfig(p=3.0, runs=4, seed=2)).run_summaries
+        evals = sum(run.evals for run in runs)
+        grads = sum(run.grad_evals for run in runs)
+        assert f"kernel      {evals} value passes, {grads} gradient passes\n" in out
+
     def test_fractional_p(self, single_edge_file, capsys):
         rc = main(["solve", single_edge_file, "--p", "4/3", "--runs", "2", "--format", "json"])
         assert rc == 0

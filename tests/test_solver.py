@@ -255,6 +255,64 @@ class TestLineSearch:
         assert all(a != b for a, b in zip(trials, trials[1:]))
         assert res.evals == len(trials) < solver.MAX_LINESEARCH_STEPS
 
+    def test_gradient_only_for_trials_that_pass_the_increase_test(self, monkeypatch):
+        g, cfg, x, f0, grad0 = self._search_setup(3)
+        direction = grad0.copy()
+        slope0 = float(grad0 @ direction)
+        step = solver.cayley_step
+        trials = self._record_trials(monkeypatch)
+        grads = []
+        real = solver._gradient
+
+        def counted(g, point):
+            grads.append(point.x)
+            return real(g, point)
+
+        monkeypatch.setattr(solver, "_gradient", counted)
+        # the first trial overshoots the peak of the curve section
+        res = line_search_wolfe(g, cfg, x, f0, grad0, direction, trial=50.0)
+        assert res.ok and res.evals == len(trials) > 1
+        passed = [
+            alpha for alpha in trials
+            if objective(g, step(x, direction, alpha), 3.0)
+            >= f0 + solver.C1 * alpha * slope0
+        ]
+        assert trials[0] not in passed
+        assert len(grads) == len(passed) == res.grad_evals
+        assert grads[-1] is res.x and res.point.x is res.x
+
+    def test_carried_record_changes_nothing(self, monkeypatch):
+        # near the maximizer every increase is below f's float64 spacing, so
+        # the search takes the increment path, which reads x's record
+        g = gen_beta_star(3, 10)
+        cfg = SolverConfig(p=3.0)
+        increments = []
+        real = solver._increment
+
+        def counted(g, base, trial):
+            increments.append(base)
+            return real(g, base, trial)
+
+        monkeypatch.setattr(solver, "_increment", counted)
+        for seed in range(4):
+            x0 = random_unit_sphere(g.n, np.random.default_rng(seed))
+            x = solve_single(g, cfg, x0).weighting
+            f0, grad0 = value_and_grad(g, x, 3.0)
+            for direction in (grad0.copy(), grad0 + 0.3 * np.roll(grad0, 1)):
+                point = solver._value(g, x, 3.0)
+                solver._gradient(g, point)
+                increments.clear()
+                carried = line_search_wolfe(g, cfg, x, f0, grad0, direction, point=point)
+                assert increments and all(base is point for base in increments)
+                increments.clear()
+                fresh = line_search_wolfe(g, cfg, x, f0, grad0, direction)
+                assert increments and all(base is not point for base in increments)
+                assert self._same(carried, fresh)
+                assert carried.grad_evals == fresh.grad_evals
+                if carried.ok:
+                    assert carried.point.entries.tobytes() == fresh.point.entries.tobytes()
+                    assert carried.point.suffix.tobytes() == fresh.point.suffix.tobytes()
+
     def test_rejects_non_ascent_direction(self):
         g = gen_complete(4, 3)
         cfg = SolverConfig(p=2.0)
@@ -323,9 +381,9 @@ class TestSolveSingle:
         searches = []  # (trial passed, first alpha evaluated, default trial, ok)
         real_search, real_step = solver.line_search_wolfe, solver.cayley_step
 
-        def search(g, cfg, x, f0, grad0, direction, trial=None):
+        def search(g, cfg, x, f0, grad0, direction, trial=None, **kwargs):
             searches.append([trial, None, 2.0 / (1.0 + float(np.linalg.norm(direction))), None])
-            res = real_search(g, cfg, x, f0, grad0, direction, trial)
+            res = real_search(g, cfg, x, f0, grad0, direction, trial, **kwargs)
             searches[-1][3] = res.ok
             return res
 
@@ -380,6 +438,28 @@ class TestSolveSingle:
         multi = solve_multistart(gen_beta_star(3, 200), SolverConfig(p=3.0, runs=20, seed=0))
         assert all(run.stop_reason == "grad_tol" for run in multi.run_summaries)
         assert sum(counts) / len(counts) < 2.5
+
+    def test_evaluation_counters(self, monkeypatch):
+        g = gen_beta_star(3, 200)
+        cfg = SolverConfig(p=3.0, runs=20, seed=0)
+        grads = []
+        real = solver._gradient
+
+        def counted(g, point):
+            grads.append(point)
+            return real(g, point)
+
+        monkeypatch.setattr(solver, "_gradient", counted)
+        runs = solve_multistart(g, cfg).run_summaries
+        for run in runs:
+            # one gradient at the start and one per accepted step, and at
+            # least one value pass (the final lam's) without a gradient
+            assert run.iterations + 1 <= run.grad_evals < run.evals
+        # every search got its base record from the solver, none built one
+        assert len(grads) == sum(run.grad_evals for run in runs)
+        again = solve_multistart(g, cfg).run_summaries
+        counts = [(run.evals, run.grad_evals) for run in runs]
+        assert counts == [(run.evals, run.grad_evals) for run in again]
 
     def test_numerical_failure_on_overflow(self):
         edges = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]

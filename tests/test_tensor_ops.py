@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperspec import Hypergraph, gen_complete, objective, signed_power, tensor_apply
-from hyperspec.tensor_ops import (
-    _increment,
-    _increment_base,
-    _value_grad_prefix,
-    value_and_grad,
+from hyperspec import (
+    Hypergraph,
+    SolverConfig,
+    gen_beta_star,
+    gen_complete,
+    line_search_wolfe,
+    objective,
+    random_unit_sphere,
+    signed_power,
+    tensor_apply,
 )
+from hyperspec.tensor_ops import _gradient, _increment, _value, value_and_grad
 
 from conftest import make_random_graph, random_unit
 
@@ -46,6 +51,13 @@ def reference_value_and_grad(g, x, p, magnitudes=False):
     power = np.abs(x) ** (p - 1.0) * (1.0 if magnitudes else np.sign(x))
     sign = 1.0 if magnitudes else -1.0
     return scale * w, scale * (dw + sign * (g.r * w / norm_p) * power)
+
+
+def evaluated(g, x, p):
+    """The kernel record of x after both stages, as an increment base."""
+    point = _value(g, x, p)
+    _gradient(g, point)
+    return point
 
 
 def random_multiset_graph(rng, r, n, m):
@@ -233,14 +245,29 @@ class TestAgainstReference:
         rng = np.random.default_rng(7)
         g = random_multiset_graph(rng, 4, 30, 200)
         x, y = random_unit(rng, 30), random_unit(rng, 30)
-        f, grad, prefix = _value_grad_prefix(g, y, 3.0)
-        base = _increment_base(g, x, 3.0)
-        inc = _increment(g, base, y, prefix)
+        point = _value(g, y, 3.0)
+        prefix = point.prefix.copy()
+        inc = _increment(g, evaluated(g, x, 3.0), point)
+        f, grad = point.f, _gradient(g, point)
         for _ in range(3):
-            f2, grad2, prefix2 = _value_grad_prefix(g, y, 3.0)
+            point2 = _value(g, y, 3.0)
+            assert point2.prefix.tobytes() == prefix.tobytes()
+            assert _increment(g, evaluated(g, x, 3.0), point2) == inc
+            f2, grad2 = point2.f, _gradient(g, point2)
             assert f2 == f and grad2.tobytes() == grad.tobytes()
-            assert prefix2.tobytes() == prefix.tobytes()
-            assert _increment(g, _increment_base(g, x, 3.0), y, prefix2) == inc
+
+    @pytest.mark.parametrize("r", [2, 3, 5])
+    def test_value_and_grad_is_the_two_stages(self, r):
+        rng = np.random.default_rng(30 + r)
+        g = random_multiset_graph(rng, r, 12, 60)
+        x = random_unit(rng, 12)
+        x[4] = 0.0
+        f, grad = value_and_grad(g, x, 2.5)
+        point = _value(g, x, 2.5)
+        assert point.suffix is None
+        assert point.f == f == objective(g, x, 2.5)
+        assert _gradient(g, point).tobytes() == grad.tobytes()
+        assert point.prefix is None and point.suffix.shape == (r + 1, g.m)
 
 
 class TestIncrement:
@@ -257,8 +284,7 @@ class TestIncrement:
 
     @staticmethod
     def increment(g, x, y, p):
-        _, _, prefix = _value_grad_prefix(g, y, p)
-        return _increment(g, _increment_base(g, x, p), y, prefix)
+        return _increment(g, evaluated(g, x, p), _value(g, y, p))
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_matches_float_difference_far_above_noise(self, p):
@@ -312,6 +338,24 @@ class TestIncrement:
             assert abs(self.increment(g, x, y, p) - first_order) <= 1e-6 * abs(first_order)
         assert abs(first_order) < 4.0 * abs(np.spacing(f))
         assert self.increment(g, x, x.copy(), p) == 0.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_carried_record_equals_fresh_evaluation(self, seed):
+        # the record a line search returns with its accepted point was built
+        # as a trial, value stage first; as the next search's base it must
+        # give the increment of a fresh evaluation of that point
+        g = gen_beta_star(3, 10)
+        x = random_unit_sphere(g.n, np.random.default_rng(seed))
+        f0, grad0 = value_and_grad(g, x, 3.0)
+        res = line_search_wolfe(g, SolverConfig(p=3.0), x, f0, grad0, grad0.copy())
+        assert res.ok and res.point.x is res.x
+        fresh = evaluated(g, res.x, 3.0)
+        assert res.point.suffix.tobytes() == fresh.suffix.tobytes()
+        rng = np.random.default_rng(seed)
+        for scale in (1e-3, 1e-9, 1e-15):
+            y = res.x + scale * rng.standard_normal(g.n)
+            trial = _value(g, y, 3.0)
+            assert _increment(g, res.point, trial) == _increment(g, fresh, trial)
 
 
 # --- property tests -----------------------------------------------------------
