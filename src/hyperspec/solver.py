@@ -74,7 +74,7 @@ class IterationRecord:
     step_norm: float       # ||x_next - x||
     step_pred: float       # closed-form step length for the accepted alpha
     drift: float           # | ||x_next||_2 - 1 |
-    evals: int
+    evals: int             # trials, a failed first search's included
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,7 @@ class SolveResult:
     grad_norm: float
     evals: int = 0         # value passes of the kernel, the final lam's included
     grad_evals: int = 0    # gradient passes
+    restarts: int = 0      # steepest-ascent retries after a failed line search
     trace: tuple[IterationRecord, ...] | None = None
 
     def weighting_scaled(self, ord: float) -> np.ndarray:
@@ -245,6 +246,18 @@ def line_search_wolfe(
     soon as the next trial equals the current one: that trial's evaluation
     and bracket update would repeat unchanged up to MAX_LINESEARCH_STEPS.
 
+    It also fails at the first trial that passes the increase test and fails
+    the curvature test while the sign of its slope is rounding noise.  f is
+    zero-order homogeneous, so grad(x(alpha)) . x(alpha) = 0 and the slope's
+    numerator -grad(x(alpha)) . x equals grad(x(alpha)) . (x(alpha) - x).
+    Near stationarity the first form cancels to noise; the second does not,
+    as x(alpha) - x is O(alpha ||direction||).  The bracket reads the first
+    form; when the two disagree in sign the search fails at once rather than
+    bracket on noise, which would shrink alpha until MAX_LINESEARCH_STEPS or
+    collapse onto one alpha.  The caller's steepest-ascent retry follows as
+    after any failed search.  In exact arithmetic the two forms are equal,
+    so the exit cannot fire there.
+
     Near stationarity the true increase of f falls below the resolution of
     f's float64 values, and comparing two of them compares rounding noise; the
     regime is detected by the increase threshold being absorbed
@@ -295,6 +308,9 @@ def line_search_wolfe(
                 return LineSearchResult(True, trial, x_t, f_t, grad_t, evals, grad_evals, point_t)
             else:
                 slope_t = -float(grad_t @ x) / trial
+                if (slope_t > 0.0) != (float(grad_t @ (x_t - x)) > 0.0):
+                    # the two slope forms disagree: its sign is rounding noise
+                    break
 
         current = trial
         if not increase_ok or inc_t < inc_lo or slope_t <= 0.0:
@@ -339,6 +355,7 @@ def solve_single(
     point = _value(g, x, cfg.p)
     f, grad = point.f, _gradient(g, point)
     evals = grad_evals = 1
+    restarts = 0
     trace: list[IterationRecord] = []
     step_prev: np.ndarray | None = None
     grad_diff_prev: np.ndarray | None = None
@@ -364,13 +381,15 @@ def solve_single(
             ascent = gnorm * gnorm
         trial = 2.0 * gain_prev / ascent if gain_prev is not None and ascent > 0.0 else None
         search = line_search_wolfe(g, cfg, x, f, grad, direction, trial, point=point)
-        evals, grad_evals = evals + search.evals, grad_evals + search.grad_evals
+        step_evals, grad_evals = search.evals, grad_evals + search.grad_evals
         if not search.ok and not np.array_equal(direction, grad):
             # restart policy: retry the iteration with plain steepest ascent
             direction = grad.copy()
             ascent = gnorm * gnorm
             search = line_search_wolfe(g, cfg, x, f, grad, direction, point=point)
-            evals, grad_evals = evals + search.evals, grad_evals + search.grad_evals
+            step_evals, grad_evals = step_evals + search.evals, grad_evals + search.grad_evals
+            restarts += 1
+        evals += step_evals
         if not search.ok:
             stop = "line_search_failure"
             break
@@ -389,7 +408,7 @@ def solve_single(
                     step_norm=float(np.linalg.norm(search.x - x)),
                     step_pred=cayley_step_length(x, direction, search.alpha),
                     drift=abs(float(np.linalg.norm(search.x)) - 1.0),
-                    evals=search.evals,
+                    evals=step_evals,
                 )
             )
         step_prev = search.x - x
@@ -413,6 +432,7 @@ def solve_single(
         grad_norm=float(np.linalg.norm(grad)),
         evals=evals,
         grad_evals=grad_evals,
+        restarts=restarts,
         trace=tuple(trace) if track else None,
     )
 

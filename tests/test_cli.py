@@ -103,6 +103,8 @@ class TestSolve:
         evals = sum(run.evals for run in runs)
         grads = sum(run.grad_evals for run in runs)
         assert f"kernel      {evals} value passes, {grads} gradient passes\n" in out
+        restarts = sum(run.restarts for run in runs)
+        assert f"restarts    {restarts} steepest-ascent retries\n" in out
 
     def test_fractional_p(self, single_edge_file, capsys):
         rc = main(["solve", single_edge_file, "--p", "4/3", "--runs", "2", "--format", "json"])

@@ -255,6 +255,41 @@ class TestLineSearch:
         assert all(a != b for a, b in zip(trials, trials[1:]))
         assert res.evals == len(trials) < solver.MAX_LINESEARCH_STEPS
 
+    def test_search_ends_when_slope_sign_is_noise(self, monkeypatch):
+        # From the third trial gradient on, add eta * x_t: grad(x_t) . x_t
+        # is then eta instead of 0, which swamps -grad(x_t) . x (the slope
+        # the bracket reads) while grad(x_t) . (x_t - x) keeps its sign.
+        g, cfg, x, f0, grad0 = self._search_setup(4)
+        direction = grad0.copy()
+        slope0 = float(grad0 @ direction)
+        points = []
+        real_step, real_grad = solver.cayley_step, solver._gradient
+
+        def step(x, direction, alpha):
+            points.append(real_step(x, direction, alpha))
+            return points[-1]
+
+        seen = []  # (trial index, curvature test met, slope forms disagree)
+
+        def noisy(g, point):
+            grad_t = real_grad(g, point)
+            i = next(i for i, x_t in enumerate(points) if x_t is point.x)
+            if len(seen) >= 2:
+                grad_t = grad_t + 10.0 * slope0 * point.x
+            stable = float(grad_t @ (point.x - x))
+            seen.append((i, float(grad_t @ direction) <= solver.C2 * slope0,
+                         (-float(grad_t @ x) > 0.0) != (stable > 0.0)))
+            return grad_t
+
+        monkeypatch.setattr(solver, "cayley_step", step)
+        monkeypatch.setattr(solver, "_gradient", noisy)
+        res = line_search_wolfe(g, cfg, x, f0, grad0, direction, trial=1e-3)
+        assert not res.ok and res.x is None and res.f == f0
+        first = next(i for i, met, disagree in seen if not met and disagree)
+        assert first == seen[-1][0] == 2
+        assert not any(met or disagree for _, met, disagree in seen[:-1])
+        assert res.evals == first + 1 == len(points)
+
     def test_gradient_only_for_trials_that_pass_the_increase_test(self, monkeypatch):
         g, cfg, x, f0, grad0 = self._search_setup(3)
         direction = grad0.copy()
@@ -460,6 +495,55 @@ class TestSolveSingle:
         again = solve_multistart(g, cfg).run_summaries
         counts = [(run.evals, run.grad_evals) for run in runs]
         assert counts == [(run.evals, run.grad_evals) for run in again]
+
+    @pytest.fixture(scope="class")
+    def star_tail(self):
+        """beta-star(6,4) at p = 4 < r - 1, starts 0..39, traced, with every
+        line search recorded as (run, iterate, ok, value passes)."""
+        searches, runs = [], []
+        real_search, real_single = solver.line_search_wolfe, solver.solve_single
+
+        def search(g, cfg, x, *args, **kwargs):
+            res = real_search(g, cfg, x, *args, **kwargs)
+            searches.append((len(runs), x, res.ok, res.evals))
+            return res
+
+        def single(*args, **kwargs):
+            res = real_single(*args, **kwargs)
+            runs.append(res)
+            return res
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "line_search_wolfe", search)
+            mp.setattr(solver, "solve_single", single)
+            solve_multistart(gen_beta_star(6, 4), SolverConfig(p=4.0, runs=40, seed=0), track=True)
+        return runs, searches
+
+    def test_failed_searches_are_cheap_in_sublinear_tail(self, star_tail):
+        # the failed searches here read a slope whose sign is rounding noise,
+        # most at their first trial; a few expand for some trials before it
+        _, searches = star_tail
+        failed = [evals for _, _, ok, evals in searches if not ok]
+        assert len(failed) > 100
+        assert sum(failed) <= 2 * len(failed)
+        assert max(failed) < 10
+
+    def test_restarts_count_second_searches(self, star_tail):
+        runs, searches = star_tail
+        # a second search from the same iterate is the same iteration's retry
+        second = [0] * len(runs)
+        for (run, x, _, _), (prev_run, prev_x, _, _) in zip(searches[1:], searches):
+            second[run] += run == prev_run and x is prev_x
+        assert [res.restarts for res in runs] == second
+        assert sum(second) > 100
+
+    def test_trace_counts_both_searches_of_an_iteration(self, star_tail):
+        runs, _ = star_tail
+        finished = [res for res in runs if res.stop_reason in ("grad_tol", "max_iter")]
+        assert len(finished) >= 30 and any(res.restarts for res in finished)
+        for res in finished:
+            # the start's pass and the final lam's are the two outside any step
+            assert sum(rec.evals for rec in res.trace) + 2 == res.evals
 
     def test_numerical_failure_on_overflow(self):
         edges = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
