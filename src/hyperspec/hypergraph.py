@@ -8,6 +8,8 @@ Edges are multisets: a vertex may appear several times inside one edge.
 
 from __future__ import annotations
 
+import io
+import warnings
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -108,8 +110,10 @@ def validate(g: Hypergraph) -> list[str]:
         return problems + [f"edges have {slots.shape[-1]} slots, expected {g.r}"]
     if weights.shape != (len(slots),):
         return problems + [f"{weights.size} weights for {len(slots)} edges"]
-    duplicate = np.ones(len(slots), dtype=bool)
-    duplicate[np.unique(slots, axis=0, return_index=True)[1]] = False
+    duplicate = _repeats_of_previous(slots)
+    if duplicate is None:  # rows out of lexicographic order
+        duplicate = np.ones(len(slots), dtype=bool)
+        duplicate[np.unique(slots, axis=0, return_index=True)[1]] = False
     checks = [
         (((slots < 0) | (slots >= g.n)).any(axis=1), f"vertex out of range [1, {g.n}]"),
         ((np.diff(slots, axis=1) < 0).any(axis=1), "vertex slots not in nondecreasing order"),
@@ -123,6 +127,23 @@ def validate(g: Hypergraph) -> list[str]:
             more = f" (and {count - 1} more)" if count > 1 else ""
             problems.append(f"edge {int(np.argmax(bad))}: {what}{more}")
     return problems
+
+
+def _repeats_of_previous(slots: np.ndarray) -> np.ndarray | None:
+    """Mask of the rows equal to the row before, or None unless the rows are
+    in lexicographic order, where every later copy of a row follows the
+    first."""
+    later, earlier = slots[1:], slots[:-1]
+    equal = np.ones(len(later), dtype=bool)      # equal on the columns so far
+    ascending = np.zeros(len(later), dtype=bool)
+    for j in range(slots.shape[1]):
+        ascending |= equal & (later[:, j] > earlier[:, j])
+        equal &= later[:, j] == earlier[:, j]
+    if not (ascending | equal).all():
+        return None
+    repeats = np.zeros(len(slots), dtype=bool)
+    repeats[1:] = equal
+    return repeats
 
 
 def degree(g: Hypergraph, vertex: int) -> float:
@@ -139,8 +160,75 @@ def parse_edge_list(source: str | TextIO) -> Hypergraph:
     edge per line as r whitespace-separated 1-based vertex ids followed by an
     optional positive weight (default 1.0).  Duplicate edges are merged by
     summing their weights.  Every ParseError names the offending line.
+
+    A file whose data lines form one uniform numeric table is read in a
+    single call (:func:`_read_table`); every other file, and every file with
+    an error, goes through the per-line scanner.  Both give the same graph.
     """
     text = source if isinstance(source, str) else source.read()
+    g = _read_table(text)
+    return g if g is not None else _scan_edge_list(text)
+
+
+# The characters of a body the table read takes.  On them Python's int and
+# float and numpy's text parser accept the same tokens with the same values.
+_TABLE_ALPHABET = b"0123456789+-.eE \t\n"
+
+
+def _read_table(text: str) -> Hypergraph | None:
+    """The graph of a file whose body after the "r n" header is one table
+    read by a single ``np.loadtxt``, or None when the file is not of that
+    kind or not valid; it never raises.
+
+    The table read takes a body without comments, with only the characters
+    of ``_TABLE_ALPHABET`` and with every data line carrying the token count
+    of the first, r ids or r ids and a weight.  Anything else, and any file
+    the checks reject, is left to :func:`_scan_edge_list`, which parses it or
+    raises the ParseError that names the line.
+    """
+    start = 0
+    while True:  # the header is the first line that is neither blank nor a comment
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        tokens = text[start:end].split()
+        if tokens and not tokens[0].startswith("#"):
+            break
+        if end == len(text):
+            return None
+        start = end + 1
+    if len(tokens) != 2:
+        return None
+    try:
+        r, n = int(tokens[0]), int(tokens[1])
+    except ValueError:
+        return None
+    body = text[end + 1:]
+    if r < 2 or n < 1 or not body.isascii() or body.encode().translate(None, _TABLE_ALPHABET):
+        return None
+    width = len(body.lstrip().partition("\n")[0].split())  # of the first data line
+    if width not in (r, r + 1):  # also an empty body
+        return None
+    fields = [("ids", np.int64, (r,))] + [("w", np.float64)] * (width - r)
+    try:
+        with warnings.catch_warnings():
+            # numpy before 2.0 reads an id such as "1.0" through float, with a warning
+            warnings.simplefilter("error")
+            table = np.loadtxt(io.StringIO(body), dtype=fields, comments=None, ndmin=1)
+    except (ValueError, OverflowError, Warning):
+        return None
+    weights = table["w"] if width > r else None
+    # weights are checked line by line, since a negative one can merge into a
+    # positive sum; from_edges rejects out-of-range ids and overflowing sums
+    if weights is not None and not ((weights > 0.0) & (weights < np.inf)).all():
+        return None
+    try:
+        return Hypergraph.from_edges(n=n, r=r, edges=table["ids"], weights=weights)
+    except ValueError:
+        return None
+
+
+def _scan_edge_list(text: str) -> Hypergraph:
+    """The per-line parser of :func:`parse_edge_list`: any text, any error."""
     r = n = None
     ids: list[int] = []
     weights: list[float] = []

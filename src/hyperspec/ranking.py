@@ -38,5 +38,5 @@ def rank_vertices(g: Hypergraph, cfg: SolverConfig, top_k: int | None = None) ->
     order = ranked_order(impact)
     if top_k is not None:
         order = order[:top_k]
-    entries = tuple((int(i) + 1, float(impact[i])) for i in order)
+    entries = tuple(zip((order + 1).tolist(), impact[order].tolist()))
     return RankingReport(entries=entries, p=cfg.p, lam=res.best.lam, runs=cfg.runs)

@@ -99,7 +99,7 @@ class SolveResult:
 
     def weighting_scaled(self, ord: float) -> np.ndarray:
         """The weighting rescaled to unit norm of the given order (e.g. 1 or p)."""
-        scale = float(np.sum(self.weighting**ord) ** (1.0 / ord))
+        scale = float((self.weighting**ord).sum() ** (1.0 / ord))
         return self.weighting / scale
 
 
@@ -139,13 +139,18 @@ class LagrangianApproximation:
     rows: tuple[ScheduleRow, ...]
 
 
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of a float64 vector: np.linalg.norm's own arithmetic."""
+    return math.sqrt(float(v @ v))
+
+
 def random_unit_sphere(n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform point on the unit 2-sphere in R^n (normalized standard normals)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
     while True:
         x = rng.standard_normal(n)
-        norm = float(np.linalg.norm(x))
+        norm = _norm(x)
         if norm > 0.0:
             return x / norm
 
@@ -165,11 +170,9 @@ def cg_direction(
     if step_prev is None or grad_diff_prev is None:
         return grad.copy()
     dty = float(step_prev @ grad_diff_prev)
-    dnorm = float(np.linalg.norm(step_prev))
-    ynorm = float(np.linalg.norm(grad_diff_prev))
-    if abs(dty) < EPS * dnorm * ynorm or dty == 0.0:
-        return grad.copy()
     y_sq = float(grad_diff_prev @ grad_diff_prev)
+    if abs(dty) < EPS * _norm(step_prev) * math.sqrt(y_sq) or dty == 0.0:
+        return grad.copy()
     beta_tilde = (
         TAU * y_sq / dty * float(step_prev @ grad) - float(grad_diff_prev @ grad)
     ) / dty
@@ -191,8 +194,12 @@ def cayley_step(x: np.ndarray, direction: np.ndarray, alpha: float) -> np.ndarra
     denom = 4.0 + sq - overlap * overlap
     if not denom > 0.0:
         raise ArithmeticError(f"degenerate curve denominator {denom}")
-    x_next = (((2.0 - overlap) ** 2 - sq) * x + 4.0 * scaled) / denom
-    return x_next / float(np.linalg.norm(x_next))
+    x_next = ((2.0 - overlap) ** 2 - sq) * x
+    scaled *= 4.0
+    x_next += scaled
+    x_next /= denom
+    x_next /= _norm(x_next)
+    return x_next
 
 
 def cayley_step_length(x: np.ndarray, direction: np.ndarray, alpha: float) -> float:
@@ -277,7 +284,7 @@ def line_search_wolfe(
     lo, inc_lo, d_lo = 0.0, 0.0, slope0
     hi, inc_hi = math.inf, math.inf
     if trial is None or not 0.0 < trial < math.inf:
-        trial = 2.0 / (1.0 + float(np.linalg.norm(direction)))
+        trial = 2.0 / (1.0 + _norm(direction))
     evals = grad_evals = 0
     for _ in range(MAX_LINESEARCH_STEPS):
         x_t = cayley_step(x, direction, trial)
@@ -302,7 +309,7 @@ def line_search_wolfe(
             # only now are the curvature test and the slope read
             grad_t = _gradient(g, point_t)
             grad_evals += 1
-            if not np.all(np.isfinite(grad_t)):
+            if not np.isfinite(grad_t).all():
                 inc_t, increase_ok = -math.inf, False
             elif float(grad_t @ direction) <= C2 * slope0:
                 return LineSearchResult(True, trial, x_t, f_t, grad_t, evals, grad_evals, point_t)
@@ -347,7 +354,9 @@ def solve_single(
     nonnegative.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
-    norm = float(np.linalg.norm(x))
+    if x.shape != (g.n,):
+        raise ValueError(f"vector has shape {x.shape}, expected ({g.n},)")
+    norm = _norm(x)
     if norm == 0.0:
         raise ValueError("starting point must be nonzero")
     x /= norm
@@ -362,10 +371,10 @@ def solve_single(
     gain_prev: float | None = None
     k = 0
     while True:
-        if not math.isfinite(f) or not np.all(np.isfinite(grad)):
+        if not math.isfinite(f) or not np.isfinite(grad).all():
             stop = "numerical_failure"
             break
-        gnorm = float(np.linalg.norm(grad))
+        gnorm = _norm(grad)
         if gnorm <= cfg.grad_tol:
             stop = "grad_tol"
             break
@@ -401,13 +410,13 @@ def solve_single(
                     f=f,
                     gnorm=gnorm,
                     ascent=ascent,
-                    dir_norm=float(np.linalg.norm(direction)),
+                    dir_norm=_norm(direction),
                     alpha=search.alpha,
                     f_next=search.f,
                     curv_next=float(search.grad @ direction),
-                    step_norm=float(np.linalg.norm(search.x - x)),
+                    step_norm=_norm(search.x - x),
                     step_pred=cayley_step_length(x, direction, search.alpha),
-                    drift=abs(float(np.linalg.norm(search.x)) - 1.0),
+                    drift=abs(_norm(search.x) - 1.0),
                     evals=step_evals,
                 )
             )
@@ -429,7 +438,7 @@ def solve_single(
         iterations=k,
         converged=stop == "grad_tol",
         stop_reason=stop,
-        grad_norm=float(np.linalg.norm(grad)),
+        grad_norm=_norm(grad),
         evals=evals,
         grad_evals=grad_evals,
         restarts=restarts,
@@ -448,7 +457,7 @@ def solve_multistart(g: Hypergraph, cfg: SolverConfig, track: bool = False) -> M
         for i in range(cfg.runs)
     )
     lams = np.array([res.lam for res in results])
-    if not np.any(np.isfinite(lams)):
+    if not np.isfinite(lams).any():
         raise SolverError(f"all {cfg.runs} runs failed numerically")
     best_run = int(np.nanargmax(lams))
     return MultistartResult(

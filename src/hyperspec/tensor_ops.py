@@ -99,16 +99,16 @@ def signed_power(x: np.ndarray, q: float) -> np.ndarray:
 
 def objective(g: Hypergraph, x: np.ndarray, p: float) -> float:
     """f(x) = r! * w(G, x) / ||x||_p^r; zero-order homogeneous in x."""
-    return _value(g, x, p).f
+    return _value(g, _check_vector(g, x), p).f
 
 
 def value_and_grad(g: Hypergraph, x: np.ndarray, p: float) -> tuple[float, np.ndarray]:
     """Objective value and gradient: the value stage, then the gradient stage."""
-    point = _value(g, x, p)
+    point = _value(g, _check_vector(g, x), p)
     return point.f, _gradient(g, point)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Eval:
     """The kernel tables of one point x.  :func:`_value` fills in ``prefix``;
     :func:`_gradient` replaces it by ``suffix``.  :func:`_increment` reads the
@@ -127,11 +127,11 @@ class _Eval:
 
 
 def _value(g: Hypergraph, x: np.ndarray, p: float) -> _Eval:
-    """Value stage: the p-norm, the prefix products and f at x."""
-    x = _check_vector(g, x)
+    """Value stage: the p-norm, the prefix products and f at x, a float64
+    vector of shape (n,)."""
     abs_x = np.abs(x)
     pow_x = abs_x**p
-    pnorm_p = float(np.sum(pow_x))
+    pnorm_p = float(pow_x.sum())
     if pnorm_p == 0.0:
         raise ValueError("objective is undefined at the zero vector")
     norm_r = (pnorm_p ** (1.0 / p)) ** g.r
@@ -148,7 +148,7 @@ def _gradient(g: Hypergraph, point: _Eval) -> np.ndarray:
     point.prefix = None
     x, p = point.x, point.p
     axr = float(x @ axr1)
-    scaled = axr1 - (axr / point.pnorm_p) * signed_power(x, p - 1.0)
+    scaled = axr1 - (axr / point.pnorm_p) * (np.sign(x) * point.abs_x ** (p - 1.0))
     return (math.factorial(g.r) / point.norm_r) * scaled
 
 
@@ -178,13 +178,14 @@ def _increment(g: Hypergraph, base: _Eval, trial: _Eval) -> float:
     dw = float(g.weights @ terms.sum(axis=0))
 
     abs_x, abs_y = base.abs_x, trial.abs_x
-    zeros = np.flatnonzero(base.x == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         # an entry that drops to zero has log1p(-1) = -inf, so expm1 gives -1;
         # entries where x is zero come out nan here and are set directly
         dpow = base.pow_x * np.expm1(p * np.log1p((abs_y - abs_x) / abs_x))
-    dpow[zeros] = abs_y[zeros] ** p
-    dpnorm_p = float(np.sum(dpow))
+    if not abs_x.all():
+        zeros = abs_x == 0.0
+        dpow[zeros] = abs_y[zeros] ** p
+    dpnorm_p = float(dpow.sum())
 
     q = math.expm1((r / p) * math.log1p(dpnorm_p / base.pnorm_p))
     norm_y = (base.pnorm_p + dpnorm_p) ** (r / p)

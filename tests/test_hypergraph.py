@@ -14,7 +14,8 @@ from hyperspec import (
     serialize_edge_list,
     validate,
 )
-from hyperspec.hypergraph import _merge
+from hyperspec import hypergraph
+from hyperspec.hypergraph import _merge, _read_table, _scan_edge_list
 
 
 def edge(g, pos):
@@ -275,3 +276,159 @@ def test_merge_matches_unique_reference(table):
     for a, b in zip(got, expected):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+
+
+# --- the table read against the per-line scanner ------------------------------
+
+
+def scanned(text):
+    """The scanner's graph for ``text``, or its ParseError message."""
+    try:
+        return _scan_edge_list(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+def assert_same_outcome(got, expected):
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert got == expected
+        assert got.weights.tobytes() == expected.weights.tobytes()
+
+
+def id_tokens(n, odd):
+    usual = st.integers(1, n).map(str)
+    if not odd:
+        return usual
+    unusual = st.one_of(
+        st.integers(-2, n + 2).map(lambda v: f"+{v}" if v >= 0 else str(v)),
+        st.integers(0, n).map(lambda v: f"00{v}"),
+        st.sampled_from(["1_0", "1.0", "2e0", "1.5", "9" * 20, "-" + "9" * 20, "٣", "１"]),
+        st.from_regex(r"\A[+-]?[0-9]{1,21}\Z"),
+    )
+    return st.one_of(usual, usual, usual, usual, unusual)
+
+
+def weight_tokens(odd):
+    usual = st.floats(min_value=1e-3, max_value=1e3).map(repr)
+    if not odd:
+        return usual
+    unusual = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.sampled_from(["1", "+.5", "5.", "-1", "0", "-0.0", "1e308", "1E308", "1e400",
+                         "1e-400", "inf", "nan", "1_000.5", "1e", ".", "+-1"]),
+        # any token over the table read's alphabet that looks like a number
+        st.from_regex(r"\A[+-]?[0-9]{0,20}\.?[0-9]{0,25}([eE][+-]?[0-9]{1,3})?\Z"),
+    )
+    return st.one_of(usual, usual, usual, unusual)
+
+
+separators = st.sampled_from(["  ", "\t", " \t ", "\xa0", "\u2003", "\x0b", "\x0c"])
+line_ends = st.sampled_from(["\r\n", "\r"])
+filler_lines = st.sampled_from(["", "   ", "\t", "# a comment", "  # indented comment"])
+odd_headers = st.sampled_from([["3"], ["3", "4", "1"], ["0", "4"], ["3", "0"], ["x", "4"],
+                               ["+3", "04"]])
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list texts, many of them ones the table read takes, with each
+    kind of line and token it must leave to the scanner switched on now and
+    then."""
+    now_and_then = st.integers(0, 3).map(lambda v: v == 0)   # true one time in four
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 6))
+    sep = draw(separators) if draw(now_and_then) else " "
+    end = draw(line_ends) if draw(now_and_then) else "\n"
+    ids, weights = id_tokens(n, draw(now_and_then)), weight_tokens(draw(now_and_then))
+    weighted = draw(st.booleans())
+    mixed, fillers = draw(now_and_then), draw(now_and_then)
+    lines = draw(st.lists(filler_lines, max_size=2))
+    lines.append(sep.join(draw(odd_headers) if draw(now_and_then) else [str(r), str(n)]))
+    for _ in range(draw(st.integers(0, 8))):
+        if fillers and draw(st.booleans()):
+            lines.append(draw(filler_lines))
+            continue
+        tokens = [draw(ids) for _ in range(r)]
+        if draw(st.booleans()) if mixed else weighted:
+            tokens.append(draw(weights))
+        lines.append(sep.join(tokens))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@given(edge_list_texts())
+@example("3 4\n1 2 3 1e308\n3 2 1 1e308\n")       # duplicates sum to inf
+@example("3 4\n1 2 3 -1\n3 2 1 2\n")             # a negative weight, positive sum
+@example("3 4\n1 2 3\n1 2 3 2.0\n")               # weight on one line only
+@example("# c\n3 4\n1 2 3\n# c\n2 3 4\n")        # comment after the header
+@example("3 4\r\n1 2 3\r\n2 3 4\r\n")            # CRLF line ends
+@example("3 4\n1 2 99999999999999999999\n")       # id beyond int64
+@example("3 4\n   \n\t\n")                        # blank body
+@example("3 4")                                    # header alone, no newline
+@settings(max_examples=400, deadline=None)
+def test_table_read_matches_scanner(text):
+    expected = scanned(text)
+    table = _read_table(text)
+    if isinstance(expected, str):
+        assert table is None  # the table read never accepts what the scanner rejects
+        with pytest.raises(ParseError) as exc:
+            parse_edge_list(text)
+        assert str(exc.value) == expected
+    else:
+        if table is not None:
+            assert_same_outcome(table, expected)
+        assert_same_outcome(parse_edge_list(text), expected)
+
+
+def test_bench_shaped_file_takes_table_read(monkeypatch):
+    rng = np.random.default_rng(5)
+    rows = rng.integers(1, 51, size=(300, 3))
+    weights = rng.uniform(0.5, 2.0, size=300)
+    text = "# generated graph\n3 50\n" + "".join(
+        f"{a} {b} {c} {w!r}\n" for (a, b, c), w in zip(rows.tolist(), weights.tolist())
+    )
+    expected = _scan_edge_list(text)
+
+    def fail(text):
+        raise AssertionError("the line scanner ran")
+
+    monkeypatch.setattr(hypergraph, "_scan_edge_list", fail)
+    g = parse_edge_list(text)
+    assert g == expected and g.weights.tobytes() == expected.weights.tobytes()
+
+
+# --- validate's duplicate test against np.unique ------------------------------
+
+
+def duplicate_reference(slots):
+    """``validate``'s duplicate message from np.unique(axis=0), for any rows."""
+    duplicate = np.ones(len(slots), dtype=bool)
+    duplicate[np.unique(slots, axis=0, return_index=True)[1]] = False
+    count = int(np.count_nonzero(duplicate))
+    if not count:
+        return []
+    more = f" (and {count - 1} more)" if count > 1 else ""
+    return [f"edge {int(np.argmax(duplicate))}: duplicate of an earlier edge{more}"]
+
+
+@st.composite
+def raw_tables(draw):
+    r = draw(st.integers(2, 4))
+    m = draw(st.integers(0, 10))
+    rows = np.array(draw(st.lists(st.lists(st.integers(0, 2), min_size=r, max_size=r),
+                                  min_size=m, max_size=m)), dtype=np.int64).reshape(m, r)
+    if draw(st.booleans()):
+        rows = rows[np.lexsort(rows.T[::-1])]   # lexicographic order, duplicates kept
+    return Hypergraph(n=3, r=r, slots=rows, weights=np.ones(m))
+
+
+@given(raw_tables())
+@example(raw(3, 2, [(1, 2), (1, 2), (1, 3), (1, 3), (1, 3)], np.ones(5)))   # sorted
+@example(raw(3, 2, [(1, 3), (1, 2), (1, 3), (2, 3), (1, 2)], np.ones(5)))   # unsorted
+@example(raw(3, 2, [(2, 1), (1, 2), (2, 1)], np.ones(3)))                   # unsorted slots
+@example(raw(3, 2, [(1, 2), (2, 3)], np.ones(2)))
+@settings(max_examples=200, deadline=None)
+def test_validate_duplicates_match_unique_reference(g):
+    got = [problem for problem in validate(g) if "duplicate" in problem]
+    assert got == duplicate_reference(g.slots)
