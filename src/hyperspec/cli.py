@@ -77,6 +77,7 @@ def cmd_solve(args) -> int:
     total_iters = sum(r.iterations for r in res.run_summaries)
     total_evals = sum(r.evals for r in res.run_summaries)
     total_grads = sum(r.grad_evals for r in res.run_summaries)
+    total_increments = sum(r.increments for r in res.run_summaries)
     total_restarts = sum(r.restarts for r in res.run_summaries)
 
     payload = {
@@ -103,6 +104,7 @@ def cmd_solve(args) -> int:
             f"{'converged' if res.best.converged else res.best.stop_reason})",
             f"iterations  {total_iters} total",
             f"kernel      {total_evals} value passes, {total_grads} gradient passes",
+            f"increments  {total_increments} cancellation-free increment passes",
             f"restarts    {total_restarts} steepest-ascent retries",
             f"time        {wall:.3f} s",
         ]

@@ -266,8 +266,10 @@ def _scan_edge_list(text: str) -> Hypergraph:
         raise ParseError("empty input: missing 'r n' header line")
     try:
         edges = np.array(ids, dtype=np.int64)
-    except OverflowError:  # beyond int64: clamp, keeping each id out of range
-        edges = np.array([min(max(v, 0), n + 1) for v in ids], dtype=np.int64)
+    except OverflowError:  # an id beyond int64, which n + 1 may not fit either
+        k = next(k for k, v in enumerate(ids) if not 1 <= v <= min(n, 2**63 - 1))
+        what = f"out of range [1, {n}]" if not 1 <= ids[k] <= n else "beyond int64"
+        raise ParseError(f"line {linenos[k // r]}: vertex id {what}") from None
     edges = edges.reshape(-1, r)
     w = np.array(weights, dtype=np.float64)
     for bad, what in (

@@ -29,11 +29,14 @@ def rank_vertices(g: Hypergraph, cfg: SolverConfig, top_k: int | None = None) ->
     """Rank vertices by the weighting of the best multistart run.
 
     Small p concentrates the weighting on the strongest group of vertices;
-    large p spreads it and scores vertices individually.
+    large p spreads it and scores vertices individually.  The runs start in
+    the nonnegative orthant (``solve_multistart(..., orthant=True)``), so
+    they converge to nonnegative critical points whose weighting is
+    stationary, not to mixed-sign ones whose |x| is not.
     """
     if top_k is not None and not 1 <= top_k <= g.n:
         raise ValueError(f"top_k must be in [1, {g.n}], got {top_k}")
-    res = solve_multistart(g, cfg)
+    res = solve_multistart(g, cfg, orthant=True)
     impact = res.best.weighting
     order = ranked_order(impact)
     if top_k is not None:

@@ -1,6 +1,6 @@
 import numpy as np
 
-from hyperspec import Hypergraph
+from hyperspec import Hypergraph, solver
 
 
 def make_random_graph(rng: np.random.Generator, n: int, r: int, m: int) -> Hypergraph:
@@ -10,6 +10,19 @@ def make_random_graph(rng: np.random.Generator, n: int, r: int, m: int) -> Hyper
         edges.append(rng.choice(np.arange(1, n + 1), size=r, replace=False))
         weights.append(float(rng.uniform(0.5, 2.0)))
     return Hypergraph.from_edges(n=n, r=r, edges=edges, weights=weights)
+
+
+def record_starts(monkeypatch) -> list:
+    """Rebind solver.solve_single so that each run's start is recorded."""
+    starts = []
+    real = solver.solve_single
+
+    def recorded(g, cfg, x0, *args, **kwargs):
+        starts.append(np.array(x0))
+        return real(g, cfg, x0, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_single", recorded)
+    return starts
 
 
 def random_unit(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -103,6 +103,9 @@ class TestSolve:
         evals = sum(run.evals for run in runs)
         grads = sum(run.grad_evals for run in runs)
         assert f"kernel      {evals} value passes, {grads} gradient passes\n" in out
+        increments = sum(run.increments for run in runs)
+        assert increments > 0
+        assert f"increments  {increments} cancellation-free increment passes\n" in out
         restarts = sum(run.restarts for run in runs)
         assert f"restarts    {restarts} steepest-ascent retries\n" in out
 

@@ -79,6 +79,10 @@ class TestParse:
             ("3 4\na b c\n", 2),                     # malformed ids
             ("3\n", 1),                              # bad header
             ("0 4\n", 1),                            # r too small
+            # ids beyond int64 where n + 1 does not fit int64 either
+            ("3 99999999999999999999\n1 2 99999999999999999999999\n", 2),
+            ("3 9223372036854775807\n1 2 9223372036854775808\n", 2),
+            ("3 99999999999999999999\n1 2 3\n1 2 9999999999999999999\n", 3),
         ],
     )
     def test_errors_name_line_number(self, text, line):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from hyperspec import Hypergraph, SolverConfig, gen_complete, rank_vertices
+from hyperspec import Hypergraph, SolverConfig, gen_complete, random_unit_sphere, rank_vertices
 from hyperspec.ranking import ranked_order
+
+from conftest import record_starts
 
 
 def two_edge_graph():
@@ -50,6 +52,16 @@ class TestRankVertices:
     def test_top_k_bounds(self):
         with pytest.raises(ValueError):
             rank_vertices(two_edge_graph(), SolverConfig(p=3.0, runs=2), top_k=7)
+
+    def test_runs_start_in_orthant(self, monkeypatch):
+        starts = record_starts(monkeypatch)
+        g = two_edge_graph()
+        cfg = SolverConfig(p=3.0, runs=5, seed=4)
+        rank_vertices(g, cfg)
+        assert len(starts) == cfg.runs
+        for i, x0 in enumerate(starts):
+            expected = np.abs(random_unit_sphere(g.n, np.random.default_rng(cfg.seed + i)))
+            assert x0.tobytes() == expected.tobytes()
 
     def test_report_metadata(self):
         cfg = SolverConfig(p=2.0, runs=30, seed=3)

@@ -27,7 +27,11 @@ from hyperspec import solver
 from hyperspec.solver import cayley_step_length
 from hyperspec.tensor_ops import value_and_grad
 
-from conftest import make_random_graph
+from conftest import make_random_graph, record_starts
+
+
+def draw(n, seed):
+    return random_unit_sphere(n, np.random.default_rng(seed))
 
 
 class TestConfig:
@@ -496,6 +500,22 @@ class TestSolveSingle:
         counts = [(run.evals, run.grad_evals) for run in runs]
         assert counts == [(run.evals, run.grad_evals) for run in again]
 
+    def test_increment_counter(self, monkeypatch):
+        # beta-star(3,10) from start 0 ends below f's float64 resolution,
+        # where the Wolfe test reads the cancellation-free increment
+        g = gen_beta_star(3, 10)
+        calls = []
+        real = solver._increment
+
+        def counted(g, base, trial):
+            calls.append(trial)
+            return real(g, base, trial)
+
+        monkeypatch.setattr(solver, "_increment", counted)
+        res = solve_single(g, SolverConfig(p=3.0), draw(g.n, 0))
+        assert res.stop_reason == "grad_tol"
+        assert res.increments == len(calls) > 0
+
     @pytest.fixture(scope="class")
     def star_tail(self):
         """beta-star(6,4) at p = 4 < r - 1, starts 0..39, traced, with every
@@ -595,6 +615,36 @@ class TestSolveMultistart:
                 assert run.stop_reason == solo.stop_reason
                 assert run.weighting.tobytes() == solo.weighting.tobytes()
             assert multi.best is multi.run_summaries[multi.best_run]
+
+    def test_default_starts_are_signed(self, monkeypatch):
+        # the paper's law: run i from the uniform draw with seed cfg.seed + i
+        starts = record_starts(monkeypatch)
+        g = gen_loose_path(4, 3)
+        cfg = SolverConfig(p=4.0, runs=6, seed=3)
+        solve_multistart(g, cfg)
+        assert len(starts) == cfg.runs
+        for i, x0 in enumerate(starts):
+            assert x0.tobytes() == draw(g.n, cfg.seed + i).tobytes()
+        assert any((x0 < 0.0).any() for x0 in starts)
+
+    def test_orthant_starts(self, monkeypatch):
+        starts = record_starts(monkeypatch)
+        g = gen_loose_path(4, 3)
+        cfg = SolverConfig(p=4.0, runs=6, seed=3)
+        solve_multistart(g, cfg, orthant=True)
+        assert len(starts) == cfg.runs
+        for i, x0 in enumerate(starts):
+            assert x0.tobytes() == np.abs(draw(g.n, cfg.seed + i)).tobytes()
+
+    def test_orthant_weightings_are_stationary(self):
+        # signed starts end at mixed-sign critical points x whose reported
+        # |x| is not stationary (16 of these 20 runs); orthant starts do not
+        g = make_random_graph(np.random.default_rng(0), n=100, r=3, m=300)
+        cfg = SolverConfig(p=2.0, runs=20, seed=0)
+        for run in solve_multistart(g, cfg, orthant=True).run_summaries:
+            assert run.stop_reason == "grad_tol"
+            f, grad = value_and_grad(g, run.weighting, cfg.p)
+            assert np.linalg.norm(grad) / f <= 1e-5
 
     def test_best_is_max(self):
         g = gen_complete(4, 3)
@@ -716,6 +766,16 @@ class TestLagrangianApprox:
             ref = beta_star_value(2, 1, row.p).value
             assert abs(row.lam - ref) / ref <= 1e-9
         assert approx.estimate == approx.rows[-1].normalized
+
+    def test_every_row_starts_in_orthant(self, monkeypatch):
+        starts = record_starts(monkeypatch)
+        g = gen_complete(5, 3)
+        cfg = SolverConfig(p=2.0, runs=4, seed=7, grad_tol=1e-6)
+        steps = 3
+        lagrangian_approx(g, cfg, steps=steps)
+        assert len(starts) == steps * cfg.runs
+        for k, x0 in enumerate(starts):
+            assert x0.tobytes() == np.abs(draw(g.n, cfg.seed + k % cfg.runs)).tobytes()
 
     def test_estimate_approaches_simplex_value(self):
         g = Hypergraph.from_edges(n=2, r=2, edges=[(1, 2)])
