@@ -34,7 +34,7 @@ from .solver import (
     solve_multistart,
     solve_single,
 )
-from .tensor_ops import objective, signed_power, tensor_apply, value_and_grad
+from .tensor_ops import objective, tensor_apply, value_and_grad
 
 __version__ = "0.1.0"
 
@@ -66,7 +66,6 @@ __all__ = [
     "rank_vertices",
     "random_unit_sphere",
     "serialize_edge_list",
-    "signed_power",
     "solve_multistart",
     "solve_single",
     "tensor_apply",

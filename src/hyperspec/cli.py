@@ -79,6 +79,7 @@ def cmd_solve(args) -> int:
     total_grads = sum(r.grad_evals for r in res.run_summaries)
     total_increments = sum(r.increments for r in res.run_summaries)
     total_restarts = sum(r.restarts for r in res.run_summaries)
+    total_support = sum(r.support_steps for r in res.run_summaries)
 
     payload = {
         "lambda": res.best.lam,
@@ -106,6 +107,7 @@ def cmd_solve(args) -> int:
             f"kernel      {total_evals} value passes, {total_grads} gradient passes",
             f"increments  {total_increments} cancellation-free increment passes",
             f"restarts    {total_restarts} steepest-ascent retries",
+            f"support     {total_support} support steps",
             f"time        {wall:.3f} s",
         ]
         _emit("\n".join(lines) + "\n", args.out)

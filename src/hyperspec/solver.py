@@ -35,6 +35,9 @@ MAX_LINESEARCH_STEPS = 40
 ASCENT_COEFF = 1.0 - 1.0 / (4.0 * TAU)
 # M0 = 1 + 1/eps + tau/eps^2, the guaranteed ||direction|| / ||grad|| cap
 DIRECTION_BOUND = 1.0 + 1.0 / EPS + TAU / EPS**2
+# support step: entry i is penalty-dominated when its polynomial pull
+# x_i * dw/dx_i is at most KAPPA times its norm penalty (axr / P) |x_i|^p
+KAPPA = 0.5
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,7 @@ class IterationRecord:
     step_pred: float       # closed-form step length for the accepted alpha
     drift: float           # | ||x_next||_2 - 1 |
     evals: int             # trials, a failed first search's included
+    support: bool          # the step took the support direction
 
 
 @dataclass(frozen=True)
@@ -97,6 +101,7 @@ class SolveResult:
     grad_evals: int = 0    # gradient passes
     increments: int = 0    # cancellation-free increments (sub-resolution trials)
     restarts: int = 0      # steepest-ascent retries after a failed line search
+    support_steps: int = 0  # accepted steps along the support direction
     trace: tuple[IterationRecord, ...] | None = None
 
     def weighting_scaled(self, ord: float) -> np.ndarray:
@@ -214,6 +219,41 @@ def cayley_step_length(x: np.ndarray, direction: np.ndarray, alpha: float) -> fl
     return 2.0 * math.sqrt(max(sq - overlap * overlap, 0.0) / denom)
 
 
+def support_direction(
+    g: Hypergraph, point: _Eval, grad: np.ndarray, gnorm: float, grad_tol: float
+) -> tuple[np.ndarray, float] | None:
+    """Tangent direction toward the face where the penalty-dominated entries
+    of x are zero, and the Cayley parameter that reaches that face.
+
+    Entry i is in Z when x_i grad_i <= (KAPPA - 1) (r! / ||x||_p^r)
+    (axr / P) |x_i|^p and |grad_i| > grad_tol, with P = ||x||_p^p and
+    axr = x . grad w from ``point``'s gradient stage.  With s = ||x_Z||^2 the
+    direction is d = -x_Z + (x . x_Z) x, and the Cayley point at
+    alpha* = 2 / (sqrt(1 - s) (1 + sqrt(1 - s))) is zero on Z in exact
+    arithmetic.  None when Z is empty or covers all of x, or when d misses
+    the ascent floor or the direction cap that every CG direction meets.
+    """
+    x = point.x
+    penalty = math.factorial(g.r) / point.norm_r * point.axr / point.pnorm_p
+    face = (x * grad <= (KAPPA - 1.0) * penalty * point.pow_x).nonzero()[0]
+    if not face.size:  # the common case near a maximizer interior to its support
+        return None
+    face = face[np.abs(grad[face]) > grad_tol]
+    x_face = x[face]
+    s = float(x_face @ x_face)
+    if not 0.0 < s < 1.0:
+        return None
+    direction = s * x
+    direction[face] -= x_face
+    if not (
+        float(direction @ grad) >= ASCENT_COEFF * gnorm * gnorm
+        and _norm(direction) <= DIRECTION_BOUND * gnorm
+    ):
+        return None
+    root = math.sqrt(1.0 - s)
+    return direction, 2.0 / (root * (1.0 + root))
+
+
 def _interpolate(lo: float, f_lo: float, d_lo: float, hi: float, f_hi: float) -> float:
     """Quadratic-interpolation trial inside (lo, hi), safeguarded to the bracket."""
     h = hi - lo
@@ -242,43 +282,31 @@ def line_search_wolfe(
         f(x(alpha)) >= f0 + c1 * alpha * grad0 . direction
         grad(x(alpha)) . direction <= c2 * grad0 . direction
 
-    The first trial is ``trial`` when that is finite and positive, and
-    2 / (1 + ||direction||) otherwise.  Expansion by factor 2 from there until
-    the peak of the curve section is bracketed
-    (sufficient increase fails, the value drops below the bracket floor, or the
-    curve slope turns nonpositive), then safeguarded quadratic interpolation
-    inside the bracket.  The slope phi'(alpha) comes from the closed-form
-    identity phi'(alpha) = -grad(x(alpha)) . x / alpha.  Every trial costs the
-    kernel's value stage; only a trial that passes the sufficient-increase
-    test, and so reaches the curvature test and the slope, also runs the
-    gradient stage (Nocedal & Wright, Alg. 3.5).  The bracket holds increases
-    over f0, not raw values.  The search fails once the bracket collapses, or as
-    soon as the next trial equals the current one: that trial's evaluation
-    and bracket update would repeat unchanged up to MAX_LINESEARCH_STEPS.
+    Trials: ``trial`` when it is finite and positive, else
+    2 / (1 + ||direction||); then doubling until the peak of the curve
+    section is bracketed (the increase test fails, the increase drops below
+    the bracket floor, or the curve slope turns nonpositive), then
+    safeguarded quadratic interpolation inside the bracket.  The bracket
+    holds increases over f0, and the slope is
+    phi'(alpha) = -grad(x(alpha)) . x / alpha.  Every trial runs the kernel's
+    value stage; only a trial that passes the increase test also runs the
+    gradient stage (Nocedal & Wright, Alg. 3.5).
 
-    It also fails at the first trial that passes the increase test and fails
-    the curvature test while the sign of its slope is rounding noise.  f is
-    zero-order homogeneous, so grad(x(alpha)) . x(alpha) = 0 and the slope's
-    numerator -grad(x(alpha)) . x equals grad(x(alpha)) . (x(alpha) - x).
-    Near stationarity the first form cancels to noise; the second does not,
-    as x(alpha) - x is O(alpha ||direction||).  The bracket reads the first
-    form; when the two disagree in sign the search fails at once rather than
-    bracket on noise, which would shrink alpha until MAX_LINESEARCH_STEPS or
-    collapse onto one alpha.  The caller's steepest-ascent retry follows as
-    after any failed search.  In exact arithmetic the two forms are equal,
-    so the exit cannot fire there.
+    The search fails, with ``ok=False`` and no point, when the direction is
+    not an ascent direction, when the bracket collapses, when the next trial
+    equals the current one, after MAX_LINESEARCH_STEPS trials, or at the
+    first trial that passes the increase test and fails the curvature test
+    while its slope's sign is rounding noise: -grad(x(alpha)) . x and
+    grad(x(alpha)) . (x(alpha) - x) are equal in exact arithmetic (f is
+    zero-order homogeneous), and the search stops when their signs differ.
 
-    Near stationarity the true increase of f falls below the resolution of
-    f's float64 values, and comparing two of them compares rounding noise; the
-    regime is detected by the increase threshold being absorbed
-    (f0 + c1*alpha*slope == f0).  There the increase f(x(alpha)) - f(x) is
-    evaluated as a difference of nearby factors that does not cancel against
-    f, tested against c1*alpha*slope, and the accepted value is f0 plus that
-    increase.  Rounding is monotone, so accepted steps always satisfy both
-    inequalities above exactly as written.  The increment reads the kernel
-    record of x: ``point``, which the previous search returned with its
-    accepted point, or else one evaluated here on first need; the result is
-    the same either way.
+    When the increase threshold is absorbed (f0 + c1*alpha*slope == f0), the
+    increase is :func:`_increment`, which does not cancel against f, and the
+    trial's value is f0 plus that increase.  It reads ``point``, the kernel
+    record of x after its gradient stage, evaluated here on first need when
+    None; the result is the same either way.  An accepted step satisfies
+    both inequalities above exactly as the floats are compared, and returns
+    its kernel record as ``point``.
     """
     slope0 = float(grad0 @ direction)
     if not slope0 > 0.0:
@@ -355,6 +383,16 @@ def solve_single(
     (Nocedal & Wright, eq. 3.60), with f_k - f_{k-1} the float64 difference
     of the last accepted values; the first search, and the steepest-ascent
     retry, start from the line search's default.
+
+    Support step: once the last accepted search read a cancellation-free
+    increment (f is at its float64 resolution), an iteration whose
+    :func:`support_direction` exists, and meets the ascent floor and the
+    direction cap, first searches along it from the trial alpha* that zeroes
+    the penalty-dominated entries (Hager & Zhang, SIAM J. Optim. 2006).  It
+    is the way to a face of the sphere that the CG iteration approaches only
+    sublinearly, as for p < r - 1.  When that search fails, the iteration
+    takes the CG direction as usual.
+
     The reported weighting is the entrywise absolute value of the final
     iterate, which can only increase the objective because edge weights are
     nonnegative.
@@ -370,11 +408,12 @@ def solve_single(
     point = _value(g, x, cfg.p)
     f, grad = point.f, _gradient(g, point)
     evals = grad_evals = 1
-    increments = restarts = 0
+    increments = restarts = support_steps = 0
     trace: list[IterationRecord] = []
     step_prev: np.ndarray | None = None
     grad_diff_prev: np.ndarray | None = None
     gain_prev: float | None = None
+    in_basin = False
     k = 0
     while True:
         if not math.isfinite(f) or not np.isfinite(grad).all():
@@ -388,16 +427,27 @@ def solve_single(
             stop = "max_iter"
             break
 
-        direction = cg_direction(grad, step_prev, grad_diff_prev)
-        ascent = float(direction @ grad)
-        required = ASCENT_COEFF * gnorm * gnorm
-        if not math.isfinite(ascent) or ascent < required * (1.0 - 1e-12):
-            direction = grad.copy()
-            ascent = gnorm * gnorm
-        trial = 2.0 * gain_prev / ascent if gain_prev is not None and ascent > 0.0 else None
-        search = line_search_wolfe(g, cfg, x, f, grad, direction, trial, point=point)
-        step_evals, grad_evals = search.evals, grad_evals + search.grad_evals
-        increments += search.increments
+        support = support_direction(g, point, grad, gnorm, cfg.grad_tol) if in_basin else None
+        step_evals = 0
+        if support is not None:
+            direction, trial = support
+            ascent = float(direction @ grad)
+            search = line_search_wolfe(g, cfg, x, f, grad, direction, trial, point=point)
+            step_evals, grad_evals = search.evals, grad_evals + search.grad_evals
+            increments += search.increments
+            if not search.ok:
+                support = None
+        if support is None:
+            direction = cg_direction(grad, step_prev, grad_diff_prev)
+            ascent = float(direction @ grad)
+            required = ASCENT_COEFF * gnorm * gnorm
+            if not math.isfinite(ascent) or ascent < required * (1.0 - 1e-12):
+                direction = grad.copy()
+                ascent = gnorm * gnorm
+            trial = 2.0 * gain_prev / ascent if gain_prev is not None and ascent > 0.0 else None
+            search = line_search_wolfe(g, cfg, x, f, grad, direction, trial, point=point)
+            step_evals, grad_evals = step_evals + search.evals, grad_evals + search.grad_evals
+            increments += search.increments
         if not search.ok and not np.array_equal(direction, grad):
             # restart policy: retry the iteration with plain steepest ascent
             direction = grad.copy()
@@ -426,8 +476,11 @@ def solve_single(
                     step_pred=cayley_step_length(x, direction, search.alpha),
                     drift=abs(_norm(search.x) - 1.0),
                     evals=step_evals,
+                    support=support is not None,
                 )
             )
+        support_steps += support is not None
+        in_basin = search.increments > 0
         step_prev = search.x - x
         grad_diff_prev = search.grad - grad
         gain_prev = search.f - f
@@ -451,6 +504,7 @@ def solve_single(
         grad_evals=grad_evals,
         increments=increments,
         restarts=restarts,
+        support_steps=support_steps,
         trace=tuple(trace) if track else None,
     )
 
@@ -462,16 +516,12 @@ def solve_multistart(
     cfg.seed + i; keep the max.  Ties keep the earliest run.
 
     The start of run i is ``random_unit_sphere(g.n, default_rng(cfg.seed + i))``,
-    uniform on the sphere: the paper's law.  With ``orthant=True`` it is the
-    entrywise absolute value of that draw, uniform on the sphere's nonnegative
-    part.  Every run reports |x| and f(|x|) >= f(x), yet a signed start often
-    ends at a mixed-sign critical point whose |x| is not stationary; orthant
-    starts avoid that on ranking and Lagrangian runs (twelve seeded 20k-edge
-    3-graphs at p = 2, two runs each: no such run against 9 of 24, and 850
-    iterations against 1229).  They are not the default because they cost
-    more where the tails are slow, p <= r - 1: beta-star(6,4) at p = 4 took
-    8497 iterations against 4899 over 40 starts, and loose-path(4,4) at
-    p = 3 took 7658 against 4783 over 30 starts.
+    uniform on the sphere: the paper's law, and the default.  With
+    ``orthant=True`` it is the entrywise absolute value of that draw, uniform
+    on the sphere's nonnegative part, for callers that want the nonnegative
+    maximizer (ranking, the Lagrangian schedule).  Every run reports |x|,
+    and f(|x|) >= f(x); a signed run can end at a mixed-sign critical point
+    whose |x| is not stationary.
     """
     results = []
     for i in range(cfg.runs):

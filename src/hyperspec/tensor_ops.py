@@ -89,14 +89,6 @@ def tensor_apply(g: Hypergraph, x: np.ndarray) -> tuple[float, np.ndarray]:
     return axr, axr1
 
 
-def signed_power(x: np.ndarray, q: float) -> np.ndarray:
-    """Componentwise |x_i|^q * sgn(x_i)."""
-    if q <= 0:
-        raise ValueError(f"exponent must be positive, got {q}")
-    x = np.asarray(x, dtype=np.float64)
-    return np.sign(x) * np.abs(x) ** q
-
-
 def objective(g: Hypergraph, x: np.ndarray, p: float) -> float:
     """f(x) = r! * w(G, x) / ||x||_p^r; zero-order homogeneous in x."""
     return _value(g, _check_vector(g, x), p).f
@@ -124,6 +116,7 @@ class _Eval:
     f: float
     p: float
     suffix: np.ndarray | None = None   # (r+1, m) suffix products
+    axr: float | None = None           # x . grad w, set by the gradient stage
 
 
 def _value(g: Hypergraph, x: np.ndarray, p: float) -> _Eval:
@@ -143,11 +136,11 @@ def _value(g: Hypergraph, x: np.ndarray, p: float) -> _Eval:
 
 def _gradient(g: Hypergraph, point: _Eval) -> np.ndarray:
     """Gradient stage: grad f, with the suffix products kept on ``point`` in
-    place of the prefix products it spends."""
+    place of the prefix products it spends, and x . grad w as ``axr``."""
     point.suffix, axr1 = _weight_partials(g, point.entries, point.prefix)
     point.prefix = None
     x, p = point.x, point.p
-    axr = float(x @ axr1)
+    axr = point.axr = float(x @ axr1)
     scaled = axr1 - (axr / point.pnorm_p) * (np.sign(x) * point.abs_x ** (p - 1.0))
     return (math.factorial(g.r) / point.norm_r) * scaled
 

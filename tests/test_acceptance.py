@@ -198,6 +198,7 @@ TRACKED_INSTANCES = [
     ("beta-star(3,10) p=3", lambda: gen_beta_star(3, 10), 3.0, 20),
     ("loose-path(4,3) p=4", lambda: gen_loose_path(4, 3), 4.0, 10),
     ("complete(4,3) p=2", lambda: gen_complete(4, 3), 2.0, 20),
+    ("beta-star(6,4) p=4", lambda: gen_beta_star(6, 4), 4.0, 40),
 ]
 
 
@@ -228,7 +229,9 @@ def test_criterion_6_iteration_invariants(name, build, p, runs):
             assert abs(rec.step_norm - rec.step_pred) <= 1e-10
             cos_angle = rec.ascent / (rec.gnorm * rec.dir_norm)
             assert cos_angle >= coeff / cap * (1.0 - 1e-12)
-    report("criterion 6", True, f"{name}: {steps} accepted steps across {runs} runs, all invariants hold")
+    support = sum(res.support_steps for res in multi.run_summaries)
+    report("criterion 6", True, f"{name}: {steps} accepted steps ({support} support steps) "
+           f"across {runs} runs, all invariants hold")
 
 
 # --- 7. brute-force oracle equivalence ------------------------------------------

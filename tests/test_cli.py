@@ -108,6 +108,21 @@ class TestSolve:
         assert f"increments  {increments} cancellation-free increment passes\n" in out
         restarts = sum(run.restarts for run in runs)
         assert f"restarts    {restarts} steepest-ascent retries\n" in out
+        assert "support     0 support steps\n" in out
+
+    def test_text_reports_support_steps(self, tmp_path, capsys):
+        # beta-star(6,4) at p = 4 < r - 1: runs end on a face of the sphere
+        path = str(tmp_path / "bs64.txt")
+        main(["gen", "beta-star", "--r", "6", "--m", "4", "--out", path])
+        capsys.readouterr()
+        main(["solve", path, "--p", "4", "--runs", "4", "--seed", "0"])
+        out = capsys.readouterr().out
+        with open(path) as fh:
+            g = parse_edge_list(fh)
+        runs = solver.solve_multistart(g, solver.SolverConfig(p=4.0, runs=4, seed=0)).run_summaries
+        support = sum(run.support_steps for run in runs)
+        assert support > 0
+        assert f"support     {support} support steps\n" in out
 
     def test_fractional_p(self, single_edge_file, capsys):
         rc = main(["solve", single_edge_file, "--p", "4/3", "--runs", "2", "--format", "json"])

@@ -25,13 +25,27 @@ from hyperspec import (
 )
 from hyperspec import solver
 from hyperspec.solver import cayley_step_length
-from hyperspec.tensor_ops import value_and_grad
+from hyperspec.tensor_ops import tensor_apply, value_and_grad
 
 from conftest import make_random_graph, record_starts
 
 
 def draw(n, seed):
     return random_unit_sphere(n, np.random.default_rng(seed))
+
+
+def face_step(g, x, p, grad_tol):
+    """The penalty-dominated entries Z of unit x and the Cayley parameter
+    alpha* = 2 / (sqrt(1 - s) (1 + sqrt(1 - s))), s = ||x_Z||^2, that zeroes
+    them, from the public kernel."""
+    axr, _ = tensor_apply(g, x)
+    _, grad = value_and_grad(g, x, p)
+    pow_x = np.abs(x) ** p
+    pnorm_p = float(pow_x.sum())
+    penalty = math.factorial(g.r) / pnorm_p ** (g.r / p) * axr / pnorm_p
+    face = (x * grad <= (solver.KAPPA - 1.0) * penalty * pow_x) & (np.abs(grad) > grad_tol)
+    root = math.sqrt(1.0 - float(x[face] @ x[face]))
+    return face, 2.0 / (root * (1.0 + root))
 
 
 class TestConfig:
@@ -407,21 +421,33 @@ class TestSolveSingle:
         assert res.lam == objective(g, res.weighting, 3.0)
 
     # beta-star(3,10) start 0 has steps below the value resolution (zero
-    # gain); beta-star(6,4) start 0 has steepest-ascent retries
+    # gain); beta-star(6,4) at p = 4 start 21 has 28 steepest-ascent
+    # retries, and start 0 a support step
     @pytest.mark.parametrize(
         "build, p, path",
         [
             (lambda: gen_beta_star(3, 10), 3.0, "zero_gain"),
             (lambda: gen_beta_star(6, 4), 4.0, "retry"),
+            (lambda: gen_beta_star(6, 4), 4.0, "support"),
         ],
     )
     def test_searches_warm_start_from_last_gain(self, monkeypatch, build, p, path):
         g = build()
-        searches = []  # (trial passed, first alpha evaluated, default trial, ok)
+        cfg = SolverConfig(p=p)
+        # (trial passed, first alpha evaluated, default trial, ok, support,
+        # iterate, direction)
+        searches, supports = [], [None]
         real_search, real_step = solver.line_search_wolfe, solver.cayley_step
+        real_support = solver.support_direction
+
+        def support(*args):
+            supports.append(real_support(*args))
+            return supports[-1]
 
         def search(g, cfg, x, f0, grad0, direction, trial=None, **kwargs):
-            searches.append([trial, None, 2.0 / (1.0 + float(np.linalg.norm(direction))), None])
+            along_face = supports[-1] is not None and direction is supports[-1][0]
+            default = 2.0 / (1.0 + float(np.linalg.norm(direction)))
+            searches.append([trial, None, default, None, along_face, x, direction])
             res = real_search(g, cfg, x, f0, grad0, direction, trial, **kwargs)
             searches[-1][3] = res.ok
             return res
@@ -431,14 +457,16 @@ class TestSolveSingle:
                 searches[-1][1] = alpha
             return real_step(x, direction, alpha)
 
+        monkeypatch.setattr(solver, "support_direction", support)
         monkeypatch.setattr(solver, "line_search_wolfe", search)
         monkeypatch.setattr(solver, "cayley_step", step)
-        x0 = random_unit_sphere(g.n, np.random.default_rng(0))
-        res = solve_single(g, SolverConfig(p=p), x0, track=True)
+        x0 = draw(g.n, 21 if path == "retry" else 0)
+        res = solve_single(g, cfg, x0, track=True)
         assert res.stop_reason == "grad_tol"
         trace = res.trace
         # one successful search per record; a failed one is followed by the
-        # steepest-ascent retry of the same iteration
+        # steepest-ascent retry of the same iteration, or by the CG search
+        # after a failed support search
         groups, k = [[] for _ in trace], 0
         for entry in searches:
             groups[k].append(entry)
@@ -447,13 +475,28 @@ class TestSolveSingle:
         seen = set()
         for k, group in enumerate(groups):
             assert [entry[3] for entry in group] == [False] * (len(group) - 1) + [True]
+            assert trace[k].support == group[-1][4]
+            if trace[k].support:
+                # exempt from the warm start: the first trial is alpha*, and
+                # the Cayley point there is zero on the penalty-dominated set
+                seen.add("support")
+                assert len(group) == 1
+                trial, first, _, _, _, x, direction = group[0]
+                face, alpha_star = face_step(g, x, p, cfg.grad_tol)
+                assert face.any() and not face.all()
+                assert trial == pytest.approx(alpha_star, rel=1e-12)
+                assert first == trial
+                assert np.abs(real_step(x, direction, trial)[face]).max() <= 1e-15
+                continue
+            if group[0][4]:
+                group = group[1:]  # the failed support search
             if len(group) == 2:
                 seen.add("retry")
                 assert group[1][0] is None and group[1][1] == group[1][2]
                 assert group[0][0] is not None or k == 0
                 continue
             assert len(group) == 1
-            trial, first, default, _ = group[0]
+            trial, first, default, *_ = group[0]
             if k == 0:
                 assert trial is None
                 continue
@@ -463,6 +506,7 @@ class TestSolveSingle:
                 seen.add("zero_gain")
             assert first == (expected if 0.0 < expected < math.inf else default)
         assert path in seen
+        assert res.support_steps == sum(rec.support for rec in trace)
 
     def test_warm_start_evals_per_search(self, monkeypatch):
         counts = []
@@ -518,8 +562,10 @@ class TestSolveSingle:
 
     @pytest.fixture(scope="class")
     def star_tail(self):
-        """beta-star(6,4) at p = 4 < r - 1, starts 0..39, traced, with every
-        line search recorded as (run, iterate, ok, value passes)."""
+        """beta-star(6,4) at p = 5 = r - 1, starts 0..39, traced, with every
+        line search recorded as (run, iterate, ok, value passes).  Its slow
+        tails have 143 failed searches and 141 steepest-ascent retries (at
+        p = 4 < r - 1 support steps leave 33 of each)."""
         searches, runs = [], []
         real_search, real_single = solver.line_search_wolfe, solver.solve_single
 
@@ -536,7 +582,7 @@ class TestSolveSingle:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "line_search_wolfe", search)
             mp.setattr(solver, "solve_single", single)
-            solve_multistart(gen_beta_star(6, 4), SolverConfig(p=4.0, runs=40, seed=0), track=True)
+            solve_multistart(gen_beta_star(6, 4), SolverConfig(p=5.0, runs=40, seed=0), track=True)
         return runs, searches
 
     def test_failed_searches_are_cheap_in_sublinear_tail(self, star_tail):
@@ -564,6 +610,21 @@ class TestSolveSingle:
         for res in finished:
             # the start's pass and the final lam's are the two outside any step
             assert sum(rec.evals for rec in res.trace) + 2 == res.evals
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_no_support_steps_off_the_face_regime(self, seed):
+        # the benchmark's multistart-small instances: every maximizer is
+        # interior to its support, and no entry is penalty-dominated
+        instances = [
+            (gen_beta_star(3, 10), 3.0),
+            (gen_beta_star(3, 200), 3.0),
+            (gen_loose_path(4, 3), 4.0),
+            (gen_complete(4, 3), 2.0),
+            (gen_complete(10, 3), 2.0),
+        ]
+        for g, p in instances:
+            runs = solve_multistart(g, SolverConfig(p=p, runs=100, seed=seed)).run_summaries
+            assert sum(run.support_steps for run in runs) == 0
 
     def test_numerical_failure_on_overflow(self):
         edges = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]

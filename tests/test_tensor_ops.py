@@ -13,7 +13,6 @@ from hyperspec import (
     line_search_wolfe,
     objective,
     random_unit_sphere,
-    signed_power,
     tensor_apply,
 )
 from hyperspec.tensor_ops import _gradient, _increment, _value, value_and_grad
@@ -122,22 +121,6 @@ class TestTensorApply:
         g = single_edge((1, 2, 3))
         _, axr1 = tensor_apply(g, np.array([0.0, 2.0, 5.0]))
         assert axr1 == pytest.approx([10.0, 0.0, 0.0])
-
-
-class TestSignedPower:
-    def test_identity_at_one(self):
-        x = np.array([-2.0, 3.0])
-        assert signed_power(x, 1.0) == pytest.approx([-2.0, 3.0])
-
-    def test_square_keeps_sign(self):
-        assert signed_power(np.array([-2.0, 0.0, 2.0]), 2.0) == pytest.approx([-4.0, 0.0, 4.0])
-
-    def test_square_root(self):
-        assert signed_power(np.array([4.0]), 0.5) == pytest.approx([2.0])
-
-    def test_nonpositive_exponent(self):
-        with pytest.raises(ValueError):
-            signed_power(np.ones(2), 0.0)
 
 
 class TestObjective:
