@@ -35,7 +35,7 @@ def parse_p(text: str) -> float:
     """Accept a decimal ("1.5") or a fraction literal ("4/3")."""
     try:
         return float(Fraction(text))
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise argparse.ArgumentTypeError(f"cannot parse p value {text!r}") from None
 
 
@@ -45,7 +45,7 @@ def _load_graph(path: str) -> Hypergraph:
             g = parse_edge_list(handle)
     except OSError as exc:
         raise SystemExit(f"error: cannot read {path}: {exc}")
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError) as exc:
         raise SystemExit(f"error: {path}: {exc}")
     return g
 

@@ -114,8 +114,10 @@ def validate(g: Hypergraph) -> list[str]:
     if duplicate is None:  # rows out of lexicographic order
         duplicate = np.ones(len(slots), dtype=bool)
         duplicate[np.unique(slots, axis=0, return_index=True)[1]] = False
+    # no int64 id names slot 2**63 - 1, but id -2**63 wraps to it in from_edges
+    top = min(g.n, 2**63 - 1)
     checks = [
-        (((slots < 0) | (slots >= g.n)).any(axis=1), f"vertex out of range [1, {g.n}]"),
+        (((slots < 0) | (slots >= top)).any(axis=1), f"vertex out of range [1, {g.n}]"),
         ((np.diff(slots, axis=1) < 0).any(axis=1), "vertex slots not in nondecreasing order"),
         (~(weights > 0.0), "nonpositive weight"),
         (np.isinf(weights), "infinite weight"),
@@ -161,13 +163,67 @@ def parse_edge_list(source: str | TextIO) -> Hypergraph:
     optional positive weight (default 1.0).  Duplicate edges are merged by
     summing their weights.  Every ParseError names the offending line.
 
-    A file whose data lines form one uniform numeric table is read in a
-    single call (:func:`_read_table`); every other file, and every file with
-    an error, goes through the per-line scanner.  Both give the same graph.
+    One front end scans the header and raises its errors; one of two body
+    readers turns the rest into id and weight arrays: :func:`_read_table`
+    when one ``np.loadtxt`` call reads the body, :func:`_read_lines`
+    otherwise.  Both feed the same id, weight and merged-sum checks, so a
+    file gives the same graph or the same error whichever reader took it.
     """
     text = source if isinstance(source, str) else source.read()
-    g = _read_table(text)
-    return g if g is not None else _scan_edge_list(text)
+    start, lineno = 0, 1
+    while True:  # the header is the first line that is neither blank nor a comment
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        tokens = _tokens(text[start:end])
+        if tokens:
+            break
+        if end == len(text):
+            raise ParseError("empty input: missing 'r n' header line")
+        start, lineno = end + 1, lineno + 1
+    if len(tokens) != 2:
+        raise ParseError(f"line {lineno}: header must be 'r n', got {text[start:end].strip()!r}")
+    try:
+        r, n = int(tokens[0]), int(tokens[1])
+    except ValueError:
+        raise ParseError(f"line {lineno}: header must be two integers") from None
+    if r < 2 or n < 1:
+        raise ParseError(f"line {lineno}: need r >= 2 and n >= 1, got r={r} n={n}")
+    body, first = text[end + 1:], lineno + 1
+    edges, weights = _read_table(body, r) or _read_lines(body, r, n, first)
+    # weights are checked line by line, since a negative one can merge into a
+    # positive sum; from_edges rejects out-of-range ids and overflowing sums
+    bad_weights = ~((weights > 0.0) & (weights < np.inf))
+    if not bad_weights.any():
+        try:
+            return Hypergraph.from_edges(n=n, r=r, edges=edges, weights=weights)
+        except ValueError:
+            pass
+    numbers = [k for k, _ in _data_lines(body, first)]
+    for bad, what in (
+        (((edges < 1) | (edges > n)).any(axis=1), f"vertex id out of range [1, {n}]"),
+        (bad_weights, "weight must be positive and finite"),
+    ):
+        if bad.any():
+            raise ParseError(f"line {numbers[int(np.argmax(bad))]}: {what}")
+    # every line passed its checks, so a merged weight overflowed
+    _, merged, inverse = _merge(edges, r, weights)
+    lines = [numbers[k] for k in np.flatnonzero(np.isinf(merged)[inverse])]
+    raise ParseError(
+        f"line {lines[-1]}: weights of the duplicate edges on lines "
+        f"{', '.join(map(str, lines))} sum to inf"
+    )
+
+
+def _tokens(line: str) -> list[str]:
+    """The tokens of a line, none for a blank line or a comment."""
+    tokens = line.split()
+    return [] if tokens and tokens[0].startswith("#") else tokens
+
+
+def _data_lines(body: str, first: int):
+    """(number, tokens) of each data line of ``body``, whose first line is ``first``."""
+    lines = enumerate(map(_tokens, body.split("\n")), first)
+    return ((k, tokens) for k, tokens in lines if tokens)
 
 
 # The characters of a body the table read takes.  On them Python's int and
@@ -175,35 +231,16 @@ def parse_edge_list(source: str | TextIO) -> Hypergraph:
 _TABLE_ALPHABET = b"0123456789+-.eE \t\n"
 
 
-def _read_table(text: str) -> Hypergraph | None:
-    """The graph of a file whose body after the "r n" header is one table
-    read by a single ``np.loadtxt``, or None when the file is not of that
-    kind or not valid; it never raises.
+def _read_table(body: str, r: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (m, r) ids and (m,) weights of a body that one ``np.loadtxt``
+    call reads, or None for any other body; it never raises.
 
     The table read takes a body without comments, with only the characters
     of ``_TABLE_ALPHABET`` and with every data line carrying the token count
-    of the first, r ids or r ids and a weight.  Anything else, and any file
-    the checks reject, is left to :func:`_scan_edge_list`, which parses it or
-    raises the ParseError that names the line.
+    of the first, r ids or r ids and a weight; its rows are then the body's
+    nonblank lines in order.  Any other body is left to :func:`_read_lines`.
     """
-    start = 0
-    while True:  # the header is the first line that is neither blank nor a comment
-        end = text.find("\n", start)
-        end = len(text) if end < 0 else end
-        tokens = text[start:end].split()
-        if tokens and not tokens[0].startswith("#"):
-            break
-        if end == len(text):
-            return None
-        start = end + 1
-    if len(tokens) != 2:
-        return None
-    try:
-        r, n = int(tokens[0]), int(tokens[1])
-    except ValueError:
-        return None
-    body = text[end + 1:]
-    if r < 2 or n < 1 or not body.isascii() or body.encode().translate(None, _TABLE_ALPHABET):
+    if not body.isascii() or body.encode().translate(None, _TABLE_ALPHABET):
         return None
     width = len(body.lstrip().partition("\n")[0].split())  # of the first data line
     if width not in (r, r + 1):  # also an empty body
@@ -216,37 +253,14 @@ def _read_table(text: str) -> Hypergraph | None:
             table = np.loadtxt(io.StringIO(body), dtype=fields, comments=None, ndmin=1)
     except (ValueError, OverflowError, Warning):
         return None
-    weights = table["w"] if width > r else None
-    # weights are checked line by line, since a negative one can merge into a
-    # positive sum; from_edges rejects out-of-range ids and overflowing sums
-    if weights is not None and not ((weights > 0.0) & (weights < np.inf)).all():
-        return None
-    try:
-        return Hypergraph.from_edges(n=n, r=r, edges=table["ids"], weights=weights)
-    except ValueError:
-        return None
+    return table["ids"], (table["w"] if width > r else np.ones(len(table)))
 
 
-def _scan_edge_list(text: str) -> Hypergraph:
-    """The per-line parser of :func:`parse_edge_list`: any text, any error."""
-    r = n = None
-    ids: list[int] = []
-    weights: list[float] = []
-    linenos: list[int] = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        tokens = line.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
-        if r is None:
-            if len(tokens) != 2:
-                raise ParseError(f"line {lineno}: header must be 'r n', got {line.strip()!r}")
-            try:
-                r, n = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise ParseError(f"line {lineno}: header must be two integers") from None
-            if r < 2 or n < 1:
-                raise ParseError(f"line {lineno}: need r >= 2 and n >= 1, got r={r} n={n}")
-            continue
+def _read_lines(body: str, r: int, n: int, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ids and weights of any body, read line by line; raises the
+    ParseError of a line's tokens or of an id beyond int64."""
+    ids, weights = [], []
+    for lineno, tokens in _data_lines(body, first):
         if len(tokens) not in (r, r + 1):
             raise ParseError(
                 f"line {lineno}: expected {r} vertex ids and an optional weight, "
@@ -260,34 +274,13 @@ def _scan_edge_list(text: str) -> Hypergraph:
             weights.append(float(tokens[r]) if len(tokens) > r else 1.0)
         except ValueError:
             raise ParseError(f"line {lineno}: weight must be a number") from None
-        linenos.append(lineno)
-
-    if r is None:
-        raise ParseError("empty input: missing 'r n' header line")
     try:
-        edges = np.array(ids, dtype=np.int64)
+        return np.array(ids, dtype=np.int64).reshape(-1, r), np.array(weights, dtype=np.float64)
     except OverflowError:  # an id beyond int64, which n + 1 may not fit either
         k = next(k for k, v in enumerate(ids) if not 1 <= v <= min(n, 2**63 - 1))
         what = f"out of range [1, {n}]" if not 1 <= ids[k] <= n else "beyond int64"
-        raise ParseError(f"line {linenos[k // r]}: vertex id {what}") from None
-    edges = edges.reshape(-1, r)
-    w = np.array(weights, dtype=np.float64)
-    for bad, what in (
-        (((edges < 1) | (edges > n)).any(axis=1), f"vertex id out of range [1, {n}]"),
-        (~(w > 0.0) | np.isinf(w), "weight must be positive and finite"),
-    ):
-        if bad.any():
-            raise ParseError(f"line {linenos[int(np.argmax(bad))]}: {what}")
-    try:
-        return Hypergraph.from_edges(n=n, r=r, edges=edges, weights=w)
-    except ValueError:
-        # every line passed its checks, so a merged weight overflowed
-        _, merged, inverse = _merge(edges, r, w)
-        lines = [linenos[k] for k in np.flatnonzero(np.isinf(merged)[inverse])]
-        raise ParseError(
-            f"line {lines[-1]}: weights of the duplicate edges on lines "
-            f"{', '.join(map(str, lines))} sum to inf"
-        ) from None
+        lineno = [number for number, _ in _data_lines(body, first)][k // r]
+        raise ParseError(f"line {lineno}: vertex id {what}") from None
 
 
 def serialize_edge_list(g: Hypergraph) -> str:

@@ -55,10 +55,10 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.p > 1.0:
-            raise ValueError(f"need p > 1, got p={self.p}")
-        if not self.grad_tol > 0.0:
-            raise ValueError(f"need grad_tol > 0, got grad_tol={self.grad_tol}")
+        if not 1.0 < self.p < math.inf:
+            raise ValueError(f"need finite p > 1, got p={self.p}")
+        if not 0.0 < self.grad_tol < math.inf:
+            raise ValueError(f"need finite grad_tol > 0, got grad_tol={self.grad_tol}")
         if self.max_iter < 1 or self.runs < 1:
             raise ValueError("max_iter and runs must be >= 1")
 

@@ -37,6 +37,8 @@ class TestParseP:
 
         with pytest.raises(argparse.ArgumentTypeError):
             parse_p("abc")
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_p("1e400")  # overflows float
 
 
 class TestGen:
@@ -199,17 +201,21 @@ class TestLagrangian:
         (["solve", "{edge}", "--p", "2", "--runs", "0"], 2),
         # duplicate edges whose weights sum to inf: a bad file, like any other
         (["solve", "{overflow}", "--p", "2"], 1),
+        (["solve", "{binary}", "--p", "2"], 1),           # not UTF-8
+        (["solve", "{edge}", "--p", "2", "--tol", "1e400"], 2),  # grad_tol = inf
     ],
 )
 def test_bad_input_prints_error_without_traceback(argv, status, single_edge_file, tmp_path):
     overflow = tmp_path / "overflow.txt"
     overflow.write_text("2 3\n1 2 1e308\n2 1 1e308\n")
-    argv = [a.format(edge=single_edge_file, overflow=overflow) for a in argv]
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"2 3\n1 \xff 2\n")
+    argv = [a.format(edge=single_edge_file, overflow=overflow, binary=binary) for a in argv]
     env = dict(os.environ, PYTHONPATH=str(Path(hyperspec.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "hyperspec.cli", *argv],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == status
-    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.startswith(f"error: {argv[1]}: " if status == 1 else "error: ")
     assert "Traceback" not in proc.stderr
 
 

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +17,7 @@ from hyperspec import (
     validate,
 )
 from hyperspec import hypergraph
-from hyperspec.hypergraph import _merge, _read_table, _scan_edge_list
+from hyperspec.hypergraph import _merge, _read_lines, _read_table
 
 
 def edge(g, pos):
@@ -74,6 +76,7 @@ class TestParse:
             ("3 4\n1 2 5\n", 2),                     # vertex out of range
             ("3 4\n1 2 3 0\n", 2),                   # nonpositive weight
             ("3 4\n1 2 3 -2\n", 2),                  # negative weight
+            ("3 4\n1 2 3 -1\n3 2 1 2\n", 2),         # negative weight, positive sum
             ("3 4\n1 2 3 inf\n", 2),                 # infinite weight
             ("2 3\n1 2 1e308\n2 1 1e308\n", 3),      # merged weight overflows
             ("3 4\na b c\n", 2),                     # malformed ids
@@ -83,6 +86,12 @@ class TestParse:
             ("3 99999999999999999999\n1 2 99999999999999999999999\n", 2),
             ("3 9223372036854775807\n1 2 9223372036854775808\n", 2),
             ("3 99999999999999999999\n1 2 3\n1 2 9999999999999999999\n", 3),
+            # id -2**63, which 1-based to 0-based wraps to 2**63 - 1, with n beyond that
+            ("2 99999999999999999999\n-9223372036854775808 -9223372036854775808\n", 2),
+            # table-shaped bodies with a blank line before the bad line
+            ("3 4\n1 2 3\n\n1 2 5\n", 4),
+            ("3 4\n1 2 3 1.0\n\n1 2 3 -1\n", 4),
+            ("2 3\n1 2 1e308\n\n2 1 1e308\n", 4),
         ],
     )
     def test_errors_name_line_number(self, text, line):
@@ -282,15 +291,30 @@ def test_merge_matches_unique_reference(table):
         assert a.tobytes() == b.tobytes()
 
 
-# --- the table read against the per-line scanner ------------------------------
+# --- the table read against the line reader ----------------------------------
 
 
-def scanned(text):
-    """The scanner's graph for ``text``, or its ParseError message."""
+def parsed(text):
+    """parse_edge_list's graph for ``text``, or its ParseError message."""
     try:
-        return _scan_edge_list(text)
+        return parse_edge_list(text)
     except ParseError as exc:
         return str(exc)
+
+
+def split_header(text):
+    """(body, r, n, number of the body's first line) of a text whose header
+    is valid, else None."""
+    lines = text.split("\n")
+    for k, line in enumerate(lines):
+        tokens = line.split()
+        if tokens and not tokens[0].startswith("#"):
+            try:
+                r, n = map(int, tokens)
+            except ValueError:
+                return None
+            return ("\n".join(lines[k + 1:]), r, n, k + 2) if r >= 2 and n >= 1 else None
+    return None
 
 
 def assert_same_outcome(got, expected):
@@ -372,17 +396,15 @@ def edge_list_texts(draw):
 @example("3 4")                                    # header alone, no newline
 @settings(max_examples=400, deadline=None)
 def test_table_read_matches_scanner(text):
-    expected = scanned(text)
-    table = _read_table(text)
-    if isinstance(expected, str):
-        assert table is None  # the table read never accepts what the scanner rejects
-        with pytest.raises(ParseError) as exc:
-            parse_edge_list(text)
-        assert str(exc.value) == expected
-    else:
-        if table is not None:
-            assert_same_outcome(table, expected)
-        assert_same_outcome(parse_edge_list(text), expected)
+    expected = parsed(text)
+    with mock.patch.object(hypergraph, "_read_table", lambda body, r: None):
+        assert_same_outcome(parsed(text), expected)  # the line reader alone
+    header = split_header(text)
+    if header is not None and (table := _read_table(*header[:2])) is not None:
+        # the line reader takes every body the table read takes, with the same arrays
+        for got, want in zip(table, _read_lines(*header)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_bench_shaped_file_takes_table_read(monkeypatch):
@@ -392,12 +414,14 @@ def test_bench_shaped_file_takes_table_read(monkeypatch):
     text = "# generated graph\n3 50\n" + "".join(
         f"{a} {b} {c} {w!r}\n" for (a, b, c), w in zip(rows.tolist(), weights.tolist())
     )
-    expected = _scan_edge_list(text)
+    monkeypatch.setattr(hypergraph, "_read_table", lambda body, r: None)
+    expected = parse_edge_list(text)
+    monkeypatch.undo()
 
-    def fail(text):
-        raise AssertionError("the line scanner ran")
+    def fail(*args):
+        raise AssertionError("the line reader ran")
 
-    monkeypatch.setattr(hypergraph, "_scan_edge_list", fail)
+    monkeypatch.setattr(hypergraph, "_read_lines", fail)
     g = parse_edge_list(text)
     assert g == expected and g.weights.tobytes() == expected.weights.tobytes()
 

@@ -70,6 +70,8 @@ class TestConfig:
             {"p": float("nan")},
             {"p": 2.0, "grad_tol": -1e-8},
             {"p": 2.0, "grad_tol": float("nan")},
+            {"p": float("inf")},
+            {"p": 2.0, "grad_tol": float("inf")},
             {"p": 2.0, "max_iter": -1},
             {"p": 2.0, "runs": -1},
             {"p": 2.0, "grad_tol": 0.0},
