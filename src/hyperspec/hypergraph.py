@@ -80,7 +80,7 @@ def _merge(edges, r, weights=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if edges.size == 0:
         edges = edges.reshape(0, r)
     rows = np.sort(edges, axis=1) - 1
-    order = np.lexsort(rows.T[::-1])            # column 0 is the primary key
+    order = np.lexsort(rows.T[::-1]) if len(rows) > 1 else np.arange(len(rows))  # column 0 first
     rows = rows[order]
     first = np.ones(len(rows), dtype=bool)      # row starts a run of equal rows
     first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
@@ -135,6 +135,8 @@ def _repeats_of_previous(slots: np.ndarray) -> np.ndarray | None:
     """Mask of the rows equal to the row before, or None unless the rows are
     in lexicographic order, where every later copy of a row follows the
     first."""
+    if len(slots) < 2:  # nothing to compare: skip the loop over the r columns
+        return np.zeros(len(slots), dtype=bool)
     later, earlier = slots[1:], slots[:-1]
     equal = np.ones(len(later), dtype=bool)      # equal on the columns so far
     ascending = np.zeros(len(later), dtype=bool)

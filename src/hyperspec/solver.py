@@ -120,7 +120,7 @@ class MultistartResult:
     run_summaries: tuple[SolveResult, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LineSearchResult:
     ok: bool
     alpha: float
@@ -149,7 +149,7 @@ class LagrangianApproximation:
 
 def _norm(v: np.ndarray) -> float:
     """The 2-norm of a float64 vector: np.linalg.norm's own arithmetic."""
-    return math.sqrt(float(v @ v))
+    return math.sqrt(float(v.dot(v)))
 
 
 def random_unit_sphere(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -177,12 +177,12 @@ def cg_direction(
     """
     if step_prev is None or grad_diff_prev is None:
         return grad.copy()
-    dty = float(step_prev @ grad_diff_prev)
-    y_sq = float(grad_diff_prev @ grad_diff_prev)
+    dty = float(step_prev.dot(grad_diff_prev))
+    y_sq = float(grad_diff_prev.dot(grad_diff_prev))
     if abs(dty) < EPS * _norm(step_prev) * math.sqrt(y_sq) or dty == 0.0:
         return grad.copy()
     beta_tilde = (
-        TAU * y_sq / dty * float(step_prev @ grad) - float(grad_diff_prev @ grad)
+        TAU * y_sq / dty * float(step_prev.dot(grad)) - float(grad_diff_prev.dot(grad))
     ) / dty
     if not math.isfinite(beta_tilde) or beta_tilde <= 0.0:
         return grad.copy()
@@ -193,19 +193,16 @@ def cayley_step(x: np.ndarray, direction: np.ndarray, alpha: float) -> np.ndarra
     """Point reached from unit x after a Cayley-transform move of size alpha.
 
     x(alpha) = ([(2 - a xd)^2 - ||a d||^2] x + 4 a d) / (4 + ||a d||^2 - (a xd)^2)
-    with xd = x . d; the sphere is preserved exactly in real arithmetic and the
-    result is renormalized to keep round-off from accumulating.
+    with xd = x . d keeps the sphere in real arithmetic.  The denominator is
+    checked to be positive, and the one renormalization absorbs it.
     """
-    scaled = alpha * direction
-    overlap = float(x @ scaled)
-    sq = float(scaled @ scaled)
+    overlap = alpha * float(x.dot(direction))
+    sq = alpha * alpha * float(direction.dot(direction))
     denom = 4.0 + sq - overlap * overlap
     if not denom > 0.0:
         raise ArithmeticError(f"degenerate curve denominator {denom}")
     x_next = ((2.0 - overlap) ** 2 - sq) * x
-    scaled *= 4.0
-    x_next += scaled
-    x_next /= denom
+    x_next += (4.0 * alpha) * direction
     x_next /= _norm(x_next)
     return x_next
 
@@ -213,8 +210,8 @@ def cayley_step(x: np.ndarray, direction: np.ndarray, alpha: float) -> np.ndarra
 def cayley_step_length(x: np.ndarray, direction: np.ndarray, alpha: float) -> float:
     """Closed-form ||x(alpha) - x|| for the Cayley move (no evaluation of x(alpha))."""
     scaled = alpha * direction
-    overlap = float(x @ scaled)
-    sq = float(scaled @ scaled)
+    overlap = float(x.dot(scaled))
+    sq = float(scaled.dot(scaled))
     denom = 4.0 + sq - overlap * overlap
     return 2.0 * math.sqrt(max(sq - overlap * overlap, 0.0) / denom)
 
@@ -240,13 +237,13 @@ def support_direction(
         return None
     face = face[np.abs(grad[face]) > grad_tol]
     x_face = x[face]
-    s = float(x_face @ x_face)
+    s = float(x_face.dot(x_face))
     if not 0.0 < s < 1.0:
         return None
     direction = s * x
     direction[face] -= x_face
     if not (
-        float(direction @ grad) >= ASCENT_COEFF * gnorm * gnorm
+        float(direction.dot(grad)) >= ASCENT_COEFF * gnorm * gnorm
         and _norm(direction) <= DIRECTION_BOUND * gnorm
     ):
         return None
@@ -306,9 +303,10 @@ def line_search_wolfe(
     record of x after its gradient stage, evaluated here on first need when
     None; the result is the same either way.  An accepted step satisfies
     both inequalities above exactly as the floats are compared, and returns
-    its kernel record as ``point``.
+    its kernel record as ``point``.  A trial whose grad . direction is not
+    finite, as with any inf or nan gradient entry, fails the increase test.
     """
-    slope0 = float(grad0 @ direction)
+    slope0 = float(grad0.dot(direction))
     if not slope0 > 0.0:
         return LineSearchResult(False, 0.0, None, f0, None, 0)
 
@@ -341,15 +339,16 @@ def line_search_wolfe(
             # only now are the curvature test and the slope read
             grad_t = _gradient(g, point_t)
             grad_evals += 1
-            if not np.isfinite(grad_t).all():
+            curv_t = float(grad_t.dot(direction))
+            if not math.isfinite(curv_t):  # grad_t has an inf or nan entry
                 inc_t, increase_ok = -math.inf, False
-            elif float(grad_t @ direction) <= C2 * slope0:
+            elif curv_t <= C2 * slope0:
                 return LineSearchResult(
                     True, trial, x_t, f_t, grad_t, evals, grad_evals, increments, point_t
                 )
             else:
-                slope_t = -float(grad_t @ x) / trial
-                if (slope_t > 0.0) != (float(grad_t @ (x_t - x)) > 0.0):
+                slope_t = -float(grad_t.dot(x)) / trial
+                if (slope_t > 0.0) != (float(grad_t.dot(x_t - x)) > 0.0):
                     # the two slope forms disagree: its sign is rounding noise
                     break
 
@@ -377,7 +376,8 @@ def solve_single(
     """Run the iteration from one unit starting point.
 
     Stops when ||grad|| <= grad_tol (the only converged stop), at max_iter,
-    or on line-search/numerical failure (after one steepest-ascent restart).
+    on line-search failure (after one steepest-ascent restart), or on a
+    non-finite f or first gradient (the line search accepts finite ones).
     Each line search after the first starts from the trial that would repeat
     the last step's value gain, 2 (f_k - f_{k-1}) / (direction . grad)
     (Nocedal & Wright, eq. 3.60), with f_k - f_{k-1} the float64 difference
@@ -416,7 +416,7 @@ def solve_single(
     in_basin = False
     k = 0
     while True:
-        if not math.isfinite(f) or not np.isfinite(grad).all():
+        if not math.isfinite(f) or (k == 0 and not np.isfinite(grad).all()):
             stop = "numerical_failure"
             break
         gnorm = _norm(grad)
@@ -431,7 +431,7 @@ def solve_single(
         step_evals = 0
         if support is not None:
             direction, trial = support
-            ascent = float(direction @ grad)
+            ascent = float(direction.dot(grad))
             search = line_search_wolfe(g, cfg, x, f, grad, direction, trial, point=point)
             step_evals, grad_evals = search.evals, grad_evals + search.grad_evals
             increments += search.increments
@@ -439,7 +439,7 @@ def solve_single(
                 support = None
         if support is None:
             direction = cg_direction(grad, step_prev, grad_diff_prev)
-            ascent = float(direction @ grad)
+            ascent = float(direction.dot(grad))
             required = ASCENT_COEFF * gnorm * gnorm
             if not math.isfinite(ascent) or ascent < required * (1.0 - 1e-12):
                 direction = grad.copy()
@@ -471,7 +471,7 @@ def solve_single(
                     dir_norm=_norm(direction),
                     alpha=search.alpha,
                     f_next=search.f,
-                    curv_next=float(search.grad @ direction),
+                    curv_next=float(search.grad.dot(direction)),
                     step_norm=_norm(search.x - x),
                     step_pred=cayley_step_length(x, direction, search.alpha),
                     drift=abs(_norm(search.x) - 1.0),

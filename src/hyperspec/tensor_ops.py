@@ -40,7 +40,7 @@ def _prefix_table(g: Hypergraph, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     and the (r+1, m) prefix products, prefix[j, e] = product of the first j
     slot entries of edge e."""
     entries = x[g.slots.T]
-    prefix = np.empty((g.r + 1, g.m))
+    prefix = np.empty((g.r + 1, entries.shape[1]))
     prefix[0], prefix[1] = 1.0, entries[0]
     for j in range(1, g.r):
         np.multiply(prefix[j], entries[j], out=prefix[j + 1])
@@ -85,7 +85,7 @@ def tensor_apply(g: Hypergraph, x: np.ndarray) -> tuple[float, np.ndarray]:
     """
     x = _check_vector(g, x)
     _, axr1 = _weight_partials(g, *_prefix_table(g, x))
-    axr = float(x @ axr1)
+    axr = float(x.dot(axr1))
     return axr, axr1
 
 
@@ -124,13 +124,12 @@ def _value(g: Hypergraph, x: np.ndarray, p: float) -> _Eval:
     vector of shape (n,)."""
     abs_x = np.abs(x)
     pow_x = abs_x**p
-    pnorm_p = float(pow_x.sum())
+    pnorm_p = float(np.add.reduce(pow_x))
     if pnorm_p == 0.0:
         raise ValueError("objective is undefined at the zero vector")
     norm_r = (pnorm_p ** (1.0 / p)) ** g.r
     entries, prefix = _prefix_table(g, x)
-    w = float(g.weights @ prefix[g.r])
-    f = math.factorial(g.r) * w / norm_r
+    f = math.factorial(g.r) * float(g.weights.dot(prefix[g.r])) / norm_r
     return _Eval(x, entries, prefix, abs_x, pow_x, pnorm_p, norm_r, f, p)
 
 
@@ -139,9 +138,8 @@ def _gradient(g: Hypergraph, point: _Eval) -> np.ndarray:
     place of the prefix products it spends, and x . grad w as ``axr``."""
     point.suffix, axr1 = _weight_partials(g, point.entries, point.prefix)
     point.prefix = None
-    x, p = point.x, point.p
-    axr = point.axr = float(x @ axr1)
-    scaled = axr1 - (axr / point.pnorm_p) * (np.sign(x) * point.abs_x ** (p - 1.0))
+    axr = point.axr = float(point.x.dot(axr1))
+    scaled = axr1 - (axr / point.pnorm_p) * np.copysign(point.abs_x ** (point.p - 1.0), point.x)
     return (math.factorial(g.r) / point.norm_r) * scaled
 
 
@@ -168,7 +166,7 @@ def _increment(g: Hypergraph, base: _Eval, trial: _Eval) -> float:
     terms = trial.entries - base.entries       # (r, m) slot steps
     terms *= trial.prefix[:-1]
     terms *= base.suffix[1:]
-    dw = float(g.weights @ terms.sum(axis=0))
+    dw = float(g.weights.dot(np.add.reduce(terms)))
 
     abs_x, abs_y = base.abs_x, trial.abs_x
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -178,9 +176,9 @@ def _increment(g: Hypergraph, base: _Eval, trial: _Eval) -> float:
     if not abs_x.all():
         zeros = abs_x == 0.0
         dpow[zeros] = abs_y[zeros] ** p
-    dpnorm_p = float(dpow.sum())
+    dpnorm_p = float(np.add.reduce(dpow))
 
     q = math.expm1((r / p) * math.log1p(dpnorm_p / base.pnorm_p))
     norm_y = (base.pnorm_p + dpnorm_p) ** (r / p)
-    w_x = float(g.weights @ base.suffix[0])
+    w_x = float(g.weights.dot(base.suffix[0]))
     return math.factorial(r) / norm_y * (dw - w_x * q)

@@ -1,3 +1,4 @@
+import time
 from unittest import mock
 
 import numpy as np
@@ -204,6 +205,17 @@ def test_header_only_file_is_an_empty_graph():
     g = parse_edge_list("3 5\n")
     assert g.m == 0 and g.n == 5
     assert validate(g) == []
+
+
+def test_header_only_cost_does_not_grow_with_r():
+    # with no rows to sort or compare, neither the merge nor validate walks
+    # the r columns (this took about 5 s when both did)
+    t0 = time.perf_counter()
+    g = parse_edge_list("1000000 4\n")
+    wall = time.perf_counter() - t0
+    assert (g.r, g.n, g.m) == (10**6, 4, 0)
+    assert validate(g) == []
+    assert wall < 0.25
 
 
 # --- property tests -----------------------------------------------------------

@@ -176,6 +176,30 @@ class TestCayleyStep:
             assert abs(np.linalg.norm(out) - 1.0) <= 1e-14
             assert abs(np.linalg.norm(out - x) - cayley_step_length(x, d, alpha)) <= 1e-10
 
+    def test_matches_divide_then_renormalize(self):
+        # cayley_step never divides by the denominator; written out here is
+        # the form that does, then renormalizes.  d's part along x is at most
+        # its tangent part, as for the solver's directions: for d nearly
+        # parallel to x the curve is ill-conditioned in x . d and d . d.
+        rng = np.random.default_rng(12)
+        negative = 0
+        for _ in range(500):
+            n = int(rng.integers(2, 40))
+            x = rng.standard_normal(n)
+            x /= np.linalg.norm(x)
+            t = rng.standard_normal(n)
+            t -= (x @ t) * x
+            d = (t + rng.uniform(-1.0, 1.0) * np.linalg.norm(t) * x) * rng.uniform(0.1, 5.0)
+            alpha = float(10.0 ** rng.uniform(-3.0, 2.0))
+            scaled = alpha * d
+            overlap, sq = float(x @ scaled), float(scaled @ scaled)
+            y = ((2.0 - overlap) ** 2 - sq) * x + 4.0 * scaled
+            y /= 4.0 + sq - overlap * overlap
+            y /= np.linalg.norm(y)
+            negative += (2.0 - overlap) ** 2 < sq
+            assert np.abs(cayley_step(x, d, alpha) - y).max() <= 4.0 * np.finfo(float).eps
+        assert negative >= 100  # draws where the coefficient of x is negative
+
 
 class TestLineSearch:
     def test_wolfe_conditions_hold_on_single_edge(self):
@@ -310,6 +334,31 @@ class TestLineSearch:
         assert not any(met or disagree for _, met, disagree in seen[:-1])
         assert res.evals == first + 1 == len(points)
 
+    @pytest.mark.parametrize("bad, keep", [(math.inf, False), (math.nan, False), (-math.inf, True)])
+    def test_rejects_trial_with_non_finite_gradient(self, monkeypatch, bad, keep):
+        # the bad entry sits where the direction is 0, so only inf * 0 = nan
+        # (or nan itself) carries it into grad . direction; or where the
+        # direction is positive, so that grad . direction = -inf would meet
+        # the curvature test
+        g, cfg, x, f0, grad0 = self._search_setup(0)
+        i = int(np.argmax(grad0))
+        direction = grad0.copy()
+        if not keep:
+            direction[i] = 0.0
+        assert line_search_wolfe(g, cfg, x, f0, grad0, direction).ok
+        real = solver._gradient
+
+        def poisoned(g, point):
+            grad_t = real(g, point)
+            grad_t[i] = bad
+            return grad_t
+
+        monkeypatch.setattr(solver, "_gradient", poisoned)
+        with np.errstate(invalid="ignore"):
+            res = line_search_wolfe(g, cfg, x, f0, grad0, direction)
+        assert res.grad_evals > 0  # trials passed the increase test
+        assert not res.ok and res.x is None and res.grad is None and res.f == f0
+
     def test_gradient_only_for_trials_that_pass_the_increase_test(self, monkeypatch):
         g, cfg, x, f0, grad0 = self._search_setup(3)
         direction = grad0.copy()
@@ -423,7 +472,7 @@ class TestSolveSingle:
         assert res.lam == objective(g, res.weighting, 3.0)
 
     # beta-star(3,10) start 0 has steps below the value resolution (zero
-    # gain); beta-star(6,4) at p = 4 start 21 has 28 steepest-ascent
+    # gain); beta-star(6,4) at p = 4 start 15 has 3 steepest-ascent
     # retries, and start 0 a support step
     @pytest.mark.parametrize(
         "build, p, path",
@@ -462,7 +511,7 @@ class TestSolveSingle:
         monkeypatch.setattr(solver, "support_direction", support)
         monkeypatch.setattr(solver, "line_search_wolfe", search)
         monkeypatch.setattr(solver, "cayley_step", step)
-        x0 = draw(g.n, 21 if path == "retry" else 0)
+        x0 = draw(g.n, 15 if path == "retry" else 0)
         res = solve_single(g, cfg, x0, track=True)
         assert res.stop_reason == "grad_tol"
         trace = res.trace
@@ -636,6 +685,22 @@ class TestSolveSingle:
         assert res.stop_reason == "numerical_failure"
         assert not res.converged
         assert math.isnan(res.lam)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_numerical_failure_on_non_finite_first_gradient(self, monkeypatch, bad):
+        g = gen_beta_star(3, 10)
+        real = solver._gradient
+
+        def poisoned(g, point):
+            grad = real(g, point)
+            grad[-1] = bad
+            return grad
+
+        monkeypatch.setattr(solver, "_gradient", poisoned)
+        res = solve_single(g, SolverConfig(p=3.0), draw(g.n, 0))
+        assert res.stop_reason == "numerical_failure" and res.iterations == 0
+        assert not res.converged
+        assert res.lam == objective(g, res.weighting, 3.0)  # f itself is finite
 
     def test_zero_start_rejected(self):
         with pytest.raises(ValueError):
