@@ -269,14 +269,21 @@ def cmd_selftest(args) -> int:
         _selftest_brute_force(args.seed, report)
     wall = time.perf_counter() - t0
 
-    failures = 0
+    cases = []
     for name, err, tol, accuracy in report:
-        ok = err <= tol
-        failures += not ok
-        accu = f"  accu={accuracy:.2f}" if accuracy is not None else ""
-        print(f"{'PASS' if ok else 'FAIL'}  {name:<28} err={err:.3e}  tol={tol:.0e}{accu}")
-    print(f"{len(report) - failures}/{len(report)} cases passed in {wall:.1f} s")
-    return 1 if failures else 0
+        ok = bool(err <= tol)  # a non-finite err fails
+        cases.append({"name": name, "err": float(err) if math.isfinite(err) else None,
+                      "tol": tol, "ok": ok, "accuracy": accuracy})
+        if args.format == "text":
+            accu = f"  accu={accuracy:.2f}" if accuracy is not None else ""
+            print(f"{'PASS' if ok else 'FAIL'}  {name:<28} err={err:.3e}  tol={tol:.0e}{accu}")
+    passed = sum(case["ok"] for case in cases)
+    if args.format == "json":  # no wall time, so the bytes are reproducible
+        print(json.dumps({"cases": cases, "passed": passed, "total": len(cases)},
+                         allow_nan=False))
+    else:
+        print(f"{passed}/{len(cases)} cases passed in {wall:.1f} s")
+    return 1 if passed < len(cases) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,6 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="restrict to one case (repeatable)")
     sp.add_argument("--runs", type=int, default=None, help="multistart runs per case")
     sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(func=cmd_selftest)
 
     return parser

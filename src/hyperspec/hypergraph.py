@@ -29,9 +29,9 @@ class Hypergraph:
     column-major so that ``slots.T`` is the C-contiguous (r, m) table the
     objective kernel reads.  Instances built through :meth:`from_edges` or
     :func:`parse_edge_list` are canonical: each row sorted nondecreasing,
-    duplicate rows merged by summing weights, rows in lexicographic order.
-    The raw constructor performs no checks so that :func:`validate` can
-    report violations.
+    duplicate rows merged by summing weights, rows in lexicographic order
+    (both through one int64 key per row).  The raw constructor performs no
+    checks so that :func:`validate` can report violations.
     """
 
     n: int
@@ -61,8 +61,7 @@ class Hypergraph:
         duplicate edges by weight sum."""
         slots, merged, _ = _merge(edges, r, weights)
         g = cls(n=int(n), r=int(r), slots=slots, weights=merged)
-        problems = validate(g)
-        if problems:
+        if problems := validate(g):
             raise ValueError("invalid hypergraph: " + "; ".join(problems))
         return g
 
@@ -74,32 +73,49 @@ class Hypergraph:
 
 def _merge(edges, r, weights=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sorted distinct 0-based rows of ``edges``, their summed weights, and
-    the row each input edge was merged into.  Weights are summed in input
-    order."""
+    the row each input edge was merged into.  One argsort of the row keys
+    orders the rows; weights are summed in input order."""
     edges = np.asarray(edges, dtype=np.int64)
     if edges.size == 0:
         edges = edges.reshape(0, r)
     rows = np.sort(edges, axis=1) - 1
-    order = np.lexsort(rows.T[::-1]) if len(rows) > 1 else np.arange(len(rows))  # column 0 first
-    rows = rows[order]
+    keys = _row_keys(rows)
+    order = keys.argsort()  # need not be stable: equal keys are equal rows
+    keys = keys[order]
     first = np.ones(len(rows), dtype=bool)      # row starts a run of equal rows
-    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    first[1:] = keys[1:] != keys[:-1]
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(first) - 1
-    slots = rows[first]
-    if weights is None:
-        weights = np.ones(len(edges))
-    merged = np.bincount(inverse, weights=np.asarray(weights, dtype=np.float64),
-                         minlength=len(slots))
-    return slots, merged, inverse
+    slots = rows[order[first]]
+    weights = np.ones(len(edges)) if weights is None else np.asarray(weights, dtype=np.float64)
+    return slots, np.bincount(inverse, weights=weights, minlength=len(slots)), inverse
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One int64 per row of the (m, r) int64 ``rows``, equal for equal rows and
+    sorted as the rows are: the row as a base-w number (w the span of the
+    values) when w**r < 2**63, else its words of k such ids (its ids when
+    w >= 2**63) ranked and read in pairs over log2(r / k) rounds."""
+    m, r = rows.shape
+    if m < 2 or r == 0:  # nothing to order: skip the work over the r columns
+        return np.zeros(m, dtype=np.int64)
+    lo = int(np.minimum.reduce(rows, axis=None))
+    w = int(np.maximum.reduce(rows, axis=None)) - lo + 1
+    if k := min(r, 63 // w.bit_length()):  # k ids a word, w**k < 2**63; the last padded
+        table, rows = rows, np.zeros((m, -(-r // k) * k), dtype=np.int64)
+        np.subtract(table, lo, out=rows[:, :r])
+        rows = rows.reshape(m, -1, k) @ w ** np.arange(k - 1, -1, -1)
+    while rows.shape[1] > 1:  # rank the even and the odd words apart, then read pairs
+        (_, even), (values, odd) = [np.unique(rows[:, j::2], return_inverse=True) for j in (0, 1)]
+        rows = even.reshape(m, -1) * len(values)  # a last even word pairs with a zero
+        rows[:, :odd.size // m] += odd.reshape(m, -1)
+    return rows[:, 0]
 
 
 def validate(g: Hypergraph) -> list[str]:
     """Check every hypergraph invariant; return one message per kind of
-    violation, naming the first edge position that shows it.
-
-    An empty list means the instance is a valid canonical hypergraph.
-    """
+    violation, naming the first edge position that shows it, or none for a
+    valid canonical hypergraph.  Row order and duplicates come from row keys."""
     problems: list[str] = []
     if g.n < 1:
         problems.append(f"vertex count must be positive, got {g.n}")
@@ -110,15 +126,17 @@ def validate(g: Hypergraph) -> list[str]:
         return problems + [f"edges have {slots.shape[-1]} slots, expected {g.r}"]
     if weights.shape != (len(slots),):
         return problems + [f"{weights.size} weights for {len(slots)} edges"]
-    duplicate = _repeats_of_previous(slots)
-    if duplicate is None:  # rows out of lexicographic order
-        duplicate = np.ones(len(slots), dtype=bool)
-        duplicate[np.unique(slots, axis=0, return_index=True)[1]] = False
+    keys = _row_keys(slots)
+    duplicate = np.zeros(len(keys), dtype=bool)
+    duplicate[1:] = keys[1:] == keys[:-1]   # in lexicographic order copies follow the first
+    if (keys[1:] < keys[:-1]).any():
+        duplicate = np.ones(len(keys), dtype=bool)
+        duplicate[np.unique(keys, return_index=True)[1]] = False
     # no int64 id names slot 2**63 - 1, but id -2**63 wraps to it in from_edges
     top = min(g.n, 2**63 - 1)
     checks = [
         (((slots < 0) | (slots >= top)).any(axis=1), f"vertex out of range [1, {g.n}]"),
-        ((np.diff(slots, axis=1) < 0).any(axis=1), "vertex slots not in nondecreasing order"),
+        ((slots[:, 1:] < slots[:, :-1]).any(axis=1), "vertex slots not in nondecreasing order"),
         (~(weights > 0.0), "nonpositive weight"),
         (np.isinf(weights), "infinite weight"),
         (duplicate, "duplicate of an earlier edge"),
@@ -129,25 +147,6 @@ def validate(g: Hypergraph) -> list[str]:
             more = f" (and {count - 1} more)" if count > 1 else ""
             problems.append(f"edge {int(np.argmax(bad))}: {what}{more}")
     return problems
-
-
-def _repeats_of_previous(slots: np.ndarray) -> np.ndarray | None:
-    """Mask of the rows equal to the row before, or None unless the rows are
-    in lexicographic order, where every later copy of a row follows the
-    first."""
-    if len(slots) < 2:  # nothing to compare: skip the loop over the r columns
-        return np.zeros(len(slots), dtype=bool)
-    later, earlier = slots[1:], slots[:-1]
-    equal = np.ones(len(later), dtype=bool)      # equal on the columns so far
-    ascending = np.zeros(len(later), dtype=bool)
-    for j in range(slots.shape[1]):
-        ascending |= equal & (later[:, j] > earlier[:, j])
-        equal &= later[:, j] == earlier[:, j]
-    if not (ascending | equal).all():
-        return None
-    repeats = np.zeros(len(slots), dtype=bool)
-    repeats[1:] = equal
-    return repeats
 
 
 def degree(g: Hypergraph, vertex: int) -> float:

@@ -86,9 +86,11 @@ class IterationRecord:
 class SolveResult:
     """Outcome of one solver run: estimate, weighting and optional trace.
 
-    ``weighting`` is the entrywise-nonnegative final iterate with unit 2-norm;
-    :meth:`weighting_scaled` rescales it to any other norm (the weighting with
-    unit p-norm is the p-optimal weighting proper).
+    ``x`` is the signed final unit iterate, the run's last accepted point
+    (its start if it took no step), and ``weighting`` is ``|x|``, unit 2-norm
+    and entrywise nonnegative; :meth:`weighting_scaled` rescales it to any
+    other norm (the weighting with unit p-norm is the p-optimal weighting
+    proper).
     """
 
     lam: float
@@ -102,10 +104,17 @@ class SolveResult:
     increments: int = 0    # cancellation-free increments (sub-resolution trials)
     restarts: int = 0      # steepest-ascent retries after a failed line search
     support_steps: int = 0  # accepted steps along the support direction
+    x: np.ndarray | None = None  # the signed final unit iterate
     trace: tuple[IterationRecord, ...] | None = None
 
     def weighting_scaled(self, ord: float) -> np.ndarray:
-        """The weighting rescaled to unit norm of the given order (e.g. 1 or p)."""
+        """The weighting rescaled to unit norm of the given order (e.g. 1, p
+        or ``math.inf``, the max entry); raises ValueError for ord < 1, which
+        names no norm."""
+        if not ord >= 1.0:
+            raise ValueError(f"norm order must be at least 1, got {ord}")
+        if ord == math.inf:
+            return self.weighting / self.weighting.max()
         scale = float((self.weighting**ord).sum() ** (1.0 / ord))
         return self.weighting / scale
 
@@ -505,6 +514,7 @@ def solve_single(
         increments=increments,
         restarts=restarts,
         support_steps=support_steps,
+        x=x,
         trace=tuple(trace) if track else None,
     )
 

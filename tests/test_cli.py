@@ -247,3 +247,32 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert rc == 0
         assert "accu=" in out
+
+    def test_json_format(self, capsys):
+        argv = ["selftest", "--case", "tetrahedron-z", "--runs", "40", "--format", "json"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first  # no wall time: the same bytes
+        out = json.loads(first)
+        assert (out["passed"], out["total"]) == (1, 1)
+        (case,) = out["cases"]
+        assert set(case) == {"name", "err", "tol", "ok", "accuracy"}
+        assert case["ok"] is True and case["err"] <= case["tol"]
+        assert 0.0 < case["accuracy"] <= 1.0
+
+    def test_json_non_finite_err_is_null_and_fails(self, capsys, monkeypatch):
+        def nan_case(seed, report):
+            report.append(("gradient-fd 100 probes", float("nan"), 1e-6, None))
+
+        monkeypatch.setattr(cli, "_selftest_gradient_fd", nan_case)
+        assert main(["selftest", "--case", "gradient-fd", "--format", "json"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out == {
+            "cases": [{"name": "gradient-fd 100 probes", "err": None, "tol": 1e-6,
+                       "ok": False, "accuracy": None}],
+            "passed": 0,
+            "total": 1,
+        }
+        assert main(["selftest", "--case", "gradient-fd"]) == 1
+        assert "FAIL  gradient-fd" in capsys.readouterr().out

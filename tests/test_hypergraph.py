@@ -128,6 +128,15 @@ class TestValidate:
         g = raw(4, 3, [(1, 2, 3), (1, 2, 3)], [1.0, 2.0])
         assert any("duplicate" in v for v in validate(g))
 
+    def test_row_spanning_int64_is_in_order(self):
+        # a nondecreasing row whose neighbouring slots differ by more than
+        # int64 holds is in order; only its out-of-range slots are reported
+        g = raw(3, 2, [(-2**63 + 1, 2**63 - 1), (1, 2)], [1.0, 1.0])
+        assert validate(g) == ["edge 0: vertex out of range [1, 3]"]
+        with pytest.raises(ValueError) as err:
+            Hypergraph.from_edges(n=3, r=2, edges=[(-2**62, 2**62)])
+        assert str(err.value) == "invalid hypergraph: edge 0: vertex out of range [1, 3]"
+
 
 class TestDegree:
     def test_complete_graph(self):
@@ -218,6 +227,17 @@ def test_header_only_cost_does_not_grow_with_r():
     assert wall < 0.25
 
 
+def test_two_wide_edges_cost_little():
+    # rows too wide for one packed key are read as words of a few ids, which
+    # are ranked and paired in about log2(r) rounds, not column by column
+    r = 10**5
+    t0 = time.perf_counter()
+    g = Hypergraph.from_edges(n=r + 1, r=r, edges=[range(2, r + 2), range(1, r + 1)])
+    wall = time.perf_counter() - t0
+    assert g.m == 2 and g.slots[0, -1] == r - 1 and g.slots[1, -1] == r
+    assert wall < 0.25
+
+
 # --- property tests -----------------------------------------------------------
 
 edge_ids = st.integers(min_value=1, max_value=6)
@@ -281,12 +301,34 @@ def merge_reference(edges, r, weights):
     return slots, merged, inverse
 
 
+INT64_EXTREMES = [-2**63, -2**63 + 1, 2**63 - 2, 2**63 - 1]
+
+
+def key_ids(low, high):
+    """A strategy for the ids of one table.  Small ids make tables whose row
+    keys pack into one int64; spans of 2**21 and more make rows of several
+    words, whose ranks are paired."""
+    return st.sampled_from([
+        st.integers(low, high),
+        st.integers(2**62, 2**62 + high),                  # a small span far from 0
+        st.integers(-2**62, 2**62),
+        st.sampled_from(INT64_EXTREMES + [low, high]),
+    ])
+
+
+# rows spanning w = 2**21 - 1 pack into one int64 at r = 3; w = 2**21 does not
+PACKING_LIMIT_ROWS = {
+    span: [(span,) * 3, (1, 1, 1), (1, span, span), (1, 1, span), (1, 1, 1), (span,) * 3]
+    for span in (2**21 - 1, 2**21)
+}
+
+
 @st.composite
 def edge_tables(draw):
-    r = draw(st.integers(min_value=2, max_value=5))
+    r = draw(st.integers(min_value=2, max_value=6))
     m = draw(st.integers(min_value=0, max_value=12))
-    edges = draw(st.lists(st.lists(st.integers(1, 4), min_size=r, max_size=r),
-                          min_size=m, max_size=m))
+    ids = draw(key_ids(1, 4))
+    edges = draw(st.lists(st.lists(ids, min_size=r, max_size=r), min_size=m, max_size=m))
     edge_weights = draw(st.none() | st.lists(weights, min_size=m, max_size=m))
     return edges, r, edge_weights
 
@@ -294,6 +336,8 @@ def edge_tables(draw):
 @given(edge_tables())
 @example(([], 3, None))
 @example(([], 2, []))
+@example((PACKING_LIMIT_ROWS[2**21 - 1], 3, None))
+@example((PACKING_LIMIT_ROWS[2**21], 3, None))
 @settings(max_examples=100, deadline=None)
 def test_merge_matches_unique_reference(table):
     got = _merge(*table)
@@ -454,9 +498,10 @@ def duplicate_reference(slots):
 
 @st.composite
 def raw_tables(draw):
-    r = draw(st.integers(2, 4))
+    r = draw(st.integers(2, 6))
     m = draw(st.integers(0, 10))
-    rows = np.array(draw(st.lists(st.lists(st.integers(0, 2), min_size=r, max_size=r),
+    ids = draw(key_ids(0, 2))
+    rows = np.array(draw(st.lists(st.lists(ids, min_size=r, max_size=r),
                                   min_size=m, max_size=m)), dtype=np.int64).reshape(m, r)
     if draw(st.booleans()):
         rows = rows[np.lexsort(rows.T[::-1])]   # lexicographic order, duplicates kept
@@ -468,7 +513,26 @@ def raw_tables(draw):
 @example(raw(3, 2, [(1, 3), (1, 2), (1, 3), (2, 3), (1, 2)], np.ones(5)))   # unsorted
 @example(raw(3, 2, [(2, 1), (1, 2), (2, 1)], np.ones(3)))                   # unsorted slots
 @example(raw(3, 2, [(1, 2), (2, 3)], np.ones(2)))
+@example(raw(2**21, 3, PACKING_LIMIT_ROWS[2**21 - 1], np.ones(6)))
+@example(raw(2**21, 3, PACKING_LIMIT_ROWS[2**21], np.ones(6)))
+@example(raw(3, 2, [(2**63 - 1, 1), (1, 2**63 - 1), (2**63 - 1, 1)], np.ones(3)))
+@example(raw(3, 0, [(), ()], np.ones(2)))                                    # empty rows
 @settings(max_examples=200, deadline=None)
 def test_validate_duplicates_match_unique_reference(g):
     got = [problem for problem in validate(g) if "duplicate" in problem]
     assert got == duplicate_reference(g.slots)
+
+
+@pytest.mark.parametrize("span, packed", [(2**21 - 1, True), (2**21, False)])
+def test_row_keys_at_packing_limit(span, packed):
+    rows = np.array(PACKING_LIMIT_ROWS[span]) - 1
+    keys = hypergraph._row_keys(rows)
+    assert keys.dtype == np.int64
+    # equal rows get equal keys, and the keys sort as the rows do
+    assert np.array_equal(np.argsort(keys, kind="stable"), np.lexsort(rows.T[::-1]))
+    assert np.array_equal(np.unique(keys, return_inverse=True)[1].ravel(),
+                          np.unique(rows, axis=0, return_inverse=True)[1].ravel())
+    # a packed key is the row read in base span.  Past the limit a row is two
+    # words, of two ids and of one.  Each is ranked among the 3 and the 2
+    # distinct words in its place, and the pair of ranks is read in base 2
+    assert keys.max() == (span**3 - 1 if packed else 2 * 2 + 1)

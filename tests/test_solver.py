@@ -454,6 +454,32 @@ class TestSolveSingle:
             best = max(best, res.lam)
         assert abs(best - ref) / ref <= 1e-8
 
+    def test_x_is_last_accepted_iterate(self, monkeypatch):
+        g = gen_beta_star(3, 10)
+        x0 = draw(g.n, 0)
+        accepted = [x0 / np.linalg.norm(x0)]
+        real_search = solver.line_search_wolfe
+
+        def search(*args, **kwargs):
+            res = real_search(*args, **kwargs)
+            if res.ok:  # the solver moves to every accepted point
+                accepted.append(res.x)
+            return res
+
+        monkeypatch.setattr(solver, "line_search_wolfe", search)
+        res = solve_single(g, SolverConfig(p=3.0), x0)
+        assert res.iterations == len(accepted) - 1 > 0
+        assert res.x.tobytes() == accepted[-1].tobytes()
+        assert res.weighting.tobytes() == np.abs(res.x).tobytes()
+        assert abs(np.linalg.norm(res.x) - 1.0) <= 1e-12
+        assert np.any(res.x < 0)  # x keeps the signs that weighting drops
+
+    def test_x_of_a_run_without_steps_is_its_unit_start(self):
+        res = solve_single(gen_complete(4, 3), SolverConfig(p=2.0), np.full(4, -2.0))
+        assert res.iterations == 0
+        assert np.array_equal(res.x, np.full(4, -0.5))
+        assert np.array_equal(res.weighting, np.full(4, 0.5))
+
     def test_line_search_failure_reported(self, monkeypatch):
         g = gen_beta_star(3, 10)
         x0 = random_unit_sphere(g.n, np.random.default_rng(2))
@@ -815,6 +841,19 @@ class TestSolveMultistart:
         wp = res.best.weighting_scaled(2.0)
         assert np.sum(w1) == pytest.approx(1.0, rel=1e-12)
         assert np.linalg.norm(wp) == pytest.approx(1.0, rel=1e-12)
+
+    def test_weighting_scaled_max_norm_and_bad_orders(self):
+        g = gen_beta_star(3, 10)
+        best = solve_multistart(g, SolverConfig(p=3.0, runs=10, seed=0)).best
+        w = best.weighting
+        assert best.weighting_scaled(math.inf).max() == 1.0
+        assert np.array_equal(best.weighting_scaled(math.inf), w / w.max())
+        for order in (1.0, 2.0, 3.0):  # the finite orders keep their formula
+            expected = w / float((w**order).sum() ** (1.0 / order))
+            assert best.weighting_scaled(order).tobytes() == expected.tobytes()
+        for order in (0.5, 0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="at least 1"):
+                best.weighting_scaled(order)
 
     def test_determinism_across_calls(self):
         g = gen_beta_star(3, 6)
