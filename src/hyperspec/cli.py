@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hyperspec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_solver_flags(sp, with_p=True):
+    def add_solver_flags(sp, with_p=True, formats=("text", "json", "csv")):
         if with_p:
             sp.add_argument("--p", type=parse_p, required=True,
                             help="spectral parameter p > 1 (decimal or fraction like 4/3)")
@@ -302,12 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tol", type=float, default=1e-8, help="gradient-norm stop tolerance")
         sp.add_argument("--max-iter", type=int, default=1000, help="iteration cap per run")
         sp.add_argument("--seed", type=int, default=0, help="base random seed")
-        sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        sp.add_argument("--format", choices=formats, default="text")
         sp.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
     sp = sub.add_parser("solve", help="compute the p-spectral radius of a graph file")
     sp.add_argument("graph", help="edge-list file")
-    add_solver_flags(sp)
+    add_solver_flags(sp, formats=("text", "json"))
     sp.add_argument("--emit-weighting", action="store_true",
                     help="include the weighting vector in JSON output")
     sp.set_defaults(func=cmd_solve)

@@ -70,7 +70,7 @@ class IterationRecord:
     k: int
     f: float
     gnorm: float
-    ascent: float          # direction . grad at the start of the iteration
+    ascent: float          # direction . grad, the slope the accepted search compared
     dir_norm: float
     alpha: float
     f_next: float
@@ -384,23 +384,22 @@ def solve_single(
 ) -> SolveResult:
     """Run the iteration from one unit starting point.
 
-    Stops when ||grad|| <= grad_tol (the only converged stop), at max_iter,
-    on line-search failure (after one steepest-ascent restart), or on a
-    non-finite f or first gradient (the line search accepts finite ones).
-    Each line search after the first starts from the trial that would repeat
-    the last step's value gain, 2 (f_k - f_{k-1}) / (direction . grad)
-    (Nocedal & Wright, eq. 3.60), with f_k - f_{k-1} the float64 difference
-    of the last accepted values; the first search, and the steepest-ascent
-    retry, start from the line search's default.
+    Each iteration moves to the first Wolfe search from x that succeeds:
+    along the support direction from its trial alpha* (below); along the CG
+    direction, or grad when rounding puts it under the ascent floor, from
+    the warm trial 2 (f_k - f_{k-1}) / (direction . grad) that would repeat
+    the last step's float64 value gain (Nocedal & Wright, eq. 3.60; none at
+    k = 0); then, unless that was grad, along grad from the default trial.
+    A trace record's ``ascent`` is the direction . grad its search compared.
+    Stops at ||grad|| <= grad_tol (the only converged stop), at max_iter,
+    when every search of an iteration fails, or on a non-finite f or first
+    gradient (the line search accepts finite ones).
 
     Support step: once the last accepted search read a cancellation-free
-    increment (f is at its float64 resolution), an iteration whose
-    :func:`support_direction` exists, and meets the ascent floor and the
-    direction cap, first searches along it from the trial alpha* that zeroes
-    the penalty-dominated entries (Hager & Zhang, SIAM J. Optim. 2006).  It
-    is the way to a face of the sphere that the CG iteration approaches only
-    sublinearly, as for p < r - 1.  When that search fails, the iteration
-    takes the CG direction as usual.
+    increment (f is at its float64 resolution), :func:`support_direction`,
+    when it exists, gives the direction and the alpha* that zeroes the
+    penalty-dominated entries (Hager & Zhang, SIAM J. Optim. 2006): the way
+    to a face of the sphere that CG approaches only sublinearly (p < r - 1).
 
     The reported weighting is the entrywise absolute value of the final
     iterate, which can only increase the objective because edge weights are
@@ -438,33 +437,30 @@ def solve_single(
 
         support = support_direction(g, point, grad, gnorm, cfg.grad_tol) if in_basin else None
         step_evals = 0
-        if support is not None:
-            direction, trial = support
-            ascent = float(direction.dot(grad))
+        # the searches in order, each built and run only when the last failed
+        for kind in ("support", "cg", "retry"):
+            if kind == "support":
+                if support is None:
+                    continue
+                direction, trial = support
+            elif kind == "cg":
+                direction = cg_direction(grad, step_prev, grad_diff_prev)
+                ascent = float(direction.dot(grad))
+                required = ASCENT_COEFF * gnorm * gnorm
+                if not math.isfinite(ascent) or ascent < required * (1.0 - 1e-12):
+                    direction, ascent = grad.copy(), gnorm * gnorm
+                trial = 2.0 * gain_prev / ascent if gain_prev is not None and ascent > 0.0 else None
+            elif np.array_equal(direction, grad):
+                break
+            else:  # restart policy: retry the iteration with plain steepest ascent
+                direction, trial = grad.copy(), None
+                restarts += 1
             search = line_search_wolfe(g, cfg, x, f, grad, direction, trial, point=point)
-            step_evals, grad_evals = search.evals, grad_evals + search.grad_evals
+            step_evals += search.evals
+            grad_evals += search.grad_evals
             increments += search.increments
-            if not search.ok:
-                support = None
-        if support is None:
-            direction = cg_direction(grad, step_prev, grad_diff_prev)
-            ascent = float(direction.dot(grad))
-            required = ASCENT_COEFF * gnorm * gnorm
-            if not math.isfinite(ascent) or ascent < required * (1.0 - 1e-12):
-                direction = grad.copy()
-                ascent = gnorm * gnorm
-            trial = 2.0 * gain_prev / ascent if gain_prev is not None and ascent > 0.0 else None
-            search = line_search_wolfe(g, cfg, x, f, grad, direction, trial, point=point)
-            step_evals, grad_evals = step_evals + search.evals, grad_evals + search.grad_evals
-            increments += search.increments
-        if not search.ok and not np.array_equal(direction, grad):
-            # restart policy: retry the iteration with plain steepest ascent
-            direction = grad.copy()
-            ascent = gnorm * gnorm
-            search = line_search_wolfe(g, cfg, x, f, grad, direction, point=point)
-            step_evals, grad_evals = step_evals + search.evals, grad_evals + search.grad_evals
-            increments += search.increments
-            restarts += 1
+            if search.ok:
+                break
         evals += step_evals
         if not search.ok:
             stop = "line_search_failure"
@@ -476,7 +472,7 @@ def solve_single(
                     k=k,
                     f=f,
                     gnorm=gnorm,
-                    ascent=ascent,
+                    ascent=float(direction.dot(grad)),
                     dir_norm=_norm(direction),
                     alpha=search.alpha,
                     f_next=search.f,
@@ -485,10 +481,10 @@ def solve_single(
                     step_pred=cayley_step_length(x, direction, search.alpha),
                     drift=abs(_norm(search.x) - 1.0),
                     evals=step_evals,
-                    support=support is not None,
+                    support=kind == "support",
                 )
             )
-        support_steps += support is not None
+        support_steps += kind == "support"
         in_basin = search.increments > 0
         step_prev = search.x - x
         grad_diff_prev = search.grad - grad

@@ -96,6 +96,14 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "lambda" in out and "time" in out
 
+    def test_csv_format_rejected(self, single_edge_file, capsys):
+        # solve has no CSV form; rank and lagrangian keep theirs
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", single_edge_file, "--p", "2", "--runs", "1", "--format", "csv"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'csv'" in err and "Traceback" not in err
+
     def test_text_reports_kernel_passes(self, beta_star_file, capsys):
         main(["solve", beta_star_file, "--p", "3", "--runs", "4", "--seed", "2"])
         out = capsys.readouterr().out

@@ -585,6 +585,86 @@ class TestSolveSingle:
         assert path in seen
         assert res.support_steps == sum(rec.support for rec in trace)
 
+    def test_failed_support_search_is_followed_by_cg_search(self, monkeypatch):
+        # beta-star(3,10) from start 0 reads increments before it stops, so
+        # the support rule is consulted; here every support search fails
+        g = gen_beta_star(3, 10)
+        real_search = solver.line_search_wolfe
+        faces, searches = {}, []
+
+        def support(g, point, grad, gnorm, grad_tol):
+            face = grad.copy()
+            faces[id(face)] = face
+            return face, 1.0
+
+        def search(g, cfg, x, f0, grad0, direction, trial=None, **kwargs):
+            if id(direction) in faces:
+                res = solver.LineSearchResult(False, 0.0, None, f0, None, 2)
+            else:
+                res = real_search(g, cfg, x, f0, grad0, direction, trial, **kwargs)
+            searches.append((x, grad0, direction, trial, res))
+            return res
+
+        monkeypatch.setattr(solver, "support_direction", support)
+        monkeypatch.setattr(solver, "line_search_wolfe", search)
+        res = solve_single(g, SolverConfig(p=3.0), draw(g.n, 0), track=True)
+        assert res.stop_reason == "grad_tol" and res.support_steps == 0
+        trace, k, followed = res.trace, 0, 0
+        assert not any(rec.support for rec in trace)
+        for i, (x, _, direction, _, found) in enumerate(searches):
+            if id(direction) in faces:
+                x_cg, grad0, cg, trial, found_cg = searches[i + 1]
+                # the same iterate, the CG direction, and the warm trial
+                assert x_cg is x and id(cg) not in faces
+                assert trial == 2.0 * (trace[k].f - trace[k - 1].f) / float(cg.dot(grad0))
+                if found_cg.ok:
+                    followed += 1
+                    assert trace[k].evals == 2 + found_cg.evals
+            k += found.ok
+        assert followed > 0
+
+    def test_cg_direction_under_the_floor_is_replaced_by_grad(self, monkeypatch):
+        g = gen_beta_star(3, 10)
+        real_search = solver.line_search_wolfe
+        searches = []
+
+        def search(g, cfg, x, f0, grad0, direction, trial=None, **kwargs):
+            searches.append((f0, grad0, direction, trial))
+            if len(searches) == 6:  # a failed search along grad ends the run
+                return solver.LineSearchResult(False, 0.0, None, f0, None, 1)
+            return real_search(g, cfg, x, f0, grad0, direction, trial, **kwargs)
+
+        # an ascent direction, but a quarter of grad . grad is under the floor
+        monkeypatch.setattr(solver, "cg_direction", lambda grad, step, diff: 0.25 * grad)
+        monkeypatch.setattr(solver, "line_search_wolfe", search)
+        res = solve_single(g, SolverConfig(p=3.0), draw(g.n, 0))
+        # one search per iteration along grad, and no retry after a failure
+        assert res.stop_reason == "line_search_failure" and res.restarts == 0
+        assert len(searches) == res.iterations + 1 == 6
+        assert searches[0][3] is None
+        for (f_prev, *_), (f0, grad0, direction, trial) in zip(searches, searches[1:]):
+            assert np.array_equal(direction, grad0)
+            gnorm = math.sqrt(float(grad0.dot(grad0)))
+            assert trial == 2.0 * (f0 - f_prev) / (gnorm * gnorm)
+
+    def test_trace_ascent_is_the_slope_its_search_compared(self, monkeypatch):
+        # beta-star(6,4) at p = 4 from starts 0..39 accepts some
+        # steepest-ascent retries
+        accepted = []
+        real_search = solver.line_search_wolfe
+
+        def search(g, cfg, x, f0, grad0, direction, *args, **kwargs):
+            res = real_search(g, cfg, x, f0, grad0, direction, *args, **kwargs)
+            if res.ok:
+                accepted.append(float(grad0.dot(direction)))
+            return res
+
+        monkeypatch.setattr(solver, "line_search_wolfe", search)
+        cfg = SolverConfig(p=4.0, runs=40, seed=0)
+        runs = solve_multistart(gen_beta_star(6, 4), cfg, track=True).run_summaries
+        assert sum(run.restarts for run in runs) > 0
+        assert [rec.ascent for run in runs for rec in run.trace] == accepted
+
     def test_warm_start_evals_per_search(self, monkeypatch):
         counts = []
         real = solver.line_search_wolfe
