@@ -498,8 +498,8 @@ class TestSolveSingle:
         assert res.lam == objective(g, res.weighting, 3.0)
 
     # beta-star(3,10) start 0 has steps below the value resolution (zero
-    # gain); beta-star(6,4) at p = 4 start 15 has 3 steepest-ascent
-    # retries, and start 0 a support step
+    # gain); beta-star(6,4) at p = 4 start 38 has a steepest-ascent retry,
+    # and start 0 a support step
     @pytest.mark.parametrize(
         "build, p, path",
         [
@@ -537,7 +537,7 @@ class TestSolveSingle:
         monkeypatch.setattr(solver, "support_direction", support)
         monkeypatch.setattr(solver, "line_search_wolfe", search)
         monkeypatch.setattr(solver, "cayley_step", step)
-        x0 = draw(g.n, 15 if path == "retry" else 0)
+        x0 = draw(g.n, 38 if path == "retry" else 0)
         res = solve_single(g, cfg, x0, track=True)
         assert res.stop_reason == "grad_tol"
         trace = res.trace
@@ -552,8 +552,8 @@ class TestSolveSingle:
         seen = set()
         for k, group in enumerate(groups):
             assert [entry[3] for entry in group] == [False] * (len(group) - 1) + [True]
-            assert trace[k].support == group[-1][4]
-            if trace[k].support:
+            assert (trace[k].search == "support") == group[-1][4]
+            if trace[k].search == "support":
                 # exempt from the warm start: the first trial is alpha*, and
                 # the Cayley point there is zero on the penalty-dominated set
                 seen.add("support")
@@ -569,10 +569,11 @@ class TestSolveSingle:
                 group = group[1:]  # the failed support search
             if len(group) == 2:
                 seen.add("retry")
+                assert trace[k].search == "retry"
                 assert group[1][0] is None and group[1][1] == group[1][2]
                 assert group[0][0] is not None or k == 0
                 continue
-            assert len(group) == 1
+            assert len(group) == 1 and trace[k].search == "cg"
             trial, first, default, *_ = group[0]
             if k == 0:
                 assert trial is None
@@ -583,11 +584,13 @@ class TestSolveSingle:
                 seen.add("zero_gain")
             assert first == (expected if 0.0 < expected < math.inf else default)
         assert path in seen
-        assert res.support_steps == sum(rec.support for rec in trace)
+        assert res.support_steps == sum(rec.search == "support" for rec in trace)
+        assert res.restarts == sum(rec.search == "retry" for rec in trace)
 
     def test_failed_support_search_is_followed_by_cg_search(self, monkeypatch):
-        # beta-star(3,10) from start 0 reads increments before it stops, so
-        # the support rule is consulted; here every support search fails
+        # beta-star(3,10) from start 0 gains at most SUPPORT_GAIN * |f| per
+        # step before it stops, so the support rule is consulted; here every
+        # support search fails
         g = gen_beta_star(3, 10)
         real_search = solver.line_search_wolfe
         faces, searches = {}, []
@@ -610,7 +613,7 @@ class TestSolveSingle:
         res = solve_single(g, SolverConfig(p=3.0), draw(g.n, 0), track=True)
         assert res.stop_reason == "grad_tol" and res.support_steps == 0
         trace, k, followed = res.trace, 0, 0
-        assert not any(rec.support for rec in trace)
+        assert not any(rec.search == "support" for rec in trace)
         for i, (x, _, direction, _, found) in enumerate(searches):
             if id(direction) in faces:
                 x_cg, grad0, cg, trial, found_cg = searches[i + 1]
@@ -719,10 +722,10 @@ class TestSolveSingle:
 
     @pytest.fixture(scope="class")
     def star_tail(self):
-        """beta-star(6,4) at p = 5 = r - 1, starts 0..39, traced, with every
+        """beta-star(6,4) at p = 5 = r - 1, starts 0..199, traced, with every
         line search recorded as (run, iterate, ok, value passes).  Its slow
-        tails have 143 failed searches and 141 steepest-ascent retries (at
-        p = 4 < r - 1 support steps leave 33 of each)."""
+        tails have 180 failed searches and 179 steepest-ascent retries
+        (starts 0..39 have 41 of each, and at p = 4 < r - 1 they have 1)."""
         searches, runs = [], []
         real_search, real_single = solver.line_search_wolfe, solver.solve_single
 
@@ -739,7 +742,7 @@ class TestSolveSingle:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "line_search_wolfe", search)
             mp.setattr(solver, "solve_single", single)
-            solve_multistart(gen_beta_star(6, 4), SolverConfig(p=5.0, runs=40, seed=0), track=True)
+            solve_multistart(gen_beta_star(6, 4), SolverConfig(p=5.0, runs=200, seed=0), track=True)
         return runs, searches
 
     def test_failed_searches_are_cheap_in_sublinear_tail(self, star_tail):
@@ -782,6 +785,66 @@ class TestSolveSingle:
         for g, p in instances:
             runs = solve_multistart(g, SolverConfig(p=p, runs=100, seed=seed)).run_summaries
             assert sum(run.support_steps for run in runs) == 0
+
+    def test_support_steps_shorten_sublinear_tail(self):
+        # p = 4 < r - 1: support steps on the relative-gain rule reach the
+        # face long before f is at its float64 resolution
+        runs = solve_multistart(
+            gen_beta_star(6, 4), SolverConfig(p=4.0, runs=40, seed=0)
+        ).run_summaries
+        ref = beta_star_value(6, 4, 4.0).value
+        assert all(run.stop_reason == "grad_tol" for run in runs)
+        assert all(abs(run.lam - ref) <= 1e-12 * ref for run in runs)
+        assert sum(run.iterations for run in runs) <= 2000
+
+    def test_loose_path_tail_has_no_line_search_failure(self):
+        # p = 3 < r - 1: support steps end the signed tails before a search
+        # meets a direction flat to rounding
+        cfg = SolverConfig(p=3.0, runs=30, seed=0)
+        runs = solve_multistart(gen_loose_path(4, 4), cfg).run_summaries
+        assert not any(run.stop_reason == "line_search_failure" for run in runs)
+
+    @pytest.mark.parametrize(
+        "build, p",
+        [
+            (lambda: gen_beta_star(3, 10), 3.0),
+            (lambda: gen_beta_star(6, 4), 4.0),
+            (lambda: gen_loose_path(4, 4), 3.0),
+        ],
+    )
+    def test_support_rule_follows_small_gains(self, monkeypatch, build, p):
+        # the iteration after an accepted step consults support_direction
+        # exactly when that step gained at most SUPPORT_GAIN * |f|, and so
+        # always after a step whose search read an increment
+        events = []
+        real_search, real_support = solver.line_search_wolfe, solver.support_direction
+
+        def search(g, cfg, x, f0, *args, **kwargs):
+            res = real_search(g, cfg, x, f0, *args, **kwargs)
+            events.append(("search", res, f0))
+            return res
+
+        def support(*args):
+            events.append(("support",))
+            return real_support(*args)
+
+        monkeypatch.setattr(solver, "line_search_wolfe", search)
+        monkeypatch.setattr(solver, "support_direction", support)
+        g, cfg = build(), SolverConfig(p=p)
+        small = increments = 0
+        for start in range(10):
+            events.clear()
+            solve_single(g, cfg, draw(g.n, start))
+            for event, after in zip(events, events[1:]):
+                if event[0] != "search" or not event[1].ok:
+                    continue
+                res, f0 = event[1:]
+                consulted = after[0] == "support"
+                assert consulted == (res.f - f0 <= solver.SUPPORT_GAIN * abs(res.f))
+                assert consulted or res.increments == 0
+                small += consulted
+                increments += res.increments > 0
+        assert small > 0 and increments > 0
 
     def test_numerical_failure_on_overflow(self):
         edges = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
