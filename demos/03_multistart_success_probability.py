@@ -5,6 +5,11 @@ number of random restarts, using the tetrahedron whose exact value is known.
 Each experiment draws fresh starting points until the exact value is found and
 records how many trials that took; the cumulative frequency over trial counts
 approaches one.  Writes the curve to success_frequency.csv for plotting.
+
+The curve follows the paper's signed law: a trial counts only when it reaches
+the exact value without the solver's nonnegative finish (a move from a
+sign-mixed critical point x to |x|).  With the finish, every first trial is
+exact here; that frequency is printed next to the curve.
 """
 
 import numpy as np
@@ -19,18 +24,23 @@ g = gen_complete(4, 3)
 cfg = SolverConfig(p=2.0)
 
 counts = []
+first_exact = []
 for j in range(EXPERIMENTS):
     rng = np.random.default_rng(1000 + 7919 * j)
     trial = 0
     while True:
         trial += 1
         res = solve_single(g, cfg, random_unit_sphere(g.n, rng))
-        if abs(res.lam - EXACT) / EXACT <= 1e-8:
+        exact = abs(res.lam - EXACT) / EXACT <= 1e-8
+        if trial == 1:
+            first_exact.append(exact)
+        if exact and res.finishes == 0:
             break
     counts.append(trial)
 
 counts = np.array(counts)
 print(f"{EXPERIMENTS} experiments: per-run success rate ~ {1.0 / counts.mean():.2f}")
+print(f"with the nonnegative finish, first trials exact: {np.mean(first_exact):.3f}")
 print(f"trials needed: min {counts.min()}, median {int(np.median(counts))}, max {counts.max()}")
 print()
 print("trials  cumulative success frequency")

@@ -80,6 +80,7 @@ def cmd_solve(args) -> int:
     total_increments = sum(r.increments for r in res.run_summaries)
     total_restarts = sum(r.restarts for r in res.run_summaries)
     total_support = sum(r.support_steps for r in res.run_summaries)
+    total_finishes = sum(r.finishes for r in res.run_summaries)
 
     payload = {
         "lambda": res.best.lam,
@@ -108,6 +109,7 @@ def cmd_solve(args) -> int:
             f"increments  {total_increments} cancellation-free increment passes",
             f"restarts    {total_restarts} steepest-ascent retries",
             f"support     {total_support} support steps",
+            f"finishes    {total_finishes} moves from a sign-mixed converged x to |x|",
             f"time        {wall:.3f} s",
         ]
         _emit("\n".join(lines) + "\n", args.out)

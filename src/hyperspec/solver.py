@@ -86,6 +86,7 @@ class IterationRecord:
     drift: float           # | ||x_next||_2 - 1 |
     evals: int             # trials, a failed first search's included
     search: str            # the accepted search: "support", "cg" or "retry"
+    finish: bool           # first record after a move to |x|: f = f(|x|) >= last f_next
 
 
 @dataclass(frozen=True)
@@ -93,10 +94,11 @@ class SolveResult:
     """Outcome of one solver run: estimate, weighting and optional trace.
 
     ``x`` is the signed final unit iterate, the run's last accepted point
-    (its start if it took no step), and ``weighting`` is ``|x|``, unit 2-norm
-    and entrywise nonnegative; :meth:`weighting_scaled` rescales it to any
-    other norm (the weighting with unit p-norm is the p-optimal weighting
-    proper).
+    (its start if it took no step), or ``|x|`` of that point after a
+    nonnegative finish whose next search failed.  ``weighting`` is ``|x|``,
+    unit 2-norm and entrywise nonnegative; :meth:`weighting_scaled` rescales
+    it to any other norm (the weighting with unit p-norm is the p-optimal
+    weighting proper).
     """
 
     lam: float
@@ -110,6 +112,7 @@ class SolveResult:
     increments: int = 0    # cancellation-free increments (sub-resolution trials)
     restarts: int = 0      # steepest-ascent retries after a failed line search
     support_steps: int = 0  # accepted steps along the support direction
+    finishes: int = 0      # moves from a sign-mixed converged x to |x|
     x: np.ndarray | None = None  # the signed final unit iterate
     trace: tuple[IterationRecord, ...] | None = None
 
@@ -401,6 +404,12 @@ def solve_single(
     when every search of an iteration fails, or on a non-finite f or first
     gradient (the line search accepts finite ones).
 
+    Nonnegative finish: at ||grad|| <= grad_tol with entries of both signs,
+    f and grad are evaluated at |x|.  When f(|x|) is finite and
+    ||grad(|x|)|| > grad_tol, the run moves to |x|, drops the CG memory and
+    goes on (``finishes`` counts the moves; the next record has
+    ``finish`` set); otherwise it stops with f(|x|) as its lam.
+
     Support step: once the last accepted step's float64 gain f_k - f_{k-1}
     is at most SUPPORT_GAIN * |f_k|, :func:`support_direction`, when it
     exists, gives the direction and the alpha* that zeroes the
@@ -411,7 +420,7 @@ def solve_single(
 
     The reported weighting is the entrywise absolute value of the final
     iterate, which can only increase the objective because edge weights are
-    nonnegative.
+    nonnegative; after a grad_tol stop it is stationary.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     if x.shape != (g.n,):
@@ -424,7 +433,9 @@ def solve_single(
     point = _value(g, x, cfg.p)
     f, grad = point.f, _gradient(g, point)
     evals = grad_evals = 1
-    increments = restarts = support_steps = 0
+    increments = restarts = support_steps = finishes = 0
+    finish = False         # the last move was to |x|, not a line search step
+    final: _Eval | None = None   # the value pass at |x| that the run stopped after
     trace: list[IterationRecord] = []
     step_prev: np.ndarray | None = None
     grad_diff_prev: np.ndarray | None = None
@@ -436,6 +447,18 @@ def solve_single(
             break
         gnorm = _norm(grad)
         if gnorm <= cfg.grad_tol:
+            if (x < 0.0).any() and (x > 0.0).any():
+                # nonnegative finish: f(|x|) >= f(x), and |x| may not be stationary
+                final = _value(g, np.abs(x), cfg.p)
+                grad_abs = _gradient(g, final)
+                evals += 1
+                grad_evals += 1
+                if math.isfinite(final.f) and cfg.grad_tol < _norm(grad_abs) < math.inf:
+                    x, f, grad, point = final.x, final.f, grad_abs, final
+                    step_prev = grad_diff_prev = gain_prev = final = None
+                    finishes += 1
+                    finish = True
+                    continue
             stop = "grad_tol"
             break
         if k >= cfg.max_iter:
@@ -491,8 +514,10 @@ def solve_single(
                     drift=abs(_norm(search.x) - 1.0),
                     evals=step_evals,
                     search=kind,
+                    finish=finish,
                 )
             )
+        finish = False
         support_steps += kind == "support"
         step_prev = search.x - x
         grad_diff_prev = search.grad - grad
@@ -501,7 +526,9 @@ def solve_single(
         k += 1
 
     weighting = np.abs(x)
-    if math.isfinite(f):
+    if final is not None:
+        lam = final.f
+    elif math.isfinite(f):
         lam = objective(g, weighting, cfg.p)
         evals += 1
     else:
@@ -518,6 +545,7 @@ def solve_single(
         increments=increments,
         restarts=restarts,
         support_steps=support_steps,
+        finishes=finishes,
         x=x,
         trace=tuple(trace) if track else None,
     )
@@ -534,8 +562,9 @@ def solve_multistart(
     ``orthant=True`` it is the entrywise absolute value of that draw, uniform
     on the sphere's nonnegative part, for callers that want the nonnegative
     maximizer (ranking, the Lagrangian schedule).  Every run reports |x|,
-    and f(|x|) >= f(x); a signed run can end at a mixed-sign critical point
-    whose |x| is not stationary.
+    and f(|x|) >= f(x); a signed run that converges at a sign-mixed critical
+    point whose |x| is not stationary goes on from |x| inside
+    :func:`solve_single`, so run i is still a solo run from start i.
     """
     results = []
     for i in range(cfg.runs):

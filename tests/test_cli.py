@@ -134,6 +134,21 @@ class TestSolve:
         assert support > 0
         assert f"support     {support} support steps\n" in out
 
+    def test_text_reports_finishes(self, tmp_path, capsys):
+        # complete(4,3) at p = 2: most signed starts converge to a sign-mixed
+        # critical point and go on from |x|
+        path = str(tmp_path / "k43.txt")
+        main(["gen", "complete", "--n", "4", "--r", "3", "--out", path])
+        capsys.readouterr()
+        main(["solve", path, "--p", "2", "--runs", "8", "--seed", "1"])
+        out = capsys.readouterr().out
+        with open(path) as fh:
+            g = parse_edge_list(fh)
+        runs = solver.solve_multistart(g, solver.SolverConfig(p=2.0, runs=8, seed=1)).run_summaries
+        finishes = sum(run.finishes for run in runs)
+        assert finishes > 0
+        assert f"finishes    {finishes} moves from a sign-mixed converged x to |x|\n" in out
+
     def test_fractional_p(self, single_edge_file, capsys):
         rc = main(["solve", single_edge_file, "--p", "4/3", "--runs", "2", "--format", "json"])
         assert rc == 0

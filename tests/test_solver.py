@@ -480,6 +480,71 @@ class TestSolveSingle:
         assert np.array_equal(res.x, np.full(4, -0.5))
         assert np.array_equal(res.weighting, np.full(4, 0.5))
 
+    # a sign-mixed critical point of complete(4,3) at p = 2: three entries
+    # -a and one 1.5a solve grad w = mu x, and |x| is not stationary
+    MIXED_CRITICAL = np.array([-1.0, -1.0, -1.0, 1.5]) / math.sqrt(5.25)
+
+    def test_finish_moves_to_abs_x(self):
+        g = gen_complete(4, 3)
+        x0 = self.MIXED_CRITICAL
+        assert np.linalg.norm(value_and_grad(g, x0, 2.0)[1]) <= 1e-8
+        res = solve_single(g, SolverConfig(p=2.0), x0, track=True)
+        assert res.finishes == 1 and res.stop_reason == "grad_tol"
+        assert res.trace[0].finish and not any(rec.finish for rec in res.trace[1:])
+        assert res.trace[0].f == objective(g, np.abs(x0), 2.0) > objective(g, x0, 2.0)
+        assert res.lam == pytest.approx(3.0, abs=1e-14)
+
+    def test_x_after_finish_and_failed_search_is_abs_x(self, monkeypatch):
+        g = gen_complete(4, 3)
+        x0 = self.MIXED_CRITICAL
+        failed = solver.LineSearchResult(False, 0.0, None, 0.0, None, 1)
+        monkeypatch.setattr(solver, "line_search_wolfe", lambda *args, **kwargs: failed)
+        res = solve_single(g, SolverConfig(p=2.0), x0)
+        assert (res.stop_reason, res.iterations, res.finishes) == ("line_search_failure", 0, 1)
+        assert res.x.tobytes() == np.abs(x0).tobytes()
+        assert res.lam == objective(g, np.abs(x0), 2.0)
+
+    def test_finish_that_stays_costs_one_gradient_pass(self):
+        # an isolated vertex at -1e-12: x is sign-mixed, and |x| is stationary
+        g = Hypergraph.from_edges(4, 3, [(1, 2, 3)])
+        x0 = np.array([1.0, 1.0, 1.0, -1e-12]) / math.sqrt(3.0)
+        res = solve_single(g, SolverConfig(p=2.0), x0)
+        assert (res.stop_reason, res.iterations, res.finishes) == ("grad_tol", 0, 0)
+        assert res.x.tobytes() == x0.tobytes()
+        # the start's value and gradient passes, then |x|'s, whose value is lam
+        assert (res.evals, res.grad_evals) == (2, 2)
+        assert res.lam == objective(g, np.abs(x0), 2.0)
+        # a one-signed x pays nothing: the start's passes and lam's value pass
+        res = solve_single(g, SolverConfig(p=2.0), np.abs(x0))
+        assert (res.evals, res.grad_evals, res.finishes) == (2, 1, 0)
+
+    def test_finish_records_jump_to_abs_of_last_point(self, monkeypatch):
+        g = gen_complete(4, 3)
+        cfg = SolverConfig(p=2.0)
+        accepted = []
+        real_search = solver.line_search_wolfe
+
+        def search(*args, **kwargs):
+            res = real_search(*args, **kwargs)
+            if res.ok:
+                accepted.append(res.x)
+            return res
+
+        monkeypatch.setattr(solver, "line_search_wolfe", search)
+        finished = 0
+        for seed in range(10):
+            x0 = draw(g.n, seed)
+            accepted[:] = [x0 / np.linalg.norm(x0)]
+            res = solve_single(g, cfg, x0, track=True)
+            assert len(res.trace) == len(accepted) - 1
+            for k, rec in enumerate(res.trace):
+                if rec.finish:  # accepted[k] is the previous record's x_next
+                    assert rec.f == objective(g, np.abs(accepted[k]), cfg.p)
+                    assert not (accepted[k] >= 0.0).all()
+                    finished += 1
+            assert res.finishes == sum(rec.finish for rec in res.trace)
+        assert finished > 0
+
     def test_line_search_failure_reported(self, monkeypatch):
         g = gen_beta_star(3, 10)
         x0 = random_unit_sphere(g.n, np.random.default_rng(2))
@@ -933,9 +998,32 @@ class TestSolveMultistart:
         for i, x0 in enumerate(starts):
             assert x0.tobytes() == np.abs(draw(g.n, cfg.seed + i)).tobytes()
 
+    @pytest.mark.parametrize(
+        "build, p, exact",
+        [
+            # the uniform vector is optimal: 3! C(10,3) 10^(-3/2)
+            (lambda: gen_complete(10, 3), 2.0, 6 * math.comb(10, 3) * 10**-1.5),
+            (lambda: gen_loose_path(4, 3), 4.0, None),
+        ],
+        ids=["complete(10,3)", "loose-path(4,3)"],
+    )
+    def test_converged_weightings_are_stationary(self, build, p, exact):
+        # a signed run that converges at a sign-mixed x goes on from |x|, so
+        # no grad_tol stop reports a weighting that is not stationary
+        g = build()
+        cfg = SolverConfig(p=p, runs=100, seed=1)
+        runs = solve_multistart(g, cfg).run_summaries
+        converged = [run for run in runs if run.stop_reason == "grad_tol"]
+        assert converged
+        for run in converged:
+            _, grad = value_and_grad(g, run.weighting, p)
+            assert np.linalg.norm(grad) <= cfg.grad_tol
+        if exact is not None:  # 59 of these runs go on from |x|
+            assert sum(run.finishes for run in runs) > 0
+            assert all(abs(run.lam - exact) <= 1e-8 * exact for run in runs)
+
     def test_orthant_weightings_are_stationary(self):
-        # signed starts end at mixed-sign critical points x whose reported
-        # |x| is not stationary (16 of these 20 runs); orthant starts do not
+        # orthant starts converge to nonnegative critical points directly
         g = make_random_graph(np.random.default_rng(0), n=100, r=3, m=300)
         cfg = SolverConfig(p=2.0, runs=20, seed=0)
         for run in solve_multistart(g, cfg, orthant=True).run_summaries:
