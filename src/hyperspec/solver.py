@@ -85,7 +85,7 @@ class IterationRecord:
     step_pred: float       # closed-form step length for the accepted alpha
     drift: float           # | ||x_next||_2 - 1 |
     evals: int             # trials, a failed first search's included
-    search: str            # the accepted search: "support", "cg" or "retry"
+    search: str            # the accepted search: "support", "cg", "cg_default" or "retry"
     finish: bool           # first record after a move to |x|: f = f(|x|) >= last f_next
 
 
@@ -110,7 +110,7 @@ class SolveResult:
     evals: int = 0         # value passes of the kernel, the final lam's included
     grad_evals: int = 0    # gradient passes
     increments: int = 0    # cancellation-free increments (sub-resolution trials)
-    restarts: int = 0      # steepest-ascent retries after a failed line search
+    restarts: int = 0      # second searches from an iterate after a failed CG search
     support_steps: int = 0  # accepted steps along the support direction
     finishes: int = 0      # moves from a sign-mixed converged x to |x|
     x: np.ndarray | None = None  # the signed final unit iterate
@@ -149,6 +149,7 @@ class LineSearchResult:
     grad_evals: int = 0    # trials that also ran the gradient stage
     increments: int = 0    # trials whose increase came from _increment
     point: _Eval | None = None   # the accepted point's kernel record
+    increase: float = 0.0  # the accepted trial's increase over f0, an increment's included
 
 
 @dataclass(frozen=True)
@@ -207,15 +208,27 @@ def cg_direction(
     return grad + beta_tilde * step_prev
 
 
-def cayley_step(x: np.ndarray, direction: np.ndarray, alpha: float) -> np.ndarray:
+def cayley_step(
+    x: np.ndarray,
+    direction: np.ndarray,
+    alpha: float,
+    xd: float | None = None,
+    dd: float | None = None,
+) -> np.ndarray:
     """Point reached from unit x after a Cayley-transform move of size alpha.
 
     x(alpha) = ([(2 - a xd)^2 - ||a d||^2] x + 4 a d) / (4 + ||a d||^2 - (a xd)^2)
     with xd = x . d keeps the sphere in real arithmetic.  The denominator is
-    checked to be positive, and the one renormalization absorbs it.
+    checked to be positive, and the one renormalization absorbs it.  A caller
+    that tries several alphas along one direction passes xd and dd = d . d,
+    computed as here, so the result is the same bits.
     """
-    overlap = alpha * float(x.dot(direction))
-    sq = alpha * alpha * float(direction.dot(direction))
+    if xd is None:
+        xd = float(x.dot(direction))
+    if dd is None:
+        dd = float(direction.dot(direction))
+    overlap = alpha * xd
+    sq = alpha * alpha * dd
     denom = 4.0 + sq - overlap * overlap
     if not denom > 0.0:
         raise ArithmeticError(f"degenerate curve denominator {denom}")
@@ -321,8 +334,9 @@ def line_search_wolfe(
     record of x after its gradient stage, evaluated here on first need when
     None; the result is the same either way.  An accepted step satisfies
     both inequalities above exactly as the floats are compared, and returns
-    its kernel record as ``point``.  A trial whose grad . direction is not
-    finite, as with any inf or nan gradient entry, fails the increase test.
+    its kernel record as ``point`` and its increase over f0 as ``increase``.
+    A trial whose grad . direction is not finite, as with any inf or nan
+    gradient entry, fails the increase test.
     """
     slope0 = float(grad0.dot(direction))
     if not slope0 > 0.0:
@@ -330,11 +344,13 @@ def line_search_wolfe(
 
     lo, inc_lo, d_lo = 0.0, 0.0, slope0
     hi, inc_hi = math.inf, math.inf
+    # the Cayley curve's scalars, the same for every trial
+    xd, dd = float(x.dot(direction)), float(direction.dot(direction))
     if trial is None or not 0.0 < trial < math.inf:
-        trial = 2.0 / (1.0 + _norm(direction))
+        trial = 2.0 / (1.0 + math.sqrt(dd))
     evals = grad_evals = increments = 0
     for _ in range(MAX_LINESEARCH_STEPS):
-        x_t = cayley_step(x, direction, trial)
+        x_t = cayley_step(x, direction, trial, xd, dd)
         point_t = _value(g, x_t, cfg.p)
         f_t = point_t.f
         evals += 1
@@ -362,7 +378,7 @@ def line_search_wolfe(
                 inc_t, increase_ok = -math.inf, False
             elif curv_t <= C2 * slope0:
                 return LineSearchResult(
-                    True, trial, x_t, f_t, grad_t, evals, grad_evals, increments, point_t
+                    True, trial, x_t, f_t, grad_t, evals, grad_evals, increments, point_t, inc_t
                 )
             else:
                 slope_t = -float(grad_t.dot(x)) / trial
@@ -398,8 +414,13 @@ def solve_single(
     direction, or grad when rounding puts it under the ascent floor, from
     the warm trial 2 (f_k - f_{k-1}) / (direction . grad) that would repeat
     the last step's float64 value gain (Nocedal & Wright, eq. 3.60; none at
-    k = 0); then, unless that was grad, along grad from the default trial.
-    A trace record's ``ascent`` is the direction . grad its search compared.
+    k = 0 or after a move to |x|), or 2 * increase / (direction . grad) from
+    the increase the last search measured when that gain reads 0; when the
+    warm search fails, along the same direction from the default trial;
+    then, unless that direction was grad, along grad from the default
+    trial.  ``restarts`` counts these last two, the second searches from x.
+    A trace record's ``ascent`` is the direction . grad its search compared,
+    and its ``search`` names it: "support", "cg", "cg_default" or "retry".
     Stops at ||grad|| <= grad_tol (the only converged stop), at max_iter,
     when every search of an iteration fails, or on a non-finite f or first
     gradient (the line search accepts finite ones).
@@ -439,7 +460,8 @@ def solve_single(
     trace: list[IterationRecord] = []
     step_prev: np.ndarray | None = None
     grad_diff_prev: np.ndarray | None = None
-    gain_prev: float | None = None
+    gain_prev: float | None = None   # the last step's float64 gain f_k - f_{k-1}
+    inc_prev = 0.0                   # and its increase as the search measured it
     k = 0
     while True:
         if not math.isfinite(f) or (k == 0 and not np.isfinite(grad).all()):
@@ -470,7 +492,7 @@ def solve_single(
             support = support_direction(g, point, grad, gnorm, cfg.grad_tol)
         step_evals = 0
         # the searches in order, each built and run only when the last failed
-        for kind in ("support", "cg", "retry"):
+        for kind in ("support", "cg", "cg_default", "retry"):
             if kind == "support":
                 if support is None:
                     continue
@@ -481,7 +503,17 @@ def solve_single(
                 required = ASCENT_COEFF * gnorm * gnorm
                 if not math.isfinite(ascent) or ascent < required * (1.0 - 1e-12):
                     direction, ascent = grad.copy(), gnorm * gnorm
-                trial = 2.0 * gain_prev / ascent if gain_prev is not None and ascent > 0.0 else None
+                trial = None
+                if gain_prev is not None and ascent > 0.0:
+                    # a gain that reads 0 in float64 is repeated from its increase
+                    trial = 2.0 * (gain_prev if gain_prev != 0.0 else inc_prev) / ascent
+                    if not 0.0 < trial < math.inf:
+                        trial = None
+            elif kind == "cg_default":
+                if trial is None:  # the CG search already began at the default
+                    continue
+                trial = None
+                restarts += 1
             elif np.array_equal(direction, grad):
                 break
             else:  # restart policy: retry the iteration with plain steepest ascent
@@ -521,7 +553,7 @@ def solve_single(
         support_steps += kind == "support"
         step_prev = search.x - x
         grad_diff_prev = search.grad - grad
-        gain_prev = search.f - f
+        gain_prev, inc_prev = search.f - f, search.increase
         x, f, grad, point = search.x, search.f, search.grad, search.point
         k += 1
 

@@ -245,9 +245,9 @@ class TestLineSearch:
         trials = []
         real = solver.cayley_step
 
-        def recorded(x, direction, alpha):
+        def recorded(x, direction, alpha, *curve):
             trials.append(alpha)
-            return real(x, direction, alpha)
+            return real(x, direction, alpha, *curve)
 
         monkeypatch.setattr(solver, "cayley_step", recorded)
         return trials
@@ -288,9 +288,9 @@ class TestLineSearch:
         trials = []
         real = solver.cayley_step
 
-        def flat_past_one(x, direction, alpha):
+        def flat_past_one(x, direction, alpha, *curve):
             trials.append(alpha)
-            return real(x, direction, alpha) if alpha <= 1.0 else x.copy()
+            return real(x, direction, alpha, *curve) if alpha <= 1.0 else x.copy()
 
         monkeypatch.setattr(solver, "cayley_step", flat_past_one)
         res = line_search_wolfe(g, cfg, x, f0, grad0, 1e-3 * grad0, trial=1.0)
@@ -309,8 +309,8 @@ class TestLineSearch:
         points = []
         real_step, real_grad = solver.cayley_step, solver._gradient
 
-        def step(x, direction, alpha):
-            points.append(real_step(x, direction, alpha))
+        def step(x, direction, alpha, *curve):
+            points.append(real_step(x, direction, alpha, *curve))
             return points[-1]
 
         seen = []  # (trial index, curvature test met, slope forms disagree)
@@ -563,12 +563,14 @@ class TestSolveSingle:
         assert res.lam == objective(g, res.weighting, 3.0)
 
     # beta-star(3,10) start 0 has steps below the value resolution (zero
-    # gain); beta-star(6,4) at p = 4 start 38 has a steepest-ascent retry,
-    # and start 0 a support step
+    # gain); beta-star(6,4) at p = 4 start 22 has a failed warm CG search
+    # followed by an accepted search from the default trial, start 38 a
+    # steepest-ascent retry after both failed, and start 0 a support step
     @pytest.mark.parametrize(
         "build, p, path",
         [
             (lambda: gen_beta_star(3, 10), 3.0, "zero_gain"),
+            (lambda: gen_beta_star(6, 4), 4.0, "cg_default"),
             (lambda: gen_beta_star(6, 4), 4.0, "retry"),
             (lambda: gen_beta_star(6, 4), 4.0, "support"),
         ],
@@ -576,8 +578,8 @@ class TestSolveSingle:
     def test_searches_warm_start_from_last_gain(self, monkeypatch, build, p, path):
         g = build()
         cfg = SolverConfig(p=p)
-        # (trial passed, first alpha evaluated, default trial, ok, support,
-        # iterate, direction)
+        # (trial passed, first alpha evaluated, default trial, result,
+        # support, iterate, direction, slope compared)
         searches, supports = [], [None]
         real_search, real_step = solver.line_search_wolfe, solver.cayley_step
         real_support = solver.support_direction
@@ -589,41 +591,43 @@ class TestSolveSingle:
         def search(g, cfg, x, f0, grad0, direction, trial=None, **kwargs):
             along_face = supports[-1] is not None and direction is supports[-1][0]
             default = 2.0 / (1.0 + float(np.linalg.norm(direction)))
-            searches.append([trial, None, default, None, along_face, x, direction])
+            slope = float(direction.dot(grad0))
+            searches.append([trial, None, default, None, along_face, x, direction, slope])
             res = real_search(g, cfg, x, f0, grad0, direction, trial, **kwargs)
-            searches[-1][3] = res.ok
+            searches[-1][3] = res
             return res
 
-        def step(x, direction, alpha):
+        def step(x, direction, alpha, *curve):
             if searches[-1][1] is None:
                 searches[-1][1] = alpha
-            return real_step(x, direction, alpha)
+            return real_step(x, direction, alpha, *curve)
 
         monkeypatch.setattr(solver, "support_direction", support)
         monkeypatch.setattr(solver, "line_search_wolfe", search)
         monkeypatch.setattr(solver, "cayley_step", step)
-        x0 = draw(g.n, 38 if path == "retry" else 0)
-        res = solve_single(g, cfg, x0, track=True)
-        assert res.stop_reason == "grad_tol"
+        start = {"cg_default": 22, "retry": 38}.get(path, 0)
+        res = solve_single(g, cfg, draw(g.n, start), track=True)
+        assert res.stop_reason == "grad_tol" and res.finishes == 0
         trace = res.trace
         # one successful search per record; a failed one is followed by the
-        # steepest-ascent retry of the same iteration, or by the CG search
-        # after a failed support search
+        # next search of the same iteration: after a failed support search
+        # the CG search, after a failed warm CG search the same direction
+        # from the default trial, then the steepest-ascent retry
         groups, k = [[] for _ in trace], 0
         for entry in searches:
             groups[k].append(entry)
-            k += entry[3]
+            k += entry[3].ok
         assert k == len(trace)
-        seen = set()
+        seen, second = set(), 0
         for k, group in enumerate(groups):
-            assert [entry[3] for entry in group] == [False] * (len(group) - 1) + [True]
+            assert [entry[3].ok for entry in group] == [False] * (len(group) - 1) + [True]
             assert (trace[k].search == "support") == group[-1][4]
             if trace[k].search == "support":
                 # exempt from the warm start: the first trial is alpha*, and
                 # the Cayley point there is zero on the penalty-dominated set
                 seen.add("support")
                 assert len(group) == 1
-                trial, first, _, _, _, x, direction = group[0]
+                trial, first, _, _, _, x, direction, _ = group[0]
                 face, alpha_star = face_step(g, x, p, cfg.grad_tol)
                 assert face.any() and not face.all()
                 assert trial == pytest.approx(alpha_star, rel=1e-12)
@@ -632,25 +636,36 @@ class TestSolveSingle:
                 continue
             if group[0][4]:
                 group = group[1:]  # the failed support search
-            if len(group) == 2:
-                seen.add("retry")
-                assert trace[k].search == "retry"
-                assert group[1][0] is None and group[1][1] == group[1][2]
-                assert group[0][0] is not None or k == 0
-                continue
-            assert len(group) == 1 and trace[k].search == "cg"
-            trial, first, default, *_ = group[0]
+            trial, first, default, _, _, x, direction, slope = group[0]
+            kinds = ["cg"]
             if k == 0:
                 assert trial is None
-                continue
-            expected = 2.0 * (trace[k].f - trace[k - 1].f) / trace[k].ascent
-            assert trial == expected
-            if expected == 0.0:
-                seen.add("zero_gain")
-            assert first == (expected if 0.0 < expected < math.inf else default)
+            else:
+                # the last step's float64 gain, or its increase when that reads 0
+                gain = trace[k].f - trace[k - 1].f
+                rise = gain if gain != 0.0 else groups[k - 1][-1][3].increase
+                assert rise > 0.0
+                assert trial == 2.0 * rise / slope
+                if gain == 0.0:
+                    seen.add("zero_gain")
+            assert first == (default if trial is None else trial)
+            if len(group) > 1 and trial is not None:
+                # the same iterate and direction from the default trial
+                kinds.append("cg_default")
+                again = group[len(kinds) - 1]
+                assert again[5] is x and again[6] is direction
+                assert again[0] is None and again[1] == again[2] == default
+            if len(group) > len(kinds):
+                kinds.append("retry")
+                retry = group[len(kinds) - 1]
+                assert not np.array_equal(direction, retry[6])
+                assert retry[5] is x and retry[0] is None and retry[1] == retry[2]
+            assert len(group) == len(kinds) and trace[k].search == kinds[-1]
+            seen.add(kinds[-1])
+            second += len(kinds) - 1
         assert path in seen
         assert res.support_steps == sum(rec.search == "support" for rec in trace)
-        assert res.restarts == sum(rec.search == "retry" for rec in trace)
+        assert res.restarts == second
 
     def test_failed_support_search_is_followed_by_cg_search(self, monkeypatch):
         # beta-star(3,10) from start 0 gains at most SUPPORT_GAIN * |f| per
@@ -677,18 +692,25 @@ class TestSolveSingle:
         monkeypatch.setattr(solver, "line_search_wolfe", search)
         res = solve_single(g, SolverConfig(p=3.0), draw(g.n, 0), track=True)
         assert res.stop_reason == "grad_tol" and res.support_steps == 0
-        trace, k, followed = res.trace, 0, 0
+        trace, k, followed, last = res.trace, 0, 0, None
         assert not any(rec.search == "support" for rec in trace)
         for i, (x, _, direction, _, found) in enumerate(searches):
             if id(direction) in faces:
                 x_cg, grad0, cg, trial, found_cg = searches[i + 1]
-                # the same iterate, the CG direction, and the warm trial
+                # the same iterate, the CG direction, and the warm trial from
+                # the last step's gain, or its increase when that reads 0
                 assert x_cg is x and id(cg) not in faces
-                assert trial == 2.0 * (trace[k].f - trace[k - 1].f) / float(cg.dot(grad0))
+                gain = trace[k].f - trace[k - 1].f
+                rise = gain if gain != 0.0 else last.increase
+                assert trial == 2.0 * rise / float(cg.dot(grad0))
                 if found_cg.ok:
                     followed += 1
                     assert trace[k].evals == 2 + found_cg.evals
+                else:  # then the CG direction again, from the default trial
+                    x_again, _, again, trial_again, _ = searches[i + 2]
+                    assert x_again is x and again is cg and trial_again is None
             k += found.ok
+            last = found if found.ok else last
         assert followed > 0
 
     def test_cg_direction_under_the_floor_is_replaced_by_grad(self, monkeypatch):
@@ -697,8 +719,8 @@ class TestSolveSingle:
         searches = []
 
         def search(g, cfg, x, f0, grad0, direction, trial=None, **kwargs):
-            searches.append((f0, grad0, direction, trial))
-            if len(searches) == 6:  # a failed search along grad ends the run
+            searches.append((x, f0, grad0, direction, trial))
+            if len(searches) >= 6:  # failed searches along grad end the run
                 return solver.LineSearchResult(False, 0.0, None, f0, None, 1)
             return real_search(g, cfg, x, f0, grad0, direction, trial, **kwargs)
 
@@ -706,18 +728,23 @@ class TestSolveSingle:
         monkeypatch.setattr(solver, "cg_direction", lambda grad, step, diff: 0.25 * grad)
         monkeypatch.setattr(solver, "line_search_wolfe", search)
         res = solve_single(g, SolverConfig(p=3.0), draw(g.n, 0))
-        # one search per iteration along grad, and no retry after a failure
-        assert res.stop_reason == "line_search_failure" and res.restarts == 0
-        assert len(searches) == res.iterations + 1 == 6
-        assert searches[0][3] is None
-        for (f_prev, *_), (f0, grad0, direction, trial) in zip(searches, searches[1:]):
-            assert np.array_equal(direction, grad0)
+        # one search per iteration along grad; the failed warm one is
+        # followed by grad from the default trial, and by no steepest-ascent
+        # retry, which would repeat that search
+        assert res.stop_reason == "line_search_failure" and res.restarts == 1
+        assert len(searches) == res.iterations + 2 == 7
+        assert searches[0][4] is None
+        for (_, f_prev, *_), (_, f0, grad0, direction, trial) in zip(searches, searches[1:6]):
+            assert np.array_equal(direction, grad0) and f0 > f_prev
             gnorm = math.sqrt(float(grad0.dot(grad0)))
             assert trial == 2.0 * (f0 - f_prev) / (gnorm * gnorm)
+        x, _, _, direction, _ = searches[5]
+        assert searches[6][0] is x and searches[6][3] is direction and searches[6][4] is None
 
     def test_trace_ascent_is_the_slope_its_search_compared(self, monkeypatch):
-        # beta-star(6,4) at p = 4 from starts 0..39 accepts some
-        # steepest-ascent retries
+        # beta-star(6,4) at p = 4 from starts 0..39 accepts some searches
+        # from the default trial after a failed warm one, and a
+        # steepest-ascent retry, whose slope is not the CG direction's
         accepted = []
         real_search = solver.line_search_wolfe
 
@@ -730,8 +757,80 @@ class TestSolveSingle:
         monkeypatch.setattr(solver, "line_search_wolfe", search)
         cfg = SolverConfig(p=4.0, runs=40, seed=0)
         runs = solve_multistart(gen_beta_star(6, 4), cfg, track=True).run_summaries
-        assert sum(run.restarts for run in runs) > 0
+        kinds = {rec.search for run in runs for rec in run.trace}
+        assert {"cg_default", "retry"} <= kinds
         assert [rec.ascent for run in runs for rec in run.trace] == accepted
+
+    def test_zero_gain_search_starts_from_last_increase(self, monkeypatch):
+        # beta-star(3,10) near its maximizer: a step's float64 gain reads 0,
+        # and the next CG search starts from 2 * increase / ascent, the
+        # increase the last search measured.  A failed warm search is
+        # followed from the same iterate by the same direction from the
+        # default trial, and only then by a steepest-ascent retry
+        g = gen_beta_star(3, 10)
+        searches, faces = [], [None]
+        real_search, real_support = solver.line_search_wolfe, solver.support_direction
+
+        def support(*args):
+            found = real_support(*args)
+            faces.append(None if found is None else found[0])
+            return found
+
+        def search(g, cfg, x, f0, grad0, direction, trial=None, **kwargs):
+            res = real_search(g, cfg, x, f0, grad0, direction, trial, **kwargs)
+            searches.append((x, f0, grad0, direction, trial, res, direction is faces[-1]))
+            return res
+
+        monkeypatch.setattr(solver, "support_direction", support)
+        monkeypatch.setattr(solver, "line_search_wolfe", search)
+        zero_gain = fallbacks = 0
+        for p in (1.5, 3.0):
+            for start in range(10):
+                searches.clear()
+                solve_single(g, SolverConfig(p=p), draw(g.n, start))
+                last = None  # the last accepted search
+                for i, (x, f0, grad0, direction, trial, res, along_face) in enumerate(searches):
+                    first_cg = not along_face and last is not None and x is last[5].x and (
+                        searches[i - 1] is last or searches[i - 1][6])
+                    if first_cg and last[5].f - last[1] == 0.0:
+                        zero_gain += 1
+                        assert trial == 2.0 * last[5].increase / float(direction.dot(grad0))
+                    if not res.ok and not along_face and i + 1 < len(searches):
+                        x_next, _, _, d_next, trial_next, *_ = searches[i + 1]
+                        assert x_next is x and trial_next is None
+                        if trial is not None:  # the same direction, from the default trial
+                            assert np.array_equal(d_next, direction)
+                            fallbacks += 1
+                        else:  # the steepest-ascent retry
+                            assert np.array_equal(d_next, grad0)
+                            assert not np.array_equal(direction, grad0)
+                    last = searches[i] if res.ok else last
+        assert zero_gain > 0 and fallbacks > 0
+
+    def test_failed_default_search_along_grad_is_not_repeated(self, monkeypatch):
+        # a run's first search goes along grad from the default trial; when
+        # it fails, no second search would differ from it
+        trials = []
+
+        def search(g, cfg, x, f0, grad0, direction, trial=None, **kwargs):
+            trials.append(trial)
+            return solver.LineSearchResult(False, 0.0, None, f0, None, 1)
+
+        monkeypatch.setattr(solver, "line_search_wolfe", search)
+        g = gen_beta_star(3, 10)
+        res = solve_single(g, SolverConfig(p=3.0), draw(g.n, 0))
+        assert (res.stop_reason, res.iterations, res.restarts) == ("line_search_failure", 0, 0)
+        assert trials == [None]
+
+    def test_beta_star_near_p_one_reaches_grad_tol(self):
+        # p = 1.5 < r - 1: the zero-gain searches start warm from the last
+        # increase instead of cold, so no run goes on to max_iter
+        runs = solve_multistart(
+            gen_beta_star(3, 10), SolverConfig(p=1.5, runs=40, seed=0)
+        ).run_summaries
+        ref = beta_star_value(3, 10, 1.5).value
+        assert all(run.stop_reason == "grad_tol" for run in runs)
+        assert all(abs(run.lam - ref) <= 1e-8 * ref for run in runs)
 
     def test_warm_start_evals_per_search(self, monkeypatch):
         counts = []
@@ -789,8 +888,10 @@ class TestSolveSingle:
     def star_tail(self):
         """beta-star(6,4) at p = 5 = r - 1, starts 0..199, traced, with every
         line search recorded as (run, iterate, ok, value passes).  Its slow
-        tails have 180 failed searches and 179 steepest-ascent retries
-        (starts 0..39 have 41 of each, and at p = 4 < r - 1 they have 1)."""
+        tails have 532 failed searches, each followed by a second search from
+        the same iterate: 528 along the same direction from the default
+        trial, and 4 steepest-ascent retries after those failed too (starts
+        0..39 have 57 failed searches, and at p = 4 < r - 1 they have 8)."""
         searches, runs = [], []
         real_search, real_single = solver.line_search_wolfe, solver.solve_single
 
@@ -821,7 +922,8 @@ class TestSolveSingle:
 
     def test_restarts_count_second_searches(self, star_tail):
         runs, searches = star_tail
-        # a second search from the same iterate is the same iteration's retry
+        # a second search from the same iterate is the same iteration's
+        # search from the default trial or its steepest-ascent retry
         second = [0] * len(runs)
         for (run, x, _, _), (prev_run, prev_x, _, _) in zip(searches[1:], searches):
             second[run] += run == prev_run and x is prev_x
