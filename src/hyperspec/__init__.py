@@ -29,7 +29,6 @@ from .solver import (
     cg_direction,
     lagrangian_approx,
     lagrangian_schedule,
-    line_search_wolfe,
     random_unit_sphere,
     solve_multistart,
     solve_single,
@@ -59,7 +58,6 @@ __all__ = [
     "gen_loose_path",
     "lagrangian_approx",
     "lagrangian_schedule",
-    "line_search_wolfe",
     "loose_path_value",
     "objective",
     "parse_edge_list",

@@ -52,8 +52,11 @@ def _load_graph(path: str) -> Hypergraph:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise SystemExit(f"error: cannot write {out}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -74,13 +77,11 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     res = solve_multistart(g, cfg)
     wall = time.perf_counter() - t0
-    total_iters = sum(r.iterations for r in res.run_summaries)
-    total_evals = sum(r.evals for r in res.run_summaries)
-    total_grads = sum(r.grad_evals for r in res.run_summaries)
-    total_increments = sum(r.increments for r in res.run_summaries)
-    total_restarts = sum(r.restarts for r in res.run_summaries)
-    total_support = sum(r.support_steps for r in res.run_summaries)
-    total_finishes = sum(r.finishes for r in res.run_summaries)
+    total = {
+        key: sum(getattr(run, key) for run in res.run_summaries)
+        for key in ("iterations", "evals", "grad_evals", "increments", "restarts",
+                    "support_steps", "finishes")
+    }
 
     payload = {
         "lambda": res.best.lam,
@@ -104,12 +105,12 @@ def cmd_solve(args) -> int:
             f"graph       r={g.r} n={g.n} m={g.m}",
             f"runs        {cfg.runs} (best run {res.best_run}, "
             f"{'converged' if res.best.converged else res.best.stop_reason})",
-            f"iterations  {total_iters} total",
-            f"kernel      {total_evals} value passes, {total_grads} gradient passes",
-            f"increments  {total_increments} cancellation-free increment passes",
-            f"restarts    {total_restarts} steepest-ascent retries",
-            f"support     {total_support} support steps",
-            f"finishes    {total_finishes} moves from a sign-mixed converged x to |x|",
+            f"iterations  {total['iterations']} total",
+            f"kernel      {total['evals']} value passes, {total['grad_evals']} gradient passes",
+            f"increments  {total['increments']} cancellation-free increment passes",
+            f"restarts    {total['restarts']} second searches after a failed CG search",
+            f"support     {total['support_steps']} support steps",
+            f"finishes    {total['finishes']} moves from a sign-mixed converged x to |x|",
             f"time        {wall:.3f} s",
         ]
         _emit("\n".join(lines) + "\n", args.out)
@@ -324,8 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("graph", help="edge-list file")
     add_solver_flags(sp, with_p=False)
     sp.add_argument("--steps", type=int, default=10, help="schedule length")
-    sp.set_defaults(p=2.0, func=cmd_lagrangian)
-    sp.set_defaults(tol=1e-6)
+    sp.set_defaults(p=2.0, tol=1e-6, func=cmd_lagrangian)
 
     sp = sub.add_parser("gen", help="generate a structured hypergraph family")
     gen_sub = sp.add_subparsers(dest="family", required=True)

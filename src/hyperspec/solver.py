@@ -144,11 +144,10 @@ class LineSearchResult:
     alpha: float
     x: np.ndarray | None
     f: float
-    grad: np.ndarray | None
     evals: int             # trials, one value pass each
     grad_evals: int = 0    # trials that also ran the gradient stage
     increments: int = 0    # trials whose increase came from _increment
-    point: _Eval | None = None   # the accepted point's kernel record
+    point: _Eval | None = None   # the accepted point's kernel record, gradient included
     increase: float = 0.0  # the accepted trial's increase over f0, an increment's included
 
 
@@ -248,20 +247,20 @@ def cayley_step_length(x: np.ndarray, direction: np.ndarray, alpha: float) -> fl
 
 
 def support_direction(
-    g: Hypergraph, point: _Eval, grad: np.ndarray, gnorm: float, grad_tol: float
+    g: Hypergraph, point: _Eval, gnorm: float, grad_tol: float
 ) -> tuple[np.ndarray, float] | None:
     """Tangent direction toward the face where the penalty-dominated entries
     of x are zero, and the Cayley parameter that reaches that face.
 
     Entry i is in Z when x_i grad_i <= (KAPPA - 1) (r! / ||x||_p^r)
-    (axr / P) |x_i|^p and |grad_i| > grad_tol, with P = ||x||_p^p and
-    axr = x . grad w from ``point``'s gradient stage.  With s = ||x_Z||^2 the
-    direction is d = -x_Z + (x . x_Z) x, and the Cayley point at
-    alpha* = 2 / (sqrt(1 - s) (1 + sqrt(1 - s))) is zero on Z in exact
-    arithmetic.  None when Z is empty or covers all of x, or when d misses
-    the ascent floor or the direction cap that every CG direction meets.
+    (axr / P) |x_i|^p and |grad_i| > grad_tol, with P = ||x||_p^p, all read
+    off ``point`` after its gradient stage (axr = x . grad w).  With
+    s = ||x_Z||^2 the direction is d = -x_Z + (x . x_Z) x, and the Cayley
+    point at alpha* = 2 / (sqrt(1 - s) (1 + sqrt(1 - s))) is zero on Z in
+    exact arithmetic.  None when Z is empty or covers all of x, or when d
+    misses the ascent floor or the direction cap of every CG direction.
     """
-    x = point.x
+    x, grad = point.x, point.grad
     penalty = math.factorial(g.r) / point.norm_r * point.axr / point.pnorm_p
     face = (x * grad <= (KAPPA - 1.0) * penalty * point.pow_x).nonzero()[0]
     if not face.size:  # the common case near a maximizer interior to its support
@@ -298,27 +297,26 @@ def _interpolate(lo: float, f_lo: float, d_lo: float, hi: float, f_hi: float) ->
 def line_search_wolfe(
     g: Hypergraph,
     cfg: SolverConfig,
-    x: np.ndarray,
+    point: _Eval,
     f0: float,
-    grad0: np.ndarray,
     direction: np.ndarray,
     trial: float | None = None,
-    point: _Eval | None = None,
 ) -> LineSearchResult:
     """Find alpha > 0 on the Cayley curve satisfying both Wolfe conditions:
 
         f(x(alpha)) >= f0 + c1 * alpha * grad0 . direction
         grad(x(alpha)) . direction <= c2 * grad0 . direction
 
-    Trials: ``trial`` when it is finite and positive, else
-    2 / (1 + ||direction||); then doubling until the peak of the curve
-    section is bracketed (the increase test fails, the increase drops below
-    the bracket floor, or the curve slope turns nonpositive), then
-    safeguarded quadratic interpolation inside the bracket.  The bracket
-    holds increases over f0, and the slope is
-    phi'(alpha) = -grad(x(alpha)) . x / alpha.  Every trial runs the kernel's
-    value stage; only a trial that passes the increase test also runs the
-    gradient stage (Nocedal & Wright, Alg. 3.5).
+    where x and grad0 come from ``point``, the kernel record of x after its
+    gradient stage, and f0 is the caller's value of x (below).  Trials:
+    ``trial`` when it is finite and positive, else 2 / (1 + ||direction||);
+    then doubling until the peak of the curve section is bracketed (the
+    increase test fails, the increase drops below the bracket floor, or the
+    curve slope turns nonpositive), then safeguarded quadratic interpolation
+    inside the bracket.  The bracket holds increases over f0, and the slope
+    is phi'(alpha) = -grad(x(alpha)) . x / alpha.  Every trial runs the
+    kernel's value stage; only a trial that passes the increase test also
+    runs the gradient stage (Nocedal & Wright, Alg. 3.5).
 
     The search fails, with ``ok=False`` and no point, when the direction is
     not an ascent direction, when the bracket collapses, when the next trial
@@ -330,17 +328,17 @@ def line_search_wolfe(
 
     When the increase threshold is absorbed (f0 + c1*alpha*slope == f0), the
     increase is :func:`_increment`, which does not cancel against f, and the
-    trial's value is f0 plus that increase.  It reads ``point``, the kernel
-    record of x after its gradient stage, evaluated here on first need when
-    None; the result is the same either way.  An accepted step satisfies
-    both inequalities above exactly as the floats are compared, and returns
-    its kernel record as ``point`` and its increase over f0 as ``increase``.
-    A trial whose grad . direction is not finite, as with any inf or nan
-    gradient entry, fails the increase test.
+    trial's value is f0 plus that increase, so after such a step the caller's
+    f0 is not the record's f.  No kernel pass is made at x.  An accepted step
+    satisfies both inequalities above exactly as the floats are compared,
+    and returns its kernel record as ``point`` and its increase over f0 as
+    ``increase``.  A trial whose grad . direction is not finite, as with any
+    inf or nan gradient entry, fails the increase test.
     """
-    slope0 = float(grad0.dot(direction))
+    x = point.x
+    slope0 = float(point.grad.dot(direction))
     if not slope0 > 0.0:
-        return LineSearchResult(False, 0.0, None, f0, None, 0)
+        return LineSearchResult(False, 0.0, None, f0, 0)
 
     lo, inc_lo, d_lo = 0.0, 0.0, slope0
     hi, inc_hi = math.inf, math.inf
@@ -359,9 +357,6 @@ def line_search_wolfe(
             inc_t, increase_ok = -math.inf, False
         elif f0 + required == f0:
             # sub-resolution: f_t - f0 would be rounding noise
-            if point is None:
-                point = _value(g, x, cfg.p)
-                _gradient(g, point)
             inc_t = _increment(g, point, point_t)
             increments += 1
             increase_ok = inc_t >= required
@@ -378,7 +373,7 @@ def line_search_wolfe(
                 inc_t, increase_ok = -math.inf, False
             elif curv_t <= C2 * slope0:
                 return LineSearchResult(
-                    True, trial, x_t, f_t, grad_t, evals, grad_evals, increments, point_t, inc_t
+                    True, trial, x_t, f_t, evals, grad_evals, increments, point_t, inc_t
                 )
             else:
                 slope_t = -float(grad_t.dot(x)) / trial
@@ -398,7 +393,7 @@ def line_search_wolfe(
 
         if trial == current or (math.isfinite(hi) and hi - lo <= 1e-16 * max(1.0, hi)):
             break
-    return LineSearchResult(False, 0.0, None, f0, None, evals, grad_evals, increments)
+    return LineSearchResult(False, 0.0, None, f0, evals, grad_evals, increments)
 
 
 def solve_single(
@@ -451,8 +446,9 @@ def solve_single(
         raise ValueError("starting point must be nonzero")
     x /= norm
 
-    point = _value(g, x, cfg.p)
-    f, grad = point.f, _gradient(g, point)
+    point = _value(g, x, cfg.p)   # the iterate, as its kernel record after both stages
+    _gradient(g, point)
+    f = point.f            # after a sub-resolution step, the last f plus its exact increase
     evals = grad_evals = 1
     increments = restarts = support_steps = finishes = 0
     finish = False         # the last move was to |x|, not a line search step
@@ -464,6 +460,7 @@ def solve_single(
     inc_prev = 0.0                   # and its increase as the search measured it
     k = 0
     while True:
+        x, grad = point.x, point.grad
         if not math.isfinite(f) or (k == 0 and not np.isfinite(grad).all()):
             stop = "numerical_failure"
             break
@@ -472,11 +469,11 @@ def solve_single(
             if (x < 0.0).any() and (x > 0.0).any():
                 # nonnegative finish: f(|x|) >= f(x), and |x| may not be stationary
                 final = _value(g, np.abs(x), cfg.p)
-                grad_abs = _gradient(g, final)
+                _gradient(g, final)
                 evals += 1
                 grad_evals += 1
-                if math.isfinite(final.f) and cfg.grad_tol < _norm(grad_abs) < math.inf:
-                    x, f, grad, point = final.x, final.f, grad_abs, final
+                if math.isfinite(final.f) and cfg.grad_tol < _norm(final.grad) < math.inf:
+                    point, f = final, final.f
                     step_prev = grad_diff_prev = gain_prev = final = None
                     finishes += 1
                     finish = True
@@ -489,7 +486,7 @@ def solve_single(
 
         support = None
         if gain_prev is not None and gain_prev <= SUPPORT_GAIN * abs(f):
-            support = support_direction(g, point, grad, gnorm, cfg.grad_tol)
+            support = support_direction(g, point, gnorm, cfg.grad_tol)
         step_evals = 0
         # the searches in order, each built and run only when the last failed
         for kind in ("support", "cg", "cg_default", "retry"):
@@ -519,7 +516,7 @@ def solve_single(
             else:  # restart policy: retry the iteration with plain steepest ascent
                 direction, trial = grad.copy(), None
                 restarts += 1
-            search = line_search_wolfe(g, cfg, x, f, grad, direction, trial, point=point)
+            search = line_search_wolfe(g, cfg, point, f, direction, trial)
             step_evals += search.evals
             grad_evals += search.grad_evals
             increments += search.increments
@@ -540,7 +537,7 @@ def solve_single(
                     dir_norm=_norm(direction),
                     alpha=search.alpha,
                     f_next=search.f,
-                    curv_next=float(search.grad.dot(direction)),
+                    curv_next=float(search.point.grad.dot(direction)),
                     step_norm=_norm(search.x - x),
                     step_pred=cayley_step_length(x, direction, search.alpha),
                     drift=abs(_norm(search.x) - 1.0),
@@ -552,9 +549,9 @@ def solve_single(
         finish = False
         support_steps += kind == "support"
         step_prev = search.x - x
-        grad_diff_prev = search.grad - grad
+        grad_diff_prev = search.point.grad - grad
         gain_prev, inc_prev = search.f - f, search.increase
-        x, f, grad, point = search.x, search.f, search.grad, search.point
+        point, f = search.point, search.f
         k += 1
 
     weighting = np.abs(x)

@@ -2,12 +2,13 @@
 gradient and the adjacency-tensor products.
 
 The kernel runs in two stages that share one record of the point, an
-:class:`_Eval`: the value stage :func:`_value` forms the p-norm, the prefix
-products and f, and the gradient stage :func:`_gradient` forms the suffix
-products and the gradient.  :func:`objective` runs the value stage alone and
-:func:`value_and_grad` runs both; the solver's line search runs the gradient
-stage only on trials whose value passes the sufficient-increase test.
-:func:`tensor_apply` is a view of the edge products beneath them.
+:class:`_Eval`, the solver's only handle on an iterate: the value stage
+:func:`_value` forms the p-norm, the prefix products and f, and the gradient
+stage :func:`_gradient` the suffix products and ``grad``.  :func:`objective`
+runs the value stage alone and :func:`value_and_grad` runs both; the solver's
+line search runs the gradient stage only on trials whose value passes the
+sufficient-increase test.  :func:`tensor_apply` is a view of the edge
+products beneath them.
 
 All operations are pure functions of (hypergraph, vector, p) and cost
 O(sum of edge sizes) arithmetic: on the slot-major (r, m) table ``g.slots.T``
@@ -103,8 +104,8 @@ def value_and_grad(g: Hypergraph, x: np.ndarray, p: float) -> tuple[float, np.nd
 @dataclass(slots=True)
 class _Eval:
     """The kernel tables of one point x.  :func:`_value` fills in ``prefix``;
-    :func:`_gradient` replaces it by ``suffix``.  :func:`_increment` reads the
-    prefix of a trial and the suffix of the line search's base point."""
+    :func:`_gradient` replaces it by ``suffix`` and sets ``axr`` and ``grad``.
+    :func:`_increment` reads a trial's prefix and the base point's suffix."""
 
     x: np.ndarray
     entries: np.ndarray    # (r, m) slot entries
@@ -117,6 +118,7 @@ class _Eval:
     p: float
     suffix: np.ndarray | None = None   # (r+1, m) suffix products
     axr: float | None = None           # x . grad w, set by the gradient stage
+    grad: np.ndarray | None = None     # grad f, set by the gradient stage
 
 
 def _value(g: Hypergraph, x: np.ndarray, p: float) -> _Eval:
@@ -134,13 +136,14 @@ def _value(g: Hypergraph, x: np.ndarray, p: float) -> _Eval:
 
 
 def _gradient(g: Hypergraph, point: _Eval) -> np.ndarray:
-    """Gradient stage: grad f, with the suffix products kept on ``point`` in
-    place of the prefix products it spends, and x . grad w as ``axr``."""
+    """Gradient stage: grad f, kept on ``point`` as ``grad`` with x . grad w
+    as ``axr`` and the suffix products in place of the prefix it spends."""
     point.suffix, axr1 = _weight_partials(g, point.entries, point.prefix)
     point.prefix = None
     axr = point.axr = float(point.x.dot(axr1))
     scaled = axr1 - (axr / point.pnorm_p) * np.copysign(point.abs_x ** (point.p - 1.0), point.x)
-    return (math.factorial(g.r) / point.norm_r) * scaled
+    point.grad = (math.factorial(g.r) / point.norm_r) * scaled
+    return point.grad
 
 
 def _increment(g: Hypergraph, base: _Eval, trial: _Eval) -> float:

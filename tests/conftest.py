@@ -1,6 +1,6 @@
 import numpy as np
 
-from hyperspec import Hypergraph, solver
+from hyperspec import Hypergraph, solver, tensor_ops
 
 
 def make_random_graph(rng: np.random.Generator, n: int, r: int, m: int) -> Hypergraph:
@@ -23,6 +23,14 @@ def record_starts(monkeypatch) -> list:
 
     monkeypatch.setattr(solver, "solve_single", recorded)
     return starts
+
+
+def evaluated(g: Hypergraph, x: np.ndarray, p: float) -> tensor_ops._Eval:
+    """The kernel record of x after both stages, value then gradient: the
+    base point of a line search and of an increment."""
+    point = tensor_ops._value(g, x, p)
+    tensor_ops._gradient(g, point)
+    return point
 
 
 def random_unit(rng: np.random.Generator, n: int) -> np.ndarray:

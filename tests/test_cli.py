@@ -117,7 +117,7 @@ class TestSolve:
         assert increments > 0
         assert f"increments  {increments} cancellation-free increment passes\n" in out
         restarts = sum(run.restarts for run in runs)
-        assert f"restarts    {restarts} steepest-ascent retries\n" in out
+        assert f"restarts    {restarts} second searches after a failed CG search\n" in out
         assert "support     0 support steps\n" in out
 
     def test_text_reports_support_steps(self, tmp_path, capsys):
@@ -239,6 +239,22 @@ def test_bad_input_prints_error_without_traceback(argv, status, single_edge_file
                           capture_output=True, text=True, env=env)
     assert proc.returncode == status
     assert proc.stderr.startswith(f"error: {argv[1]}: " if status == 1 else "error: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "beta-star", "--r", "3", "--m", "2"], ["solve", "{edge}", "--p", "2", "--runs", "1"]],
+    ids=["gen", "solve"],
+)
+def test_unwritable_out_prints_error_without_traceback(argv, single_edge_file, tmp_path):
+    out = str(tmp_path / "missing" / "out.txt")  # in a directory that does not exist
+    argv = [a.format(edge=single_edge_file) for a in argv] + ["--out", out]
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperspec.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "hyperspec.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: cannot write {out}: ")
     assert "Traceback" not in proc.stderr
 
 

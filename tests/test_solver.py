@@ -16,7 +16,6 @@ from hyperspec import (
     gen_loose_path,
     lagrangian_approx,
     lagrangian_schedule,
-    line_search_wolfe,
     loose_path_value,
     objective,
     random_unit_sphere,
@@ -24,10 +23,10 @@ from hyperspec import (
     solve_single,
 )
 from hyperspec import solver
-from hyperspec.solver import cayley_step_length
+from hyperspec.solver import cayley_step_length, line_search_wolfe
 from hyperspec.tensor_ops import tensor_apply, value_and_grad
 
-from conftest import make_random_graph, record_starts
+from conftest import evaluated, make_random_graph, record_starts
 
 
 def draw(n, seed):
@@ -205,39 +204,37 @@ class TestLineSearch:
     def test_wolfe_conditions_hold_on_single_edge(self):
         g = Hypergraph.from_edges(n=2, r=2, edges=[(1, 2)])
         cfg = SolverConfig(p=2.0)
-        x = np.array([0.6, 0.8])
-        f0, grad0 = value_and_grad(g, x, 2.0)
-        res = line_search_wolfe(g, cfg, x, f0, grad0, grad0.copy())
+        point = evaluated(g, np.array([0.6, 0.8]), 2.0)
+        f0, grad0 = point.f, point.grad
+        res = line_search_wolfe(g, cfg, point, f0, grad0.copy())
         assert res.ok and res.alpha > 0
         slope0 = float(grad0 @ grad0)
         assert res.f >= f0 + solver.C1 * res.alpha * slope0
-        assert float(res.grad @ grad0) <= solver.C2 * slope0
+        assert float(res.point.grad @ grad0) <= solver.C2 * slope0
         # returned iterate/gradient are consistent with the accepted point
         f_check, g_check = value_and_grad(g, res.x, 2.0)
         assert res.f == f_check
-        assert np.array_equal(res.grad, g_check)
+        assert np.array_equal(res.point.grad, g_check)
 
     def test_accepts_initial_trial_in_one_evaluation(self):
         g = gen_beta_star(3, 10)
         cfg = SolverConfig(p=3.0)
         rng = np.random.default_rng(0)
-        x = random_unit_sphere(g.n, rng)
-        f0, grad0 = value_and_grad(g, x, 3.0)
-        res = line_search_wolfe(g, cfg, x, f0, grad0, grad0.copy())
+        point = evaluated(g, random_unit_sphere(g.n, rng), 3.0)
+        res = line_search_wolfe(g, cfg, point, point.f, point.grad.copy())
         assert res.ok and res.evals == 1
 
     @staticmethod
     def _search_setup(seed):
         g = gen_beta_star(3, 10)
-        x = random_unit_sphere(g.n, np.random.default_rng(seed))
-        f0, grad0 = value_and_grad(g, x, 3.0)
-        return g, SolverConfig(p=3.0), x, f0, grad0
+        point = evaluated(g, random_unit_sphere(g.n, np.random.default_rng(seed)), 3.0)
+        return g, SolverConfig(p=3.0), point, point.f, point.grad
 
     @staticmethod
     def _same(a, b):
         return (a.ok, a.alpha, a.f, a.evals) == (b.ok, b.alpha, b.f, b.evals) and all(
             (u is None and v is None) or u.tobytes() == v.tobytes()
-            for u, v in ((a.x, b.x), (a.grad, b.grad))
+            for u, v in ((a.x, b.x), (a.point and a.point.grad, b.point and b.point.grad))
         )
 
     @staticmethod
@@ -254,37 +251,37 @@ class TestLineSearch:
 
     def test_trial_none_is_the_default(self):
         for seed in range(5):
-            g, cfg, x, f0, grad0 = self._search_setup(seed)
+            g, cfg, point, f0, grad0 = self._search_setup(seed)
             for direction in (grad0.copy(), grad0 + 0.3 * np.roll(grad0, 1)):
-                plain = line_search_wolfe(g, cfg, x, f0, grad0, direction)
-                assert self._same(plain, line_search_wolfe(g, cfg, x, f0, grad0, direction, None))
-                keyword = line_search_wolfe(g, cfg, x, f0, grad0, direction, trial=None)
+                plain = line_search_wolfe(g, cfg, point, f0, direction)
+                assert self._same(plain, line_search_wolfe(g, cfg, point, f0, direction, None))
+                keyword = line_search_wolfe(g, cfg, point, f0, direction, trial=None)
                 assert self._same(plain, keyword)
 
     def test_first_point_is_the_given_trial(self, monkeypatch):
-        g, cfg, x, f0, grad0 = self._search_setup(1)
+        g, cfg, point, f0, grad0 = self._search_setup(1)
         trials = self._record_trials(monkeypatch)
         for trial in (0.37, 1e-3, 5.0):
             trials.clear()
-            res = line_search_wolfe(g, cfg, x, f0, grad0, grad0.copy(), trial)
+            res = line_search_wolfe(g, cfg, point, f0, grad0.copy(), trial)
             assert trials[0] == trial
             assert res.evals == len(trials)
 
     @pytest.mark.parametrize("trial", [0.0, -1.0, math.nan, math.inf])
     def test_unusable_trial_falls_back_to_default(self, monkeypatch, trial):
-        g, cfg, x, f0, grad0 = self._search_setup(2)
+        g, cfg, point, f0, grad0 = self._search_setup(2)
         direction = grad0.copy()
         trials = self._record_trials(monkeypatch)
-        res = line_search_wolfe(g, cfg, x, f0, grad0, direction, trial)
+        res = line_search_wolfe(g, cfg, point, f0, direction, trial)
         assert trials[0] == 2.0 / (1.0 + float(np.linalg.norm(direction)))
-        assert self._same(res, line_search_wolfe(g, cfg, x, f0, grad0, direction))
+        assert self._same(res, line_search_wolfe(g, cfg, point, f0, direction))
 
     def test_search_ends_at_exact_fixed_point(self, monkeypatch):
         # The curve is flat past alpha = 1 while still rising with the
         # curvature test unmet at 1, so the bracket shrinks onto [1, 1 + ulp]
         # and interpolation returns 1 again: a repeat of that trial would
         # repeat its evaluation and bracket update unchanged.
-        g, cfg, x, f0, grad0 = self._search_setup(0)
+        g, cfg, point, f0, grad0 = self._search_setup(0)
         trials = []
         real = solver.cayley_step
 
@@ -293,7 +290,7 @@ class TestLineSearch:
             return real(x, direction, alpha, *curve) if alpha <= 1.0 else x.copy()
 
         monkeypatch.setattr(solver, "cayley_step", flat_past_one)
-        res = line_search_wolfe(g, cfg, x, f0, grad0, 1e-3 * grad0, trial=1.0)
+        res = line_search_wolfe(g, cfg, point, f0, 1e-3 * grad0, trial=1.0)
         assert not res.ok and res.x is None and res.f == f0
         assert trials[0] == trials[-1] == 1.0
         assert all(a != b for a, b in zip(trials, trials[1:]))
@@ -303,7 +300,8 @@ class TestLineSearch:
         # From the third trial gradient on, add eta * x_t: grad(x_t) . x_t
         # is then eta instead of 0, which swamps -grad(x_t) . x (the slope
         # the bracket reads) while grad(x_t) . (x_t - x) keeps its sign.
-        g, cfg, x, f0, grad0 = self._search_setup(4)
+        g, cfg, base, f0, grad0 = self._search_setup(4)
+        x = base.x
         direction = grad0.copy()
         slope0 = float(grad0 @ direction)
         points = []
@@ -327,7 +325,7 @@ class TestLineSearch:
 
         monkeypatch.setattr(solver, "cayley_step", step)
         monkeypatch.setattr(solver, "_gradient", noisy)
-        res = line_search_wolfe(g, cfg, x, f0, grad0, direction, trial=1e-3)
+        res = line_search_wolfe(g, cfg, base, f0, direction, trial=1e-3)
         assert not res.ok and res.x is None and res.f == f0
         first = next(i for i, met, disagree in seen if not met and disagree)
         assert first == seen[-1][0] == 2
@@ -340,12 +338,12 @@ class TestLineSearch:
         # (or nan itself) carries it into grad . direction; or where the
         # direction is positive, so that grad . direction = -inf would meet
         # the curvature test
-        g, cfg, x, f0, grad0 = self._search_setup(0)
+        g, cfg, point, f0, grad0 = self._search_setup(0)
         i = int(np.argmax(grad0))
         direction = grad0.copy()
         if not keep:
             direction[i] = 0.0
-        assert line_search_wolfe(g, cfg, x, f0, grad0, direction).ok
+        assert line_search_wolfe(g, cfg, point, f0, direction).ok
         real = solver._gradient
 
         def poisoned(g, point):
@@ -355,12 +353,13 @@ class TestLineSearch:
 
         monkeypatch.setattr(solver, "_gradient", poisoned)
         with np.errstate(invalid="ignore"):
-            res = line_search_wolfe(g, cfg, x, f0, grad0, direction)
+            res = line_search_wolfe(g, cfg, point, f0, direction)
         assert res.grad_evals > 0  # trials passed the increase test
-        assert not res.ok and res.x is None and res.grad is None and res.f == f0
+        assert not res.ok and res.x is None and res.point is None and res.f == f0
 
     def test_gradient_only_for_trials_that_pass_the_increase_test(self, monkeypatch):
-        g, cfg, x, f0, grad0 = self._search_setup(3)
+        g, cfg, point, f0, grad0 = self._search_setup(3)
+        x = point.x
         direction = grad0.copy()
         slope0 = float(grad0 @ direction)
         step = solver.cayley_step
@@ -374,7 +373,7 @@ class TestLineSearch:
 
         monkeypatch.setattr(solver, "_gradient", counted)
         # the first trial overshoots the peak of the curve section
-        res = line_search_wolfe(g, cfg, x, f0, grad0, direction, trial=50.0)
+        res = line_search_wolfe(g, cfg, point, f0, direction, trial=50.0)
         assert res.ok and res.evals == len(trials) > 1
         passed = [
             alpha for alpha in trials
@@ -385,45 +384,84 @@ class TestLineSearch:
         assert len(grads) == len(passed) == res.grad_evals
         assert grads[-1] is res.x and res.point.x is res.x
 
-    def test_carried_record_changes_nothing(self, monkeypatch):
-        # near the maximizer every increase is below f's float64 spacing, so
-        # the search takes the increment path, which reads x's record
+    def test_sub_resolution_search_makes_no_pass_at_its_base(self, monkeypatch):
+        # near the maximizer every trial's increase is below f's float64
+        # spacing and is read off the base record by _increment: the kernel
+        # passes are the trials' own, and none evaluates the base point again
         g = gen_beta_star(3, 10)
         cfg = SolverConfig(p=3.0)
-        increments = []
-        real = solver._increment
+        base = evaluated(g, solve_single(g, cfg, draw(g.n, 0)).weighting, 3.0)
+        values, grads = [], []
+        real_value, real_gradient = solver._value, solver._gradient
+
+        def value(g, x, p):
+            values.append(x)
+            return real_value(g, x, p)
+
+        def gradient(g, point):
+            grads.append(point)
+            grad = real_gradient(g, point)
+            assert grad is point.grad
+            return grad
+
+        monkeypatch.setattr(solver, "_value", value)
+        monkeypatch.setattr(solver, "_gradient", gradient)
+        for direction in (base.grad.copy(), base.grad + 0.3 * np.roll(base.grad, 1)):
+            values.clear()
+            grads.clear()
+            res = line_search_wolfe(g, cfg, base, base.f, direction)
+            assert res.increments == res.evals == len(values) > 0
+            assert res.grad_evals == len(grads) > 0
+            assert all(x is not base.x for x in values)
+            assert all(point is not base for point in grads)
+
+    def test_carried_record_changes_nothing(self, monkeypatch):
+        # beta-star(3,10) from start 0 ends below f's float64 resolution, so
+        # its searches take the increment path, which reads the base record.
+        # Each search from the record the solver carried is repeated from a
+        # record built afresh at the same x, with the same f0, direction and
+        # trial
+        g = gen_beta_star(3, 10)
+        cfg = SolverConfig(p=3.0)
+        calls, bases = [], []
+        real_search, real_increment = solver.line_search_wolfe, solver._increment
+
+        def search(*args):
+            calls.append(args)
+            return real_search(*args)
 
         def counted(g, base, trial):
-            increments.append(base)
-            return real(g, base, trial)
+            bases.append(base)
+            return real_increment(g, base, trial)
 
+        monkeypatch.setattr(solver, "line_search_wolfe", search)
         monkeypatch.setattr(solver, "_increment", counted)
-        for seed in range(4):
-            x0 = random_unit_sphere(g.n, np.random.default_rng(seed))
-            x = solve_single(g, cfg, x0).weighting
-            f0, grad0 = value_and_grad(g, x, 3.0)
-            for direction in (grad0.copy(), grad0 + 0.3 * np.roll(grad0, 1)):
-                point = solver._value(g, x, 3.0)
-                solver._gradient(g, point)
-                increments.clear()
-                carried = line_search_wolfe(g, cfg, x, f0, grad0, direction, point=point)
-                assert increments and all(base is point for base in increments)
-                increments.clear()
-                fresh = line_search_wolfe(g, cfg, x, f0, grad0, direction)
-                assert increments and all(base is not point for base in increments)
-                assert self._same(carried, fresh)
-                assert carried.grad_evals == fresh.grad_evals
-                if carried.ok:
-                    assert carried.point.entries.tobytes() == fresh.point.entries.tobytes()
-                    assert carried.point.suffix.tobytes() == fresh.point.suffix.tobytes()
+        solve_single(g, cfg, draw(g.n, 0))
+        assert len(calls) > 1
+        read = 0
+        for _, _, carried, f0, direction, trial in calls[1:]:  # calls[0] is from the start
+            fresh = evaluated(g, carried.x, cfg.p)
+            bases.clear()
+            a = real_search(g, cfg, carried, f0, direction, trial)
+            assert all(base is carried for base in bases)
+            read += len(bases)
+            bases.clear()
+            b = real_search(g, cfg, fresh, f0, direction, trial)
+            assert all(base is fresh for base in bases)
+            assert self._same(a, b)
+            counts = [(res.grad_evals, res.increments, res.increase) for res in (a, b)]
+            assert counts[0] == counts[1]
+            if a.ok:
+                assert a.point.entries.tobytes() == b.point.entries.tobytes()
+                assert a.point.suffix.tobytes() == b.point.suffix.tobytes()
+        assert read > 0
 
     def test_rejects_non_ascent_direction(self):
         g = gen_complete(4, 3)
         cfg = SolverConfig(p=2.0)
         x = np.array([0.9, 0.3, 0.3, 0.1])
-        x /= np.linalg.norm(x)
-        f0, grad0 = value_and_grad(g, x, 2.0)
-        res = line_search_wolfe(g, cfg, x, f0, grad0, -grad0)
+        point = evaluated(g, x / np.linalg.norm(x), 2.0)
+        res = line_search_wolfe(g, cfg, point, point.f, -point.grad)
         assert not res.ok
 
 
@@ -497,7 +535,7 @@ class TestSolveSingle:
     def test_x_after_finish_and_failed_search_is_abs_x(self, monkeypatch):
         g = gen_complete(4, 3)
         x0 = self.MIXED_CRITICAL
-        failed = solver.LineSearchResult(False, 0.0, None, 0.0, None, 1)
+        failed = solver.LineSearchResult(False, 0.0, None, 0.0, 1)
         monkeypatch.setattr(solver, "line_search_wolfe", lambda *args, **kwargs: failed)
         res = solve_single(g, SolverConfig(p=2.0), x0)
         assert (res.stop_reason, res.iterations, res.finishes) == ("line_search_failure", 0, 1)
@@ -588,12 +626,12 @@ class TestSolveSingle:
             supports.append(real_support(*args))
             return supports[-1]
 
-        def search(g, cfg, x, f0, grad0, direction, trial=None, **kwargs):
+        def search(g, cfg, point, f0, direction, trial=None):
             along_face = supports[-1] is not None and direction is supports[-1][0]
             default = 2.0 / (1.0 + float(np.linalg.norm(direction)))
-            slope = float(direction.dot(grad0))
-            searches.append([trial, None, default, None, along_face, x, direction, slope])
-            res = real_search(g, cfg, x, f0, grad0, direction, trial, **kwargs)
+            slope = float(direction.dot(point.grad))
+            searches.append([trial, None, default, None, along_face, point.x, direction, slope])
+            res = real_search(g, cfg, point, f0, direction, trial)
             searches[-1][3] = res
             return res
 
@@ -675,17 +713,17 @@ class TestSolveSingle:
         real_search = solver.line_search_wolfe
         faces, searches = {}, []
 
-        def support(g, point, grad, gnorm, grad_tol):
-            face = grad.copy()
+        def support(g, point, gnorm, grad_tol):
+            face = point.grad.copy()
             faces[id(face)] = face
             return face, 1.0
 
-        def search(g, cfg, x, f0, grad0, direction, trial=None, **kwargs):
+        def search(g, cfg, point, f0, direction, trial=None):
             if id(direction) in faces:
-                res = solver.LineSearchResult(False, 0.0, None, f0, None, 2)
+                res = solver.LineSearchResult(False, 0.0, None, f0, 2)
             else:
-                res = real_search(g, cfg, x, f0, grad0, direction, trial, **kwargs)
-            searches.append((x, grad0, direction, trial, res))
+                res = real_search(g, cfg, point, f0, direction, trial)
+            searches.append((point.x, point.grad, direction, trial, res))
             return res
 
         monkeypatch.setattr(solver, "support_direction", support)
@@ -718,11 +756,11 @@ class TestSolveSingle:
         real_search = solver.line_search_wolfe
         searches = []
 
-        def search(g, cfg, x, f0, grad0, direction, trial=None, **kwargs):
-            searches.append((x, f0, grad0, direction, trial))
+        def search(g, cfg, point, f0, direction, trial=None):
+            searches.append((point.x, f0, point.grad, direction, trial))
             if len(searches) >= 6:  # failed searches along grad end the run
-                return solver.LineSearchResult(False, 0.0, None, f0, None, 1)
-            return real_search(g, cfg, x, f0, grad0, direction, trial, **kwargs)
+                return solver.LineSearchResult(False, 0.0, None, f0, 1)
+            return real_search(g, cfg, point, f0, direction, trial)
 
         # an ascent direction, but a quarter of grad . grad is under the floor
         monkeypatch.setattr(solver, "cg_direction", lambda grad, step, diff: 0.25 * grad)
@@ -748,10 +786,10 @@ class TestSolveSingle:
         accepted = []
         real_search = solver.line_search_wolfe
 
-        def search(g, cfg, x, f0, grad0, direction, *args, **kwargs):
-            res = real_search(g, cfg, x, f0, grad0, direction, *args, **kwargs)
+        def search(g, cfg, point, f0, direction, *args):
+            res = real_search(g, cfg, point, f0, direction, *args)
             if res.ok:
-                accepted.append(float(grad0.dot(direction)))
+                accepted.append(float(point.grad.dot(direction)))
             return res
 
         monkeypatch.setattr(solver, "line_search_wolfe", search)
@@ -776,9 +814,10 @@ class TestSolveSingle:
             faces.append(None if found is None else found[0])
             return found
 
-        def search(g, cfg, x, f0, grad0, direction, trial=None, **kwargs):
-            res = real_search(g, cfg, x, f0, grad0, direction, trial, **kwargs)
-            searches.append((x, f0, grad0, direction, trial, res, direction is faces[-1]))
+        def search(g, cfg, point, f0, direction, trial=None):
+            res = real_search(g, cfg, point, f0, direction, trial)
+            along_face = direction is faces[-1]
+            searches.append((point.x, f0, point.grad, direction, trial, res, along_face))
             return res
 
         monkeypatch.setattr(solver, "support_direction", support)
@@ -812,9 +851,9 @@ class TestSolveSingle:
         # it fails, no second search would differ from it
         trials = []
 
-        def search(g, cfg, x, f0, grad0, direction, trial=None, **kwargs):
+        def search(g, cfg, point, f0, direction, trial=None):
             trials.append(trial)
-            return solver.LineSearchResult(False, 0.0, None, f0, None, 1)
+            return solver.LineSearchResult(False, 0.0, None, f0, 1)
 
         monkeypatch.setattr(solver, "line_search_wolfe", search)
         g = gen_beta_star(3, 10)
@@ -895,9 +934,9 @@ class TestSolveSingle:
         searches, runs = [], []
         real_search, real_single = solver.line_search_wolfe, solver.solve_single
 
-        def search(g, cfg, x, *args, **kwargs):
-            res = real_search(g, cfg, x, *args, **kwargs)
-            searches.append((len(runs), x, res.ok, res.evals))
+        def search(g, cfg, point, *args):
+            res = real_search(g, cfg, point, *args)
+            searches.append((len(runs), point.x, res.ok, res.evals))
             return res
 
         def single(*args, **kwargs):
@@ -986,8 +1025,8 @@ class TestSolveSingle:
         events = []
         real_search, real_support = solver.line_search_wolfe, solver.support_direction
 
-        def search(g, cfg, x, f0, *args, **kwargs):
-            res = real_search(g, cfg, x, f0, *args, **kwargs)
+        def search(g, cfg, point, f0, *args):
+            res = real_search(g, cfg, point, f0, *args)
             events.append(("search", res, f0))
             return res
 

@@ -10,14 +10,14 @@ from hyperspec import (
     SolverConfig,
     gen_beta_star,
     gen_complete,
-    line_search_wolfe,
     objective,
     random_unit_sphere,
     tensor_apply,
 )
+from hyperspec.solver import line_search_wolfe
 from hyperspec.tensor_ops import _gradient, _increment, _value, value_and_grad
 
-from conftest import make_random_graph, random_unit
+from conftest import evaluated, make_random_graph, random_unit
 
 
 def weight_poly(g, x):
@@ -50,13 +50,6 @@ def reference_value_and_grad(g, x, p, magnitudes=False):
     power = np.abs(x) ** (p - 1.0) * (1.0 if magnitudes else np.sign(x))
     sign = 1.0 if magnitudes else -1.0
     return scale * w, scale * (dw + sign * (g.r * w / norm_p) * power)
-
-
-def evaluated(g, x, p):
-    """The kernel record of x after both stages, as an increment base."""
-    point = _value(g, x, p)
-    _gradient(g, point)
-    return point
 
 
 def random_multiset_graph(rng, r, n, m):
@@ -247,9 +240,10 @@ class TestAgainstReference:
         x[4] = 0.0
         f, grad = value_and_grad(g, x, 2.5)
         point = _value(g, x, 2.5)
-        assert point.suffix is None
+        assert point.suffix is None and point.grad is None
         assert point.f == f == objective(g, x, 2.5)
-        assert _gradient(g, point).tobytes() == grad.tobytes()
+        assert _gradient(g, point) is point.grad
+        assert point.grad.tobytes() == grad.tobytes()
         assert point.prefix is None and point.suffix.shape == (r + 1, g.m)
 
 
@@ -326,19 +320,27 @@ class TestIncrement:
     def test_carried_record_equals_fresh_evaluation(self, seed):
         # the record a line search returns with its accepted point was built
         # as a trial, value stage first; as the next search's base it must
-        # give the increment of a fresh evaluation of that point
-        g = gen_beta_star(3, 10)
-        x = random_unit_sphere(g.n, np.random.default_rng(seed))
-        f0, grad0 = value_and_grad(g, x, 3.0)
-        res = line_search_wolfe(g, SolverConfig(p=3.0), x, f0, grad0, grad0.copy())
-        assert res.ok and res.point.x is res.x
+        # give the increments and the search of a fresh evaluation of that point
+        g, cfg = gen_beta_star(3, 10), SolverConfig(p=3.0)
+        start = evaluated(g, random_unit_sphere(g.n, np.random.default_rng(seed)), 3.0)
+        res = line_search_wolfe(g, cfg, start, start.f, start.grad.copy())
+        carried = res.point
+        assert res.ok and carried.x is res.x
         fresh = evaluated(g, res.x, 3.0)
-        assert res.point.suffix.tobytes() == fresh.suffix.tobytes()
+        for name in ("entries", "suffix", "grad"):
+            assert getattr(carried, name).tobytes() == getattr(fresh, name).tobytes()
+        assert (carried.f, carried.axr) == (fresh.f, fresh.axr)
         rng = np.random.default_rng(seed)
         for scale in (1e-3, 1e-9, 1e-15):
             y = res.x + scale * rng.standard_normal(g.n)
             trial = _value(g, y, 3.0)
-            assert _increment(g, res.point, trial) == _increment(g, fresh, trial)
+            assert _increment(g, carried, trial) == _increment(g, fresh, trial)
+        direction = carried.grad + 0.3 * np.roll(carried.grad, 1)
+        a = line_search_wolfe(g, cfg, carried, res.f, direction)
+        b = line_search_wolfe(g, cfg, fresh, res.f, direction)
+        assert a.ok and (a.alpha, a.f, a.evals) == (b.alpha, b.f, b.evals)
+        assert a.grad_evals == b.grad_evals and a.x.tobytes() == b.x.tobytes()
+        assert a.point.grad.tobytes() == b.point.grad.tobytes()
 
 
 # --- property tests -----------------------------------------------------------
