@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -48,6 +49,19 @@ def _load_graph(path: str) -> Hypergraph:
     except (ParseError, UnicodeDecodeError) as exc:
         raise SystemExit(f"error: {path}: {exc}")
     return g
+
+
+def _check_out(out: str | None) -> None:
+    """Exit as :func:`_emit` would if ``out`` cannot be written, before any
+    solve; an existing file is not truncated and a missing one not created."""
+    parent = os.path.dirname(out or "") or "."
+    try:
+        if out and (os.path.exists(out) or not os.path.isdir(parent)):
+            os.close(os.open(out, os.O_WRONLY))  # fails as open(out, "w") would
+        elif out and not os.access(parent, os.W_OK | os.X_OK):
+            raise PermissionError(f"directory {parent} is not writable")
+    except OSError as exc:
+        raise SystemExit(f"error: cannot write {out}: {exc}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -232,14 +246,9 @@ def _selftest_gradient_fd(seed: int, report: list) -> None:
         x = rng.uniform(0.2, 1.0, size=n) * rng.choice([-1.0, 1.0], size=n)
         x /= np.linalg.norm(x)
         _, grad = value_and_grad(g, x, p)
-        fd = np.zeros(n)
-        h = 1e-6
-        for i in range(n):
-            xp = x.copy()
-            xp[i] += h
-            xm = x.copy()
-            xm[i] -= h
-            fd[i] = (objective(g, xp, p) - objective(g, xm, p)) / (2 * h)
+        h = 1e-6  # central differences along each unit vector
+        fd = np.array([(objective(g, x + e, p) - objective(g, x - e, p)) / (2 * h)
+                       for e in h * np.eye(n)])
         worst = max(worst, float(np.linalg.norm(grad - fd) / np.linalg.norm(grad)))
     report.append(("gradient-fd 100 probes", worst, 1e-6, None))
 
@@ -354,6 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    _check_out(getattr(args, "out", None))  # before a long solve, not after it
     try:
         return args.func(args)
     except ValueError as exc:  # an invalid flag value, e.g. --p 1 or --top 0

@@ -8,7 +8,6 @@ Edges are multisets: a vertex may appear several times inside one edge.
 
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass
 from typing import TextIO
@@ -251,7 +250,7 @@ def _read_table(body: str, r: int) -> tuple[np.ndarray, np.ndarray] | None:
         with warnings.catch_warnings():
             # numpy before 2.0 reads an id such as "1.0" through float, with a warning
             warnings.simplefilter("error")
-            table = np.loadtxt(io.StringIO(body), dtype=fields, comments=None, ndmin=1)
+            table = np.loadtxt(body.split("\n"), dtype=fields, comments=None, ndmin=1)
     except (ValueError, OverflowError, Warning):
         return None
     return table["ids"], (table["w"] if width > r else np.ones(len(table)))

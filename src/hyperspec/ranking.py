@@ -22,7 +22,7 @@ class RankingReport:
 
 def ranked_order(impact: np.ndarray) -> np.ndarray:
     """0-based indices sorted by descending impact, ties by ascending index."""
-    return np.lexsort((np.arange(len(impact)), -np.asarray(impact)))
+    return np.argsort(-np.asarray(impact), kind="stable")
 
 
 def rank_vertices(g: Hypergraph, cfg: SolverConfig, top_k: int | None = None) -> RankingReport:
@@ -38,8 +38,6 @@ def rank_vertices(g: Hypergraph, cfg: SolverConfig, top_k: int | None = None) ->
         raise ValueError(f"top_k must be in [1, {g.n}], got {top_k}")
     res = solve_multistart(g, cfg, orthant=True)
     impact = res.best.weighting
-    order = ranked_order(impact)
-    if top_k is not None:
-        order = order[:top_k]
+    order = ranked_order(impact)[:top_k]
     entries = tuple(zip((order + 1).tolist(), impact[order].tolist()))
     return RankingReport(entries=entries, p=cfg.p, lam=res.best.lam, runs=cfg.runs)

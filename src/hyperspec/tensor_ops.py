@@ -3,20 +3,19 @@ gradient and the adjacency-tensor products.
 
 The kernel runs in two stages that share one record of the point, an
 :class:`_Eval`, the solver's only handle on an iterate: the value stage
-:func:`_value` forms the p-norm, the prefix products and f, and the gradient
-stage :func:`_gradient` the suffix products and ``grad``.  :func:`objective`
-runs the value stage alone and :func:`value_and_grad` runs both; the solver's
-line search runs the gradient stage only on trials whose value passes the
-sufficient-increase test.  :func:`tensor_apply` is a view of the edge
-products beneath them.
+:func:`_value` forms the p-norm, the prefix products, w and f, and the
+gradient stage :func:`_gradient` the suffix products and ``grad``.
+:func:`objective` runs the value stage alone and :func:`value_and_grad` both;
+the line search runs the gradient stage only on trials that pass the
+sufficient-increase test.  :func:`tensor_apply` views the edge products.
 
-All operations are pure functions of (hypergraph, vector, p) and cost
-O(sum of edge sizes) arithmetic: on the slot-major (r, m) table ``g.slots.T``
-the partial products of the other slot entries come from prefix and suffix
-products built one slot row at a time, so no division by possibly-zero
-entries ever occurs and no order-r tensor is materialized.  Accumulation
-order is fixed (slot, then edge order, then numpy's pairwise summation), so
-repeated evaluations are bit-identical.
+All operations cost O(sum of edge sizes): on the slot-major (r, m) table
+``g.slots.T`` the partials come from prefix products, seeded with the edge
+weights, and suffix products, built one slot row at a time, so no division
+by a possibly-zero entry occurs and no order-r tensor is formed.  The
+summation order is fixed, so repeated evaluations are bit-identical.  The
+gradient's x . dw is the one BLAS dot, so f and the increment do not depend
+on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -38,12 +37,12 @@ def _check_vector(g: Hypergraph, x: np.ndarray) -> np.ndarray:
 
 def _prefix_table(g: Hypergraph, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(entries, prefix): the (r, m) slot entries of x, row j holding slot j,
-    and the (r+1, m) prefix products, prefix[j, e] = product of the first j
-    slot entries of edge e."""
+    and the (r+1, m) weighted prefix products, prefix[j, e] = s(e) times the
+    product of the first j slot entries of edge e."""
     entries = x[g.slots.T]
     prefix = np.empty((g.r + 1, entries.shape[1]))
-    prefix[0], prefix[1] = 1.0, entries[0]
-    for j in range(1, g.r):
+    prefix[0] = g.weights
+    for j in range(g.r):
         np.multiply(prefix[j], entries[j], out=prefix[j + 1])
     return entries, prefix
 
@@ -51,29 +50,20 @@ def _prefix_table(g: Hypergraph, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def _weight_partials(
     g: Hypergraph, entries: np.ndarray, prefix: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(suffix, dw): the (r+1, m) suffix products of the slot entries and the
-    gradient dw_i = dw/dx_i of the weight polynomial.  The edge partials are
-    formed in ``prefix``, which is spent afterwards.
+    """(suffix, dw): the (r-1, m) products of the slot entries after slot j
+    and the gradient dw_i = dw/dx_i of the weight polynomial.  The weighted
+    edge partials are formed in ``prefix``, which is spent afterwards.
 
     For an edge with repeated vertices the slot-wise sum automatically yields
     the multiplicity factor of the partial derivative.
     """
-    suffix = _suffix_products(entries)
-    partials = prefix[:-1]
-    partials *= suffix[1:]
-    partials *= g.weights
-    dw = np.bincount(g.slots.T.ravel(), weights=partials.ravel(), minlength=g.n)
+    suffix = np.empty((g.r - 1, entries.shape[1]))
+    suffix[-1] = entries[-1]
+    for j in range(g.r - 3, -1, -1):
+        np.multiply(entries[j + 1], suffix[j + 1], out=suffix[j])
+    prefix[:-2] *= suffix   # row r-1 already is the last slot's partial
+    dw = np.bincount(g.slots.T.ravel(), weights=prefix[:-1].ravel(), minlength=g.n)
     return suffix, dw
-
-
-def _suffix_products(entries: np.ndarray) -> np.ndarray:
-    """(r+1, m) suffix products of the (r, m) slot entries: row j = slots j..r-1."""
-    r, m = entries.shape
-    suffix = np.empty((r + 1, m))
-    suffix[r], suffix[r - 1] = 1.0, entries[r - 1]
-    for j in range(r - 2, -1, -1):
-        np.multiply(entries[j], suffix[j + 1], out=suffix[j])
-    return suffix
 
 
 def tensor_apply(g: Hypergraph, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -86,8 +76,7 @@ def tensor_apply(g: Hypergraph, x: np.ndarray) -> tuple[float, np.ndarray]:
     """
     x = _check_vector(g, x)
     _, axr1 = _weight_partials(g, *_prefix_table(g, x))
-    axr = float(x.dot(axr1))
-    return axr, axr1
+    return float(x.dot(axr1)), axr1
 
 
 def objective(g: Hypergraph, x: np.ndarray, p: float) -> float:
@@ -103,20 +92,21 @@ def value_and_grad(g: Hypergraph, x: np.ndarray, p: float) -> tuple[float, np.nd
 
 @dataclass(slots=True)
 class _Eval:
-    """The kernel tables of one point x.  :func:`_value` fills in ``prefix``;
-    :func:`_gradient` replaces it by ``suffix`` and sets ``axr`` and ``grad``.
-    :func:`_increment` reads a trial's prefix and the base point's suffix."""
+    """The kernel tables of one point x, (2r-1)*m floats once complete:
+    :func:`_value` fills in ``prefix`` and ``w``, :func:`_gradient` trades the
+    prefix for ``suffix`` and sets ``axr`` and ``grad``."""
 
     x: np.ndarray
     entries: np.ndarray    # (r, m) slot entries
-    prefix: np.ndarray | None   # (r+1, m) prefix products of the slot entries
+    prefix: np.ndarray | None   # (r+1, m) prefix products, row 0 the edge weights
     abs_x: np.ndarray
     pow_x: np.ndarray      # |x|^p
     pnorm_p: float         # sum of |x|^p
     norm_r: float          # ||x||_p^r
+    w: float               # the weight polynomial w(G, x)
     f: float
     p: float
-    suffix: np.ndarray | None = None   # (r+1, m) suffix products
+    suffix: np.ndarray | None = None   # (r-1, m) products of the slots after slot j
     axr: float | None = None           # x . grad w, set by the gradient stage
     grad: np.ndarray | None = None     # grad f, set by the gradient stage
 
@@ -131,8 +121,9 @@ def _value(g: Hypergraph, x: np.ndarray, p: float) -> _Eval:
         raise ValueError("objective is undefined at the zero vector")
     norm_r = (pnorm_p ** (1.0 / p)) ** g.r
     entries, prefix = _prefix_table(g, x)
-    f = math.factorial(g.r) * float(g.weights.dot(prefix[g.r])) / norm_r
-    return _Eval(x, entries, prefix, abs_x, pow_x, pnorm_p, norm_r, f, p)
+    w = float(np.add.reduce(prefix[g.r]))
+    f = math.factorial(g.r) * w / norm_r
+    return _Eval(x, entries, prefix, abs_x, pow_x, pnorm_p, norm_r, w, f, p)
 
 
 def _gradient(g: Hypergraph, point: _Eval) -> np.ndarray:
@@ -156,8 +147,8 @@ def _increment(g: Hypergraph, base: _Eval, trial: _Eval) -> float:
 
     * w(y) - w(x) telescopes edge by edge,
       prod(a) - prod(b) = sum_j a_1..a_{j-1} (a_j - b_j) b_{j+1}..b_r,
-      from the prefix products of y (``trial`` before its gradient stage)
-      and the suffix products of x (``base`` after it);
+      from the weighted prefix products of y (``trial`` before its gradient
+      stage) and the suffix products of x (``base`` after it);
     * |a|^p - |b|^p = |b|^p * expm1(p * log1p((|a| - |b|) / |b|));
     * with P = ||.||_p^p, the ratio of the normalizers
       (P(y) / P(x))^(r/p) = 1 + q, q = expm1((r/p) * log1p(dP / P(x))).
@@ -168,8 +159,8 @@ def _increment(g: Hypergraph, base: _Eval, trial: _Eval) -> float:
     p, r = base.p, g.r
     terms = trial.entries - base.entries       # (r, m) slot steps
     terms *= trial.prefix[:-1]
-    terms *= base.suffix[1:]
-    dw = float(g.weights.dot(np.add.reduce(terms)))
+    terms[:-1] *= base.suffix
+    dw = float(np.add.reduce(np.add.reduce(terms)))
 
     abs_x, abs_y = base.abs_x, trial.abs_x
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -183,5 +174,4 @@ def _increment(g: Hypergraph, base: _Eval, trial: _Eval) -> float:
 
     q = math.expm1((r / p) * math.log1p(dpnorm_p / base.pnorm_p))
     norm_y = (base.pnorm_p + dpnorm_p) ** (r / p)
-    w_x = float(g.weights.dot(base.suffix[0]))
-    return math.factorial(r) / norm_y * (dw - w_x * q)
+    return math.factorial(r) / norm_y * (dw - base.w * q)

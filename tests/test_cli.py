@@ -258,6 +258,37 @@ def test_unwritable_out_prints_error_without_traceback(argv, single_edge_file, t
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "is-dir"])
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "{edge}", "--p", "2"], ["rank", "{edge}", "--p", "2"], ["lagrangian", "{edge}"]],
+    ids=["solve", "rank", "lagrangian"],
+)
+def test_unwritable_out_exits_before_solving(argv, where, single_edge_file, tmp_path,
+                                             monkeypatch):
+    def never(*args, **kwargs):
+        pytest.fail("the solver ran although --out cannot be written")
+
+    for name in ("solve_multistart", "rank_vertices", "lagrangian_approx"):
+        monkeypatch.setattr(cli, name, never)
+    out = str(tmp_path / "missing" / "out.txt") if where == "missing-dir" else str(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(edge=single_edge_file) for a in argv] + ["--out", out])
+    assert str(exc.value.code).startswith(f"error: cannot write {out}: ")
+
+
+def test_out_file_is_kept_when_the_solve_fails(single_edge_file, tmp_path, monkeypatch):
+    def fails(*args, **kwargs):
+        raise SolverError("all 3 runs failed numerically")
+
+    monkeypatch.setattr(cli, "solve_multistart", fails)
+    kept, fresh = tmp_path / "kept.txt", tmp_path / "fresh.txt"
+    kept.write_text("earlier output\n")
+    for out in (kept, fresh):
+        assert main(["solve", single_edge_file, "--p", "2", "--out", str(out)]) == 1
+    assert kept.read_text() == "earlier output\n" and not fresh.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [["solve", "{edge}", "--p", "2"], ["rank", "{edge}", "--p", "2"], ["lagrangian", "{edge}"]],

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperspec
 from hyperspec import (
     Hypergraph,
     SolverConfig,
@@ -244,7 +249,36 @@ class TestAgainstReference:
         assert point.f == f == objective(g, x, 2.5)
         assert _gradient(g, point) is point.grad
         assert point.grad.tobytes() == grad.tobytes()
-        assert point.prefix is None and point.suffix.shape == (r + 1, g.m)
+        assert point.prefix is None and point.suffix.shape == (r - 1, g.m)
+
+
+BLAS_PROBE = """
+import numpy as np
+from hyperspec import Hypergraph
+from hyperspec.tensor_ops import _gradient, _increment, _value, objective
+rng = np.random.default_rng(5)
+n, m = 4000, 20000
+g = Hypergraph.from_edges(n=n, r=3, edges=rng.integers(1, n + 1, size=(m, 3)),
+                          weights=rng.uniform(0.5, 2.0, size=m))
+assert g.m > 10000  # long enough for a threaded BLAS dot
+x = rng.uniform(0.1, 1.0, size=n)
+y = x + 1e-9 * rng.standard_normal(n)
+base = _value(g, x, 2.5)
+_gradient(g, base)
+print(objective(g, x, 2.5).hex(), _increment(g, base, _value(g, y, 2.5)).hex())
+"""
+
+
+def test_value_and_increment_ignore_blas_threads():
+    # the gradient's x . dw is a BLAS dot and is left out
+    src = str(Path(hyperspec.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], capture_output=True,
+                              text=True, env=env, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 class TestIncrement:
