@@ -13,7 +13,6 @@ from .families import (
 from .hypergraph import (
     Hypergraph,
     ParseError,
-    degree,
     parse_edge_list,
     serialize_edge_list,
     validate,
@@ -33,7 +32,7 @@ from .solver import (
     solve_multistart,
     solve_single,
 )
-from .tensor_ops import objective, tensor_apply, value_and_grad
+from .tensor_ops import objective, value_and_grad
 
 __version__ = "0.1.0"
 
@@ -52,7 +51,6 @@ __all__ = [
     "cayley_step",
     "cg_direction",
     "complete_lagrangian",
-    "degree",
     "gen_beta_star",
     "gen_complete",
     "gen_loose_path",
@@ -66,7 +64,6 @@ __all__ = [
     "serialize_edge_list",
     "solve_multistart",
     "solve_single",
-    "tensor_apply",
     "validate",
     "value_and_grad",
 ]

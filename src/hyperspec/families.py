@@ -105,6 +105,9 @@ def complete_lagrangian(n: int, r: int) -> ClosedForm:
 
 # --- independent brute-force estimator ---------------------------------------
 
+BRUTE_GRAD_TOL = 1e-6
+BRUTE_MAX_SWEEPS = 4000
+
 
 def _naive_weight_and_grad(g: Hypergraph, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weight polynomial and its gradient at each row of ``points``, naively.
@@ -138,20 +141,15 @@ def _naive_value_and_grad(
 
 
 def brute_force_radius(
-    g: Hypergraph,
-    p: float,
-    budget: int = 2000,
-    seed: int = 0,
-    grad_tol: float = 1e-6,
-    max_sweeps: int = 4000,
-    return_vector: bool = False,
+    g: Hypergraph, p: float, budget: int = 2000, seed: int = 0, return_vector: bool = False
 ):
     """Dense multistart estimate of the p-spectral radius for tiny instances.
 
     ``budget`` random unit starts are refined simultaneously by normalized
     gradient steps with per-start backtracking until the gradient norm drops
-    below ``grad_tol``; the largest objective value seen wins.  Enforced to
-    n <= 8 so the search stays exhaustive in practice.
+    below BRUTE_GRAD_TOL, for at most BRUTE_MAX_SWEEPS sweeps; the largest
+    objective value seen wins.  Enforced to n <= 8 so the search stays
+    exhaustive in practice.
     """
     if g.n > 8:
         raise ValueError(f"brute force is restricted to n <= 8, got n={g.n}")
@@ -165,9 +163,9 @@ def brute_force_radius(
     f, grad = _naive_value_and_grad(g, pts, p)
     step = np.full(budget, 0.25)
     active = np.ones(budget, dtype=bool)
-    for _ in range(max_sweeps):
+    for _ in range(BRUTE_MAX_SWEEPS):
         gnorm = np.linalg.norm(grad, axis=1)
-        active &= gnorm > grad_tol
+        active &= gnorm > BRUTE_GRAD_TOL
         active &= step > 1e-14
         if not active.any():
             break

@@ -2,7 +2,7 @@
 
 A hypergraph is two arrays: an (m, r) table of 0-based vertex slots, one row
 per edge, and the (m,) edge weights.  Vertices are numbered 1..n in the
-public API (``from_edges``, ``degree``) and in the edge-list file format.
+public API (``from_edges``) and in the edge-list file format.
 Edges are multisets: a vertex may appear several times inside one edge.
 """
 
@@ -57,7 +57,14 @@ class Hypergraph:
     def from_edges(cls, n: int, r: int, edges, weights=None) -> "Hypergraph":
         """Build a canonical hypergraph from an (m, r) array-like of 1-based
         vertex ids and optional (m,) weights (default 1.0 each), merging
-        duplicate edges by weight sum."""
+        duplicate edges by weight sum.  n, r and float ids must be integral."""
+        if not (float(n).is_integer() and float(r).is_integer()):
+            raise ValueError(f"n and r must be integers, got n={n!r} r={r!r}")
+        edges = np.asarray(edges)
+        if edges.dtype.kind == "f":  # an int64 cast would truncate silently
+            bad = ~(np.isfinite(edges) & (edges == np.trunc(edges)))
+            if bad.any():
+                raise ValueError(f"edge {np.argwhere(bad)[0, 0]}: vertex id not an integer")
         slots, merged, _ = _merge(edges, r, weights)
         g = cls(n=int(n), r=int(r), slots=slots, weights=merged)
         if problems := validate(g):
@@ -146,13 +153,6 @@ def validate(g: Hypergraph) -> list[str]:
             more = f" (and {count - 1} more)" if count > 1 else ""
             problems.append(f"edge {int(np.argmax(bad))}: {what}{more}")
     return problems
-
-
-def degree(g: Hypergraph, vertex: int) -> float:
-    """Sum of weights of edges containing ``vertex`` (once per edge, even for repeats)."""
-    if not 1 <= vertex <= g.n:
-        raise ValueError(f"vertex {vertex} out of range [1, {g.n}]")
-    return float(g.weights[(g.slots == vertex - 1).any(axis=1)].sum())
 
 
 def parse_edge_list(source: str | TextIO) -> Hypergraph:

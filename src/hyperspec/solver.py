@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hypergraph import Hypergraph
-from .tensor_ops import _Eval, _gradient, _increment, _value, objective
+from .tensor_ops import _Eval, _gradient, _increment, _value
 
 
 class SolverError(RuntimeError):
@@ -143,7 +143,6 @@ class LineSearchResult:
     ok: bool
     alpha: float
     x: np.ndarray | None
-    f: float
     evals: int             # trials, one value pass each
     grad_evals: int = 0    # trials that also ran the gradient stage
     increments: int = 0    # trials whose increase came from _increment
@@ -298,7 +297,6 @@ def line_search_wolfe(
     g: Hypergraph,
     cfg: SolverConfig,
     point: _Eval,
-    f0: float,
     direction: np.ndarray,
     trial: float | None = None,
 ) -> LineSearchResult:
@@ -307,8 +305,8 @@ def line_search_wolfe(
         f(x(alpha)) >= f0 + c1 * alpha * grad0 . direction
         grad(x(alpha)) . direction <= c2 * grad0 . direction
 
-    where x and grad0 come from ``point``, the kernel record of x after its
-    gradient stage, and f0 is the caller's value of x (below).  Trials:
+    where x, f0 and grad0 come from ``point``, the kernel record of x after
+    its gradient stage.  Trials:
     ``trial`` when it is finite and positive, else 2 / (1 + ||direction||);
     then doubling until the peak of the curve section is bracketed (the
     increase test fails, the increase drops below the bracket floor, or the
@@ -328,17 +326,17 @@ def line_search_wolfe(
 
     When the increase threshold is absorbed (f0 + c1*alpha*slope == f0), the
     increase is :func:`_increment`, which does not cancel against f, and the
-    trial's value is f0 plus that increase, so after such a step the caller's
-    f0 is not the record's f.  No kernel pass is made at x.  An accepted step
-    satisfies both inequalities above exactly as the floats are compared,
-    and returns its kernel record as ``point`` and its increase over f0 as
-    ``increase``.  A trial whose grad . direction is not finite, as with any
-    inf or nan gradient entry, fails the increase test.
+    trial's record takes f0 plus that increase as its ``f``.  No kernel pass
+    is made at x.  An accepted step satisfies both inequalities above exactly
+    as the floats are compared, and returns its kernel record as ``point``
+    and its increase over f0 as ``increase``.  A trial whose grad . direction
+    is not finite, as with any inf or nan gradient entry, fails the increase
+    test.
     """
-    x = point.x
+    x, f0 = point.x, point.f
     slope0 = float(point.grad.dot(direction))
     if not slope0 > 0.0:
-        return LineSearchResult(False, 0.0, None, f0, 0)
+        return LineSearchResult(False, 0.0, None, 0)
 
     lo, inc_lo, d_lo = 0.0, 0.0, slope0
     hi, inc_hi = math.inf, math.inf
@@ -360,7 +358,7 @@ def line_search_wolfe(
             inc_t = _increment(g, point, point_t)
             increments += 1
             increase_ok = inc_t >= required
-            f_t = f0 + inc_t
+            point_t.f = f0 + inc_t
         else:
             inc_t = f_t - f0
             increase_ok = f_t >= f0 + required
@@ -373,7 +371,7 @@ def line_search_wolfe(
                 inc_t, increase_ok = -math.inf, False
             elif curv_t <= C2 * slope0:
                 return LineSearchResult(
-                    True, trial, x_t, f_t, evals, grad_evals, increments, point_t, inc_t
+                    True, trial, x_t, evals, grad_evals, increments, point_t, inc_t
                 )
             else:
                 slope_t = -float(grad_t.dot(x)) / trial
@@ -393,7 +391,7 @@ def line_search_wolfe(
 
         if trial == current or (math.isfinite(hi) and hi - lo <= 1e-16 * max(1.0, hi)):
             break
-    return LineSearchResult(False, 0.0, None, f0, evals, grad_evals, increments)
+    return LineSearchResult(False, 0.0, None, evals, grad_evals, increments)
 
 
 def solve_single(
@@ -404,6 +402,8 @@ def solve_single(
 ) -> SolveResult:
     """Run the iteration from one unit starting point.
 
+    The iterate is its kernel record, x, f and grad included; f_k is the
+    record's f, after a sub-resolution step the last f plus its increase.
     Each iteration moves to the first Wolfe search from x that succeeds:
     along the support direction from its trial alpha* (below); along the CG
     direction, or grad when rounding puts it under the ascent floor, from
@@ -448,7 +448,6 @@ def solve_single(
 
     point = _value(g, x, cfg.p)   # the iterate, as its kernel record after both stages
     _gradient(g, point)
-    f = point.f            # after a sub-resolution step, the last f plus its exact increase
     evals = grad_evals = 1
     increments = restarts = support_steps = finishes = 0
     finish = False         # the last move was to |x|, not a line search step
@@ -460,7 +459,7 @@ def solve_single(
     inc_prev = 0.0                   # and its increase as the search measured it
     k = 0
     while True:
-        x, grad = point.x, point.grad
+        x, f, grad = point.x, point.f, point.grad
         if not math.isfinite(f) or (k == 0 and not np.isfinite(grad).all()):
             stop = "numerical_failure"
             break
@@ -473,7 +472,7 @@ def solve_single(
                 evals += 1
                 grad_evals += 1
                 if math.isfinite(final.f) and cfg.grad_tol < _norm(final.grad) < math.inf:
-                    point, f = final, final.f
+                    point = final
                     step_prev = grad_diff_prev = gain_prev = final = None
                     finishes += 1
                     finish = True
@@ -516,7 +515,7 @@ def solve_single(
             else:  # restart policy: retry the iteration with plain steepest ascent
                 direction, trial = grad.copy(), None
                 restarts += 1
-            search = line_search_wolfe(g, cfg, point, f, direction, trial)
+            search = line_search_wolfe(g, cfg, point, direction, trial)
             step_evals += search.evals
             grad_evals += search.grad_evals
             increments += search.increments
@@ -536,7 +535,7 @@ def solve_single(
                     ascent=float(direction.dot(grad)),
                     dir_norm=_norm(direction),
                     alpha=search.alpha,
-                    f_next=search.f,
+                    f_next=search.point.f,
                     curv_next=float(search.point.grad.dot(direction)),
                     step_norm=_norm(search.x - x),
                     step_pred=cayley_step_length(x, direction, search.alpha),
@@ -550,15 +549,15 @@ def solve_single(
         support_steps += kind == "support"
         step_prev = search.x - x
         grad_diff_prev = search.point.grad - grad
-        gain_prev, inc_prev = search.f - f, search.increase
-        point, f = search.point, search.f
+        gain_prev, inc_prev = search.point.f - f, search.increase
+        point = search.point
         k += 1
 
     weighting = np.abs(x)
     if final is not None:
         lam = final.f
     elif math.isfinite(f):
-        lam = objective(g, weighting, cfg.p)
+        lam = _value(g, weighting, cfg.p).f
         evals += 1
     else:
         lam = math.nan

@@ -1,13 +1,13 @@
-"""Matrix-free evaluation of the spherically constrained objective, its
-gradient and the adjacency-tensor products.
+"""Matrix-free evaluation of the spherically constrained objective and gradient.
 
 The kernel runs in two stages that share one record of the point, an
-:class:`_Eval`, the solver's only handle on an iterate: the value stage
-:func:`_value` forms the p-norm, the prefix products, w and f, and the
-gradient stage :func:`_gradient` the suffix products and ``grad``.
+:class:`_Eval`, the solver's only handle on an iterate, its value included.
+They are the only way into the edge tables: the value stage :func:`_value`
+forms the p-norm, the prefix products, w and f, and the gradient stage
+:func:`_gradient` the suffix products, x . grad w and ``grad``.
 :func:`objective` runs the value stage alone and :func:`value_and_grad` both;
 the line search runs the gradient stage only on trials that pass the
-sufficient-increase test.  :func:`tensor_apply` views the edge products.
+sufficient-increase test.
 
 All operations cost O(sum of edge sizes): on the slot-major (r, m) table
 ``g.slots.T`` the partials come from prefix products, seeded with the edge
@@ -35,50 +35,6 @@ def _check_vector(g: Hypergraph, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _prefix_table(g: Hypergraph, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(entries, prefix): the (r, m) slot entries of x, row j holding slot j,
-    and the (r+1, m) weighted prefix products, prefix[j, e] = s(e) times the
-    product of the first j slot entries of edge e."""
-    entries = x[g.slots.T]
-    prefix = np.empty((g.r + 1, entries.shape[1]))
-    prefix[0] = g.weights
-    for j in range(g.r):
-        np.multiply(prefix[j], entries[j], out=prefix[j + 1])
-    return entries, prefix
-
-
-def _weight_partials(
-    g: Hypergraph, entries: np.ndarray, prefix: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(suffix, dw): the (r-1, m) products of the slot entries after slot j
-    and the gradient dw_i = dw/dx_i of the weight polynomial.  The weighted
-    edge partials are formed in ``prefix``, which is spent afterwards.
-
-    For an edge with repeated vertices the slot-wise sum automatically yields
-    the multiplicity factor of the partial derivative.
-    """
-    suffix = np.empty((g.r - 1, entries.shape[1]))
-    suffix[-1] = entries[-1]
-    for j in range(g.r - 3, -1, -1):
-        np.multiply(entries[j + 1], suffix[j + 1], out=suffix[j])
-    prefix[:-2] *= suffix   # row r-1 already is the last slot's partial
-    dw = np.bincount(g.slots.T.ravel(), weights=prefix[:-1].ravel(), minlength=g.n)
-    return suffix, dw
-
-
-def tensor_apply(g: Hypergraph, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Adjacency-tensor products (A x^r, A x^{r-1}) without forming the tensor.
-
-    ``axr1[i]`` is the partial derivative of the weight polynomial at x_i
-    (multiplicity factors included for multiset edges) and ``axr`` is defined
-    as x . axr1, which keeps the scalar/vector identity exact and equals
-    r * w(G, x) up to round-off.
-    """
-    x = _check_vector(g, x)
-    _, axr1 = _weight_partials(g, *_prefix_table(g, x))
-    return float(x.dot(axr1)), axr1
-
-
 def objective(g: Hypergraph, x: np.ndarray, p: float) -> float:
     """f(x) = r! * w(G, x) / ||x||_p^r; zero-order homogeneous in x."""
     return _value(g, _check_vector(g, x), p).f
@@ -93,8 +49,9 @@ def value_and_grad(g: Hypergraph, x: np.ndarray, p: float) -> tuple[float, np.nd
 @dataclass(slots=True)
 class _Eval:
     """The kernel tables of one point x, (2r-1)*m floats once complete:
-    :func:`_value` fills in ``prefix`` and ``w``, :func:`_gradient` trades the
-    prefix for ``suffix`` and sets ``axr`` and ``grad``."""
+    :func:`_value` fills in ``prefix``, ``w`` and ``f``, :func:`_gradient`
+    trades the prefix for ``suffix`` and sets ``axr`` and ``grad``.  After a
+    sub-resolution step ``f`` is the base's f plus the exact increase."""
 
     x: np.ndarray
     entries: np.ndarray    # (r, m) slot entries
@@ -120,7 +77,11 @@ def _value(g: Hypergraph, x: np.ndarray, p: float) -> _Eval:
     if pnorm_p == 0.0:
         raise ValueError("objective is undefined at the zero vector")
     norm_r = (pnorm_p ** (1.0 / p)) ** g.r
-    entries, prefix = _prefix_table(g, x)
+    entries = x[g.slots.T]
+    prefix = np.empty((g.r + 1, entries.shape[1]))
+    prefix[0] = g.weights
+    for j in range(g.r):
+        np.multiply(prefix[j], entries[j], out=prefix[j + 1])
     w = float(np.add.reduce(prefix[g.r]))
     f = math.factorial(g.r) * w / norm_r
     return _Eval(x, entries, prefix, abs_x, pow_x, pnorm_p, norm_r, w, f, p)
@@ -128,9 +89,17 @@ def _value(g: Hypergraph, x: np.ndarray, p: float) -> _Eval:
 
 def _gradient(g: Hypergraph, point: _Eval) -> np.ndarray:
     """Gradient stage: grad f, kept on ``point`` as ``grad`` with x . grad w
-    as ``axr`` and the suffix products in place of the prefix it spends."""
-    point.suffix, axr1 = _weight_partials(g, point.entries, point.prefix)
-    point.prefix = None
+    as ``axr`` and the suffix products in place of the prefix it spends.
+    The slot-wise sum of the edge partials counts a repeated vertex's
+    multiplicity."""
+    entries, prefix = point.entries, point.prefix
+    suffix = np.empty((g.r - 1, entries.shape[1]))
+    suffix[-1] = entries[-1]
+    for j in range(g.r - 3, -1, -1):
+        np.multiply(entries[j + 1], suffix[j + 1], out=suffix[j])
+    prefix[:-2] *= suffix   # row r-1 already is the last slot's partial
+    axr1 = np.bincount(g.slots.T.ravel(), weights=prefix[:-1].ravel(), minlength=g.n)
+    point.suffix, point.prefix = suffix, None
     axr = point.axr = float(point.x.dot(axr1))
     scaled = axr1 - (axr / point.pnorm_p) * np.copysign(point.abs_x ** (point.p - 1.0), point.x)
     point.grad = (math.factorial(g.r) / point.norm_r) * scaled

@@ -1,5 +1,5 @@
-"""Every name a demo imports from the package still exists, and the fast
-demos run clean.
+"""Every name a demo imports from the package or the package exports still
+exists, and the fast demos run clean.
 
 All six demos take about ten seconds on 2 cores, so here their imports
 are checked statically: each script is parsed with ``ast`` and every
@@ -46,6 +46,14 @@ def test_demo_imports_resolve(path):
     for module, name in imports:
         mod = importlib.import_module(module)
         assert name is None or hasattr(mod, name), f"{path.name}: {module} has no {name!r}"
+
+
+def test_package_exports_resolve():
+    missing = [name for name in hyperspec.__all__ if not hasattr(hyperspec, name)]
+    assert not missing, f"hyperspec.__all__ names missing attributes: {missing}"
+    namespace = {}
+    exec("from hyperspec import *", namespace)
+    assert set(hyperspec.__all__) <= set(namespace)
 
 
 @pytest.mark.parametrize("path", FAST_DEMOS, ids=lambda p: p.name)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hyperspec import (
     Hypergraph,
     ParseError,
-    degree,
     gen_beta_star,
     gen_complete,
     gen_loose_path,
@@ -138,26 +137,6 @@ class TestValidate:
         assert str(err.value) == "invalid hypergraph: edge 0: vertex out of range [1, 3]"
 
 
-class TestDegree:
-    def test_complete_graph(self):
-        assert degree(gen_complete(4, 3), 1) == 3.0
-
-    def test_beta_star_center(self):
-        assert degree(gen_beta_star(3, 10), 1) == 10.0
-
-    def test_isolated_vertex(self):
-        g = Hypergraph.from_edges(n=5, r=3, edges=[(1, 2, 3)])
-        assert degree(g, 5) == 0.0
-
-    def test_multiset_counted_once(self):
-        g = Hypergraph.from_edges(n=2, r=3, edges=[(1, 1, 2)], weights=[2.5])
-        assert degree(g, 1) == 2.5
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            degree(gen_complete(4, 3), 5)
-
-
 class TestIncidence:
     def test_single_edge(self):
         g = Hypergraph.from_edges(n=3, r=3, edges=[(1, 2, 3)])
@@ -171,6 +150,31 @@ class TestIncidence:
     def test_total_multiplicity_complete(self):
         g = gen_complete(4, 3)
         assert total_multiplicity(g) == 3 * 4
+
+
+@pytest.mark.parametrize(
+    "n, r, edges, message",
+    [
+        (3, 2, [(1.5, 2.9)], "edge 0: vertex id not an integer"),
+        (3, 2, [(1, 2), (2, np.nan)], "edge 1: vertex id not an integer"),
+        (3, 2, [(1, 2), (1, 3), (-np.inf, 2)], "edge 2: vertex id not an integer"),
+        (3.7, 2, [(1, 2)], "n and r must be integers, got n=3.7 r=2"),
+        (3, 2.5, [(1, 2)], "n and r must be integers, got n=3 r=2.5"),
+        (np.nan, 2, [(1, 2)], "n and r must be integers, got n=nan r=2"),
+    ],
+    ids=["fractional-id", "nan-id", "inf-id", "fractional-n", "fractional-r", "nan-n"],
+)
+def test_from_edges_rejects_non_integral_input(n, r, edges, message):
+    # an int64 cast would truncate these to a valid graph: (1, 2) and n = 3
+    with pytest.raises(ValueError) as err:
+        Hypergraph.from_edges(n=n, r=r, edges=edges)
+    assert str(err.value) == message
+
+
+def test_from_edges_accepts_integral_floats():
+    g = Hypergraph.from_edges(n=3.0, r=2.0, edges=np.array([[2.0, 1.0], [3.0, 1.0]]))
+    assert g == Hypergraph.from_edges(n=3, r=2, edges=[(1, 2), (1, 3)])
+    assert (type(g.n), type(g.r)) == (int, int)
 
 
 def test_vertex_array_is_zero_based():
@@ -266,15 +270,6 @@ def hypergraphs(draw, allow_multisets=False):
 @settings(max_examples=60, deadline=None)
 def test_parse_serialize_roundtrip(g):
     assert parse_edge_list(serialize_edge_list(g)) == g
-
-
-@given(hypergraphs(allow_multisets=False))
-@settings(max_examples=60, deadline=None)
-def test_degree_sum_identity(g):
-    # distinct-vertex edges: every edge contributes r times to the degree sum
-    total = sum(degree(g, i) for i in range(1, g.n + 1))
-    expected = g.r * sum(g.weights.tolist())
-    assert total == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 @given(hypergraphs(allow_multisets=True))

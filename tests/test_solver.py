@@ -24,7 +24,7 @@ from hyperspec import (
 )
 from hyperspec import solver
 from hyperspec.solver import cayley_step_length, line_search_wolfe
-from hyperspec.tensor_ops import tensor_apply, value_and_grad
+from hyperspec.tensor_ops import value_and_grad
 
 from conftest import evaluated, make_random_graph, record_starts
 
@@ -36,9 +36,9 @@ def draw(n, seed):
 def face_step(g, x, p, grad_tol):
     """The penalty-dominated entries Z of unit x and the Cayley parameter
     alpha* = 2 / (sqrt(1 - s) (1 + sqrt(1 - s))), s = ||x_Z||^2, that zeroes
-    them, from the public kernel."""
-    axr, _ = tensor_apply(g, x)
-    _, grad = value_and_grad(g, x, p)
+    them, from the kernel record of x."""
+    point = evaluated(g, x, p)
+    axr, grad = point.axr, point.grad
     pow_x = np.abs(x) ** p
     pnorm_p = float(pow_x.sum())
     penalty = math.factorial(g.r) / pnorm_p ** (g.r / p) * axr / pnorm_p
@@ -206,14 +206,14 @@ class TestLineSearch:
         cfg = SolverConfig(p=2.0)
         point = evaluated(g, np.array([0.6, 0.8]), 2.0)
         f0, grad0 = point.f, point.grad
-        res = line_search_wolfe(g, cfg, point, f0, grad0.copy())
+        res = line_search_wolfe(g, cfg, point, grad0.copy())
         assert res.ok and res.alpha > 0
         slope0 = float(grad0 @ grad0)
-        assert res.f >= f0 + solver.C1 * res.alpha * slope0
+        assert res.point.f >= f0 + solver.C1 * res.alpha * slope0
         assert float(res.point.grad @ grad0) <= solver.C2 * slope0
         # returned iterate/gradient are consistent with the accepted point
         f_check, g_check = value_and_grad(g, res.x, 2.0)
-        assert res.f == f_check
+        assert res.point.f == f_check
         assert np.array_equal(res.point.grad, g_check)
 
     def test_accepts_initial_trial_in_one_evaluation(self):
@@ -221,18 +221,19 @@ class TestLineSearch:
         cfg = SolverConfig(p=3.0)
         rng = np.random.default_rng(0)
         point = evaluated(g, random_unit_sphere(g.n, rng), 3.0)
-        res = line_search_wolfe(g, cfg, point, point.f, point.grad.copy())
+        res = line_search_wolfe(g, cfg, point, point.grad.copy())
         assert res.ok and res.evals == 1
 
     @staticmethod
     def _search_setup(seed):
         g = gen_beta_star(3, 10)
         point = evaluated(g, random_unit_sphere(g.n, np.random.default_rng(seed)), 3.0)
-        return g, SolverConfig(p=3.0), point, point.f, point.grad
+        return g, SolverConfig(p=3.0), point, point.grad
 
     @staticmethod
     def _same(a, b):
-        return (a.ok, a.alpha, a.f, a.evals) == (b.ok, b.alpha, b.f, b.evals) and all(
+        f = [res.point and res.point.f for res in (a, b)]  # None for a failed search
+        return (a.ok, a.alpha, f[0], a.evals) == (b.ok, b.alpha, f[1], b.evals) and all(
             (u is None and v is None) or u.tobytes() == v.tobytes()
             for u, v in ((a.x, b.x), (a.point and a.point.grad, b.point and b.point.grad))
         )
@@ -251,37 +252,37 @@ class TestLineSearch:
 
     def test_trial_none_is_the_default(self):
         for seed in range(5):
-            g, cfg, point, f0, grad0 = self._search_setup(seed)
+            g, cfg, point, grad0 = self._search_setup(seed)
             for direction in (grad0.copy(), grad0 + 0.3 * np.roll(grad0, 1)):
-                plain = line_search_wolfe(g, cfg, point, f0, direction)
-                assert self._same(plain, line_search_wolfe(g, cfg, point, f0, direction, None))
-                keyword = line_search_wolfe(g, cfg, point, f0, direction, trial=None)
+                plain = line_search_wolfe(g, cfg, point, direction)
+                assert self._same(plain, line_search_wolfe(g, cfg, point, direction, None))
+                keyword = line_search_wolfe(g, cfg, point, direction, trial=None)
                 assert self._same(plain, keyword)
 
     def test_first_point_is_the_given_trial(self, monkeypatch):
-        g, cfg, point, f0, grad0 = self._search_setup(1)
+        g, cfg, point, grad0 = self._search_setup(1)
         trials = self._record_trials(monkeypatch)
         for trial in (0.37, 1e-3, 5.0):
             trials.clear()
-            res = line_search_wolfe(g, cfg, point, f0, grad0.copy(), trial)
+            res = line_search_wolfe(g, cfg, point, grad0.copy(), trial)
             assert trials[0] == trial
             assert res.evals == len(trials)
 
     @pytest.mark.parametrize("trial", [0.0, -1.0, math.nan, math.inf])
     def test_unusable_trial_falls_back_to_default(self, monkeypatch, trial):
-        g, cfg, point, f0, grad0 = self._search_setup(2)
+        g, cfg, point, grad0 = self._search_setup(2)
         direction = grad0.copy()
         trials = self._record_trials(monkeypatch)
-        res = line_search_wolfe(g, cfg, point, f0, direction, trial)
+        res = line_search_wolfe(g, cfg, point, direction, trial)
         assert trials[0] == 2.0 / (1.0 + float(np.linalg.norm(direction)))
-        assert self._same(res, line_search_wolfe(g, cfg, point, f0, direction))
+        assert self._same(res, line_search_wolfe(g, cfg, point, direction))
 
     def test_search_ends_at_exact_fixed_point(self, monkeypatch):
         # The curve is flat past alpha = 1 while still rising with the
         # curvature test unmet at 1, so the bracket shrinks onto [1, 1 + ulp]
         # and interpolation returns 1 again: a repeat of that trial would
         # repeat its evaluation and bracket update unchanged.
-        g, cfg, point, f0, grad0 = self._search_setup(0)
+        g, cfg, point, grad0 = self._search_setup(0)
         trials = []
         real = solver.cayley_step
 
@@ -290,8 +291,8 @@ class TestLineSearch:
             return real(x, direction, alpha, *curve) if alpha <= 1.0 else x.copy()
 
         monkeypatch.setattr(solver, "cayley_step", flat_past_one)
-        res = line_search_wolfe(g, cfg, point, f0, 1e-3 * grad0, trial=1.0)
-        assert not res.ok and res.x is None and res.f == f0
+        res = line_search_wolfe(g, cfg, point, 1e-3 * grad0, trial=1.0)
+        assert not res.ok and res.x is None and res.point is None
         assert trials[0] == trials[-1] == 1.0
         assert all(a != b for a, b in zip(trials, trials[1:]))
         assert res.evals == len(trials) < solver.MAX_LINESEARCH_STEPS
@@ -300,7 +301,7 @@ class TestLineSearch:
         # From the third trial gradient on, add eta * x_t: grad(x_t) . x_t
         # is then eta instead of 0, which swamps -grad(x_t) . x (the slope
         # the bracket reads) while grad(x_t) . (x_t - x) keeps its sign.
-        g, cfg, base, f0, grad0 = self._search_setup(4)
+        g, cfg, base, grad0 = self._search_setup(4)
         x = base.x
         direction = grad0.copy()
         slope0 = float(grad0 @ direction)
@@ -325,8 +326,8 @@ class TestLineSearch:
 
         monkeypatch.setattr(solver, "cayley_step", step)
         monkeypatch.setattr(solver, "_gradient", noisy)
-        res = line_search_wolfe(g, cfg, base, f0, direction, trial=1e-3)
-        assert not res.ok and res.x is None and res.f == f0
+        res = line_search_wolfe(g, cfg, base, direction, trial=1e-3)
+        assert not res.ok and res.x is None and res.point is None
         first = next(i for i, met, disagree in seen if not met and disagree)
         assert first == seen[-1][0] == 2
         assert not any(met or disagree for _, met, disagree in seen[:-1])
@@ -338,12 +339,12 @@ class TestLineSearch:
         # (or nan itself) carries it into grad . direction; or where the
         # direction is positive, so that grad . direction = -inf would meet
         # the curvature test
-        g, cfg, point, f0, grad0 = self._search_setup(0)
+        g, cfg, point, grad0 = self._search_setup(0)
         i = int(np.argmax(grad0))
         direction = grad0.copy()
         if not keep:
             direction[i] = 0.0
-        assert line_search_wolfe(g, cfg, point, f0, direction).ok
+        assert line_search_wolfe(g, cfg, point, direction).ok
         real = solver._gradient
 
         def poisoned(g, point):
@@ -353,13 +354,13 @@ class TestLineSearch:
 
         monkeypatch.setattr(solver, "_gradient", poisoned)
         with np.errstate(invalid="ignore"):
-            res = line_search_wolfe(g, cfg, point, f0, direction)
+            res = line_search_wolfe(g, cfg, point, direction)
         assert res.grad_evals > 0  # trials passed the increase test
-        assert not res.ok and res.x is None and res.point is None and res.f == f0
+        assert not res.ok and res.x is None and res.point is None
 
     def test_gradient_only_for_trials_that_pass_the_increase_test(self, monkeypatch):
-        g, cfg, point, f0, grad0 = self._search_setup(3)
-        x = point.x
+        g, cfg, point, grad0 = self._search_setup(3)
+        x, f0 = point.x, point.f
         direction = grad0.copy()
         slope0 = float(grad0 @ direction)
         step = solver.cayley_step
@@ -373,7 +374,7 @@ class TestLineSearch:
 
         monkeypatch.setattr(solver, "_gradient", counted)
         # the first trial overshoots the peak of the curve section
-        res = line_search_wolfe(g, cfg, point, f0, direction, trial=50.0)
+        res = line_search_wolfe(g, cfg, point, direction, trial=50.0)
         assert res.ok and res.evals == len(trials) > 1
         passed = [
             alpha for alpha in trials
@@ -409,7 +410,7 @@ class TestLineSearch:
         for direction in (base.grad.copy(), base.grad + 0.3 * np.roll(base.grad, 1)):
             values.clear()
             grads.clear()
-            res = line_search_wolfe(g, cfg, base, base.f, direction)
+            res = line_search_wolfe(g, cfg, base, direction)
             assert res.increments == res.evals == len(values) > 0
             assert res.grad_evals == len(grads) > 0
             assert all(x is not base.x for x in values)
@@ -419,8 +420,9 @@ class TestLineSearch:
         # beta-star(3,10) from start 0 ends below f's float64 resolution, so
         # its searches take the increment path, which reads the base record.
         # Each search from the record the solver carried is repeated from a
-        # record built afresh at the same x, with the same f0, direction and
-        # trial
+        # record built afresh at the same x and given the carried f (after an
+        # increment step the last f plus the increase), with the same
+        # direction and trial
         g = gen_beta_star(3, 10)
         cfg = SolverConfig(p=3.0)
         calls, bases = [], []
@@ -439,14 +441,15 @@ class TestLineSearch:
         solve_single(g, cfg, draw(g.n, 0))
         assert len(calls) > 1
         read = 0
-        for _, _, carried, f0, direction, trial in calls[1:]:  # calls[0] is from the start
+        for _, _, carried, direction, trial in calls[1:]:  # calls[0] is from the start
             fresh = evaluated(g, carried.x, cfg.p)
+            fresh.f = carried.f
             bases.clear()
-            a = real_search(g, cfg, carried, f0, direction, trial)
+            a = real_search(g, cfg, carried, direction, trial)
             assert all(base is carried for base in bases)
             read += len(bases)
             bases.clear()
-            b = real_search(g, cfg, fresh, f0, direction, trial)
+            b = real_search(g, cfg, fresh, direction, trial)
             assert all(base is fresh for base in bases)
             assert self._same(a, b)
             counts = [(res.grad_evals, res.increments, res.increase) for res in (a, b)]
@@ -461,7 +464,7 @@ class TestLineSearch:
         cfg = SolverConfig(p=2.0)
         x = np.array([0.9, 0.3, 0.3, 0.1])
         point = evaluated(g, x / np.linalg.norm(x), 2.0)
-        res = line_search_wolfe(g, cfg, point, point.f, -point.grad)
+        res = line_search_wolfe(g, cfg, point, -point.grad)
         assert not res.ok
 
 
@@ -535,7 +538,7 @@ class TestSolveSingle:
     def test_x_after_finish_and_failed_search_is_abs_x(self, monkeypatch):
         g = gen_complete(4, 3)
         x0 = self.MIXED_CRITICAL
-        failed = solver.LineSearchResult(False, 0.0, None, 0.0, 1)
+        failed = solver.LineSearchResult(False, 0.0, None, 1)
         monkeypatch.setattr(solver, "line_search_wolfe", lambda *args, **kwargs: failed)
         res = solve_single(g, SolverConfig(p=2.0), x0)
         assert (res.stop_reason, res.iterations, res.finishes) == ("line_search_failure", 0, 1)
@@ -626,12 +629,12 @@ class TestSolveSingle:
             supports.append(real_support(*args))
             return supports[-1]
 
-        def search(g, cfg, point, f0, direction, trial=None):
+        def search(g, cfg, point, direction, trial=None):
             along_face = supports[-1] is not None and direction is supports[-1][0]
             default = 2.0 / (1.0 + float(np.linalg.norm(direction)))
             slope = float(direction.dot(point.grad))
             searches.append([trial, None, default, None, along_face, point.x, direction, slope])
-            res = real_search(g, cfg, point, f0, direction, trial)
+            res = real_search(g, cfg, point, direction, trial)
             searches[-1][3] = res
             return res
 
@@ -718,11 +721,11 @@ class TestSolveSingle:
             faces[id(face)] = face
             return face, 1.0
 
-        def search(g, cfg, point, f0, direction, trial=None):
+        def search(g, cfg, point, direction, trial=None):
             if id(direction) in faces:
-                res = solver.LineSearchResult(False, 0.0, None, f0, 2)
+                res = solver.LineSearchResult(False, 0.0, None, 2)
             else:
-                res = real_search(g, cfg, point, f0, direction, trial)
+                res = real_search(g, cfg, point, direction, trial)
             searches.append((point.x, point.grad, direction, trial, res))
             return res
 
@@ -756,11 +759,11 @@ class TestSolveSingle:
         real_search = solver.line_search_wolfe
         searches = []
 
-        def search(g, cfg, point, f0, direction, trial=None):
-            searches.append((point.x, f0, point.grad, direction, trial))
+        def search(g, cfg, point, direction, trial=None):
+            searches.append((point.x, point.f, point.grad, direction, trial))
             if len(searches) >= 6:  # failed searches along grad end the run
-                return solver.LineSearchResult(False, 0.0, None, f0, 1)
-            return real_search(g, cfg, point, f0, direction, trial)
+                return solver.LineSearchResult(False, 0.0, None, 1)
+            return real_search(g, cfg, point, direction, trial)
 
         # an ascent direction, but a quarter of grad . grad is under the floor
         monkeypatch.setattr(solver, "cg_direction", lambda grad, step, diff: 0.25 * grad)
@@ -786,8 +789,8 @@ class TestSolveSingle:
         accepted = []
         real_search = solver.line_search_wolfe
 
-        def search(g, cfg, point, f0, direction, *args):
-            res = real_search(g, cfg, point, f0, direction, *args)
+        def search(g, cfg, point, direction, *args):
+            res = real_search(g, cfg, point, direction, *args)
             if res.ok:
                 accepted.append(float(point.grad.dot(direction)))
             return res
@@ -814,10 +817,10 @@ class TestSolveSingle:
             faces.append(None if found is None else found[0])
             return found
 
-        def search(g, cfg, point, f0, direction, trial=None):
-            res = real_search(g, cfg, point, f0, direction, trial)
+        def search(g, cfg, point, direction, trial=None):
+            res = real_search(g, cfg, point, direction, trial)
             along_face = direction is faces[-1]
-            searches.append((point.x, f0, point.grad, direction, trial, res, along_face))
+            searches.append((point.x, point.f, point.grad, direction, trial, res, along_face))
             return res
 
         monkeypatch.setattr(solver, "support_direction", support)
@@ -831,7 +834,7 @@ class TestSolveSingle:
                 for i, (x, f0, grad0, direction, trial, res, along_face) in enumerate(searches):
                     first_cg = not along_face and last is not None and x is last[5].x and (
                         searches[i - 1] is last or searches[i - 1][6])
-                    if first_cg and last[5].f - last[1] == 0.0:
+                    if first_cg and last[5].point.f - last[1] == 0.0:
                         zero_gain += 1
                         assert trial == 2.0 * last[5].increase / float(direction.dot(grad0))
                     if not res.ok and not along_face and i + 1 < len(searches):
@@ -851,9 +854,9 @@ class TestSolveSingle:
         # it fails, no second search would differ from it
         trials = []
 
-        def search(g, cfg, point, f0, direction, trial=None):
+        def search(g, cfg, point, direction, trial=None):
             trials.append(trial)
-            return solver.LineSearchResult(False, 0.0, None, f0, 1)
+            return solver.LineSearchResult(False, 0.0, None, 1)
 
         monkeypatch.setattr(solver, "line_search_wolfe", search)
         g = gen_beta_star(3, 10)
@@ -1025,9 +1028,9 @@ class TestSolveSingle:
         events = []
         real_search, real_support = solver.line_search_wolfe, solver.support_direction
 
-        def search(g, cfg, point, f0, *args):
-            res = real_search(g, cfg, point, f0, *args)
-            events.append(("search", res, f0))
+        def search(g, cfg, point, *args):
+            res = real_search(g, cfg, point, *args)
+            events.append(("search", res, point.f))
             return res
 
         def support(*args):
@@ -1046,7 +1049,7 @@ class TestSolveSingle:
                     continue
                 res, f0 = event[1:]
                 consulted = after[0] == "support"
-                assert consulted == (res.f - f0 <= solver.SUPPORT_GAIN * abs(res.f))
+                assert consulted == (res.point.f - f0 <= solver.SUPPORT_GAIN * abs(res.point.f))
                 assert consulted or res.increments == 0
                 small += consulted
                 increments += res.increments > 0

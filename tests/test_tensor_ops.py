@@ -17,7 +17,8 @@ from hyperspec import (
     gen_complete,
     objective,
     random_unit_sphere,
-    tensor_apply,
+    solve_single,
+    solver,
 )
 from hyperspec.solver import line_search_wolfe
 from hyperspec.tensor_ops import _gradient, _increment, _value, value_and_grad
@@ -91,34 +92,29 @@ class TestWeightPoly:
 
 
 class TestTensorApply:
+    """A x^r on the kernel record, ``axr`` = x . grad w, set by the gradient
+    stage; the partials grad w themselves are checked against the per-edge
+    reference in TestAgainstReference."""
+
     def test_single_pair_edge(self):
         g = single_edge((1, 2))
-        axr, axr1 = tensor_apply(g, np.array([1.0, 1.0]))
-        assert axr == pytest.approx(2.0)
-        assert axr1 == pytest.approx([1.0, 1.0])
+        assert evaluated(g, np.array([1.0, 1.0]), 2.0).axr == pytest.approx(2.0)
 
     def test_complete_graph_uniform(self):
         g = gen_complete(4, 3)
-        axr, _ = tensor_apply(g, np.full(4, 0.25))
-        assert axr == pytest.approx(3.0 / 16.0, rel=1e-15)
-
-    def test_partial_products(self):
-        g = single_edge((1, 2, 3))
-        _, axr1 = tensor_apply(g, np.array([1.0, 2.0, 3.0]))
-        assert axr1 == pytest.approx([6.0, 3.0, 2.0])
+        assert evaluated(g, np.full(4, 0.25), 2.0).axr == pytest.approx(3.0 / 16.0, rel=1e-15)
 
     def test_multiset_multiplicity_factor(self):
-        # edge {1,1,2}: w = x1^2 x2, dw = (2 x1 x2, x1^2)
+        # edge {1,1,2}: w = x1^2 x2, dw = (2 x1 x2, x1^2), x . dw = 3 w
         g = single_edge((1, 1, 2), n=2)
-        x = np.array([3.0, 5.0])
-        axr, axr1 = tensor_apply(g, x)
-        assert axr1 == pytest.approx([30.0, 9.0])
-        assert axr == pytest.approx(float(x @ axr1))
+        assert evaluated(g, np.array([3.0, 5.0]), 2.0).axr == pytest.approx(135.0)
 
     def test_zero_entries_no_division(self):
+        # w = 0 at x, so grad f is r! / ||x||_p^r times dw = (10, 0, 0)
         g = single_edge((1, 2, 3))
-        _, axr1 = tensor_apply(g, np.array([0.0, 2.0, 5.0]))
-        assert axr1 == pytest.approx([10.0, 0.0, 0.0])
+        point = evaluated(g, np.array([0.0, 2.0, 5.0]), 2.0)
+        assert point.axr == 0.0
+        assert point.grad == pytest.approx(6.0 / point.norm_r * np.array([10.0, 0.0, 0.0]))
 
 
 class TestObjective:
@@ -210,8 +206,8 @@ class TestAgainstReference:
                                   weights=[1.0, 2.0, 0.5])
         x = np.array([0.0, 0.6, -0.8, 0.5])
         self.check(g, x, 2.0)
-        _, axr1 = tensor_apply(g, x)
-        assert axr1[0] == pytest.approx(0.6 * -0.8, rel=1e-15)
+        point = evaluated(g, x, 2.0)  # x_1 = 0: grad f_1 is r! / ||x||_p^r times dw_1
+        assert point.grad[0] == pytest.approx(6.0 / point.norm_r * 0.6 * -0.8, rel=1e-15)
 
     def test_empty_graph(self):
         g = Hypergraph.from_edges(n=4, r=3, edges=[])
@@ -219,7 +215,7 @@ class TestAgainstReference:
         x = np.array([0.5, -0.5, 0.5, 0.5])
         f, grad = value_and_grad(g, x, 2.0)
         assert f == 0.0 and np.array_equal(grad, np.zeros(4))
-        assert tensor_apply(g, x)[0] == 0.0
+        assert evaluated(g, x, 2.0).axr == 0.0
         self.check(g, x, 2.0)
 
     def test_repeated_calls_bit_identical(self):
@@ -357,7 +353,7 @@ class TestIncrement:
         # give the increments and the search of a fresh evaluation of that point
         g, cfg = gen_beta_star(3, 10), SolverConfig(p=3.0)
         start = evaluated(g, random_unit_sphere(g.n, np.random.default_rng(seed)), 3.0)
-        res = line_search_wolfe(g, cfg, start, start.f, start.grad.copy())
+        res = line_search_wolfe(g, cfg, start, start.grad.copy())
         carried = res.point
         assert res.ok and carried.x is res.x
         fresh = evaluated(g, res.x, 3.0)
@@ -370,11 +366,25 @@ class TestIncrement:
             trial = _value(g, y, 3.0)
             assert _increment(g, carried, trial) == _increment(g, fresh, trial)
         direction = carried.grad + 0.3 * np.roll(carried.grad, 1)
-        a = line_search_wolfe(g, cfg, carried, res.f, direction)
-        b = line_search_wolfe(g, cfg, fresh, res.f, direction)
-        assert a.ok and (a.alpha, a.f, a.evals) == (b.alpha, b.f, b.evals)
+        a = line_search_wolfe(g, cfg, carried, direction)
+        b = line_search_wolfe(g, cfg, fresh, direction)
+        assert a.ok and (a.alpha, a.point.f, a.evals) == (b.alpha, b.point.f, b.evals)
         assert a.grad_evals == b.grad_evals and a.x.tobytes() == b.x.tobytes()
         assert a.point.grad.tobytes() == b.point.grad.tobytes()
+
+        # near the maximizer the accepted trial's increase is below f's
+        # float64 spacing: its record's f is the base's f plus the increment,
+        # and its tables are those of a fresh evaluation
+        base = evaluated(g, solve_single(g, cfg, start.x).weighting, 3.0)
+        res = line_search_wolfe(g, cfg, base, base.grad.copy())
+        slope0 = float(base.grad @ base.grad)
+        assert res.ok and res.increments > 0
+        assert base.f + solver.C1 * res.alpha * slope0 == base.f
+        carried, fresh = res.point, evaluated(g, res.x, 3.0)
+        assert carried.f == base.f + res.increase
+        for name in ("entries", "suffix", "grad"):
+            assert getattr(carried, name).tobytes() == getattr(fresh, name).tobytes()
+        assert carried.axr == fresh.axr
 
 
 # --- property tests -----------------------------------------------------------
@@ -410,16 +420,8 @@ def test_gradient_orthogonal_to_x(gx, p):
 
 @given(graph_and_vector())
 @settings(max_examples=60, deadline=None)
-def test_scalar_vector_identity_exact(gx):
-    g, x = gx
-    axr, axr1 = tensor_apply(g, x)
-    assert axr == float(x @ axr1)
-
-
-@given(graph_and_vector())
-@settings(max_examples=60, deadline=None)
 def test_axr_is_r_times_weight_poly(gx):
     # distinct-vertex edges only (make_random_graph never repeats a vertex)
     g, x = gx
-    axr, _ = tensor_apply(g, x)
+    axr = evaluated(g, x, 2.0).axr
     assert axr == pytest.approx(g.r * weight_poly(g, x), rel=1e-12, abs=1e-300)
