@@ -108,7 +108,7 @@ def cmd_solve(args) -> int:
         "converged": res.best.converged,
     }
     if args.emit_weighting:
-        payload["weighting"] = [float(v) for v in res.best.weighting]
+        payload["weighting"] = res.best.weighting.tolist()
 
     if args.format == "json":
         _emit(json.dumps(payload) + "\n", args.out)

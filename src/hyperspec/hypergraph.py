@@ -57,14 +57,17 @@ class Hypergraph:
     def from_edges(cls, n: int, r: int, edges, weights=None) -> "Hypergraph":
         """Build a canonical hypergraph from an (m, r) array-like of 1-based
         vertex ids and optional (m,) weights (default 1.0 each), merging
-        duplicate edges by weight sum.  n, r and float ids must be integral."""
+        duplicate edges by weight sum.  n, r and every id must be integral
+        (float, complex and object ids included)."""
         if not (float(n).is_integer() and float(r).is_integer()):
             raise ValueError(f"n and r must be integers, got n={n!r} r={r!r}")
         edges = np.asarray(edges)
-        if edges.dtype.kind == "f":  # an int64 cast would truncate silently
-            bad = ~(np.isfinite(edges) & (edges == np.trunc(edges)))
+        if edges.dtype.kind in "fcO":  # an int64 cast would truncate silently
+            bad = _non_integral(edges)
             if bad.any():
                 raise ValueError(f"edge {np.argwhere(bad)[0, 0]}: vertex id not an integer")
+            if edges.dtype.kind == "c":  # the real parts, without a cast warning
+                edges = edges.real
         slots, merged, _ = _merge(edges, r, weights)
         g = cls(n=int(n), r=int(r), slots=slots, weights=merged)
         if problems := validate(g):
@@ -75,6 +78,24 @@ class Hypergraph:
     def m(self) -> int:
         """Number of (merged) edges."""
         return len(self.slots)
+
+
+def _non_integral(edges: np.ndarray) -> np.ndarray:
+    """Mask of the float, complex or object ids that are not whole numbers:
+    fractional, non-finite or with a nonzero imaginary part."""
+    if edges.dtype.kind == "O":
+        return np.array([_not_an_int(v) for v in edges.flat], dtype=bool).reshape(edges.shape)
+    if edges.dtype.kind == "c":
+        return (edges.imag != 0) | _non_integral(edges.real)
+    return ~(np.isfinite(edges) & (edges == np.trunc(edges)))
+
+
+def _not_an_int(v) -> bool:
+    """True unless ``v`` equals its own int(), as Python ints and Fraction(2) do."""
+    try:
+        return v != int(v)
+    except (TypeError, ValueError, OverflowError):
+        return True
 
 
 def _merge(edges, r, weights=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

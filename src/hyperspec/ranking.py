@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,11 +11,51 @@ from .hypergraph import Hypergraph
 from .solver import SolverConfig, solve_multistart
 
 
+class RankedEntries(Sequence):
+    """Read-only ``(1-based vertex id, impact factor)`` pairs over two arrays.
+
+    ``vertices`` (int64) and ``impact`` (float64) hold the ranking; the pairs
+    are built on demand as Python ``(int, float)``, so a report costs 16 bytes
+    per vertex and no Python object per entry.  A slice is the same view over
+    array slices; ``==`` and ``hash`` compare the array bytes.
+    """
+
+    __slots__ = ("vertices", "impact")
+
+    def __init__(self, vertices: np.ndarray, impact: np.ndarray):
+        self.vertices = np.asarray(vertices, dtype=np.int64)
+        self.impact = np.asarray(impact, dtype=np.float64)
+        self.vertices.flags.writeable = self.impact.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.vertices)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return RankedEntries(self.vertices[i], self.impact[i])
+        return int(self.vertices[i]), float(self.impact[i])
+
+    def __iter__(self):
+        return zip(self.vertices.tolist(), self.impact.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RankedEntries):
+            return NotImplemented
+        return (self.vertices.tobytes() == other.vertices.tobytes()
+                and self.impact.tobytes() == other.impact.tobytes())
+
+    def __hash__(self) -> int:
+        return hash((self.vertices.tobytes(), self.impact.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"RankedEntries(vertices={self.vertices!r}, impact={self.impact!r})"
+
+
 @dataclass(frozen=True)
 class RankingReport:
     """Vertices sorted by impact factor (nonincreasing, ties by ascending id)."""
 
-    entries: tuple[tuple[int, float], ...]  # (1-based vertex id, impact factor)
+    entries: RankedEntries  # (1-based vertex id, impact factor) pairs
     p: float
     lam: float
     runs: int
@@ -39,5 +80,5 @@ def rank_vertices(g: Hypergraph, cfg: SolverConfig, top_k: int | None = None) ->
     res = solve_multistart(g, cfg, orthant=True)
     impact = res.best.weighting
     order = ranked_order(impact)[:top_k]
-    entries = tuple(zip((order + 1).tolist(), impact[order].tolist()))
+    entries = RankedEntries(order + 1, impact[order])
     return RankingReport(entries=entries, p=cfg.p, lam=res.best.lam, runs=cfg.runs)

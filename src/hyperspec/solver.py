@@ -95,14 +95,14 @@ class SolveResult:
 
     ``x`` is the signed final unit iterate, the run's last accepted point
     (its start if it took no step), or ``|x|`` of that point after a
-    nonnegative finish whose next search failed.  ``weighting`` is ``|x|``,
-    unit 2-norm and entrywise nonnegative; :meth:`weighting_scaled` rescales
-    it to any other norm (the weighting with unit p-norm is the p-optimal
-    weighting proper).
+    nonnegative finish whose next search failed; it is the one stored vector.
+    :attr:`weighting` is ``|x|``, unit 2-norm and entrywise nonnegative;
+    :meth:`weighting_scaled` rescales it to any other norm (the weighting with
+    unit p-norm is the p-optimal weighting proper).
     """
 
     lam: float
-    weighting: np.ndarray
+    x: np.ndarray          # the signed final unit iterate
     iterations: int
     converged: bool
     stop_reason: str
@@ -113,8 +113,12 @@ class SolveResult:
     restarts: int = 0      # second searches from an iterate after a failed CG search
     support_steps: int = 0  # accepted steps along the support direction
     finishes: int = 0      # moves from a sign-mixed converged x to |x|
-    x: np.ndarray | None = None  # the signed final unit iterate
     trace: tuple[IterationRecord, ...] | None = None
+
+    @property
+    def weighting(self) -> np.ndarray:
+        """``|x|``, computed on each access."""
+        return np.abs(self.x)
 
     def weighting_scaled(self, ord: float) -> np.ndarray:
         """The weighting rescaled to unit norm of the given order (e.g. 1, p
@@ -122,10 +126,10 @@ class SolveResult:
         names no norm."""
         if not ord >= 1.0:
             raise ValueError(f"norm order must be at least 1, got {ord}")
+        weighting = self.weighting
         if ord == math.inf:
-            return self.weighting / self.weighting.max()
-        scale = float((self.weighting**ord).sum() ** (1.0 / ord))
-        return self.weighting / scale
+            return weighting / weighting.max()
+        return weighting / float((weighting**ord).sum() ** (1.0 / ord))
 
 
 @dataclass(frozen=True)
@@ -553,17 +557,16 @@ def solve_single(
         point = search.point
         k += 1
 
-    weighting = np.abs(x)
     if final is not None:
         lam = final.f
     elif math.isfinite(f):
-        lam = _value(g, weighting, cfg.p).f
+        lam = _value(g, np.abs(x), cfg.p).f
         evals += 1
     else:
         lam = math.nan
     return SolveResult(
         lam=lam,
-        weighting=weighting,
+        x=x,
         iterations=k,
         converged=stop == "grad_tol",
         stop_reason=stop,
@@ -574,7 +577,6 @@ def solve_single(
         restarts=restarts,
         support_steps=support_steps,
         finishes=finishes,
-        x=x,
         trace=tuple(trace) if track else None,
     )
 

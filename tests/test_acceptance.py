@@ -19,6 +19,7 @@ Notes on two criteria:
   can certify ascent down to a gradient norm of 1e-8.
 """
 
+import gc
 import math
 import os
 import time
@@ -312,6 +313,64 @@ def test_criterion_8_optional_larger_scale():
            f"n=200001: {res.iterations} iterations, {wall:.1f} s, rel err {rel:.1e}")
     assert rel <= 1e-8
     assert res.iterations <= 1000
+
+
+def _retained(call):
+    """call()'s result and the traced bytes that stay allocated after it."""
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        gc.collect()
+        return result, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+# bytes a retained result may hold beyond its length-n int64 and float64 arrays
+RETAINED_SLACK = 4096
+
+
+def _warm_up(cfg):
+    # a first ranking imports what the solver imports lazily (numpy.random),
+    # which the traced call would count as retained
+    rank_vertices(gen_beta_star(3, 2), cfg)
+
+
+def test_criterion_8_retained_result_bytes():
+    # a report keeps two length-n arrays (ids and impact factors) and a run
+    # keeps only its x, so results hold 16 and 8 bytes per vertex
+    g = gen_beta_star(3, 5000)  # n = 10001
+    cfg = SolverConfig(p=3.0, runs=2, seed=1)
+    _warm_up(cfg)
+    rep, report_bytes = _retained(lambda: rank_vertices(g, cfg))
+    res, runs_bytes = _retained(lambda: solve_multistart(g, cfg, orthant=True))
+    assert len(rep.entries) == g.n and len(res.run_summaries) == cfg.runs
+    ok = (report_bytes <= 2 * 8 * g.n + RETAINED_SLACK
+          and runs_bytes <= cfg.runs * (8 * g.n + RETAINED_SLACK))
+    report("criterion 8", ok,
+           f"n={g.n}: the report retains {report_bytes} B (arrays {2 * 8 * g.n} B), "
+           f"{cfg.runs} runs retain {runs_bytes} B (x {cfg.runs * 8 * g.n} B)")
+    assert report_bytes <= 2 * 8 * g.n + RETAINED_SLACK
+    assert runs_bytes <= cfg.runs * (8 * g.n + RETAINED_SLACK)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("HYPERSPEC_LONG_TESTS"),
+    reason="optional long-running scale test; set HYPERSPEC_LONG_TESTS=1",
+)
+def test_criterion_8_optional_retained_report_at_larger_scale():
+    # the report bound at n = 200001, one ranking run
+    g = gen_beta_star(3, 100_000)
+    cfg = SolverConfig(p=3.0, runs=1, seed=1)
+    _warm_up(cfg)
+    rep, report_bytes = _retained(lambda: rank_vertices(g, cfg))
+    assert len(rep.entries) == g.n
+    ok = report_bytes <= 2 * 8 * g.n + RETAINED_SLACK
+    report("criterion 8", ok,
+           f"n={g.n}: the report retains {report_bytes} B (arrays {2 * 8 * g.n} B)")
+    assert ok
 
 
 def test_criterion_8_gradient_tolerance_at_scale(scale_run):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hyperspec
@@ -193,6 +194,42 @@ class TestRank:
 
     def test_top_exceeding_n(self, single_edge_file, capsys):
         assert main(["rank", single_edge_file, "--p", "2", "--top", "5"]) == 2
+
+
+class TestArrayOutputs:
+    """JSON output read from the result arrays: Python ints and floats with
+    the arrays' exact values."""
+
+    @staticmethod
+    def capture(monkeypatch, name, fn):
+        results = []
+
+        def run(*args, **kwargs):
+            results.append(fn(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, name, run)
+        return results
+
+    def test_rank_json_equals_report_arrays(self, beta_star_file, capsys, monkeypatch):
+        reports = self.capture(monkeypatch, "rank_vertices", ranking.rank_vertices)
+        main(["rank", beta_star_file, "--p", "3", "--runs", "3", "--top", "21",
+              "--format", "json"])
+        rows = json.loads(capsys.readouterr().out)["ranking"]
+        entries = reports[0].entries
+        assert [row["rank"] for row in rows] == list(range(1, 22))
+        assert all(type(row["vertex"]) is int and type(row["impact_factor"]) is float
+                   for row in rows)
+        assert [row["vertex"] for row in rows] == entries.vertices.tolist()
+        assert [row["impact_factor"] for row in rows] == entries.impact.tolist()
+
+    def test_solve_emit_weighting_equals_abs_x(self, beta_star_file, capsys, monkeypatch):
+        results = self.capture(monkeypatch, "solve_multistart", solver.solve_multistart)
+        main(["solve", beta_star_file, "--p", "3", "--runs", "3", "--format", "json",
+              "--emit-weighting"])
+        weighting = json.loads(capsys.readouterr().out)["weighting"]
+        assert all(type(v) is float for v in weighting)
+        assert weighting == np.abs(results[0].best.x).tolist()
 
 
 class TestLagrangian:

@@ -1,4 +1,6 @@
 import time
+import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -158,17 +160,34 @@ class TestIncidence:
         (3, 2, [(1.5, 2.9)], "edge 0: vertex id not an integer"),
         (3, 2, [(1, 2), (2, np.nan)], "edge 1: vertex id not an integer"),
         (3, 2, [(1, 2), (1, 3), (-np.inf, 2)], "edge 2: vertex id not an integer"),
+        (3, 2, [(Fraction(3, 2), 2)], "edge 0: vertex id not an integer"),
+        (3, 2, [(1, 2), (1 + 0.5j, 2)], "edge 1: vertex id not an integer"),
+        (3, 2, np.array([(1, 2), (2, 3), (1, 2.5)], dtype=object),
+         "edge 2: vertex id not an integer"),
         (3.7, 2, [(1, 2)], "n and r must be integers, got n=3.7 r=2"),
         (3, 2.5, [(1, 2)], "n and r must be integers, got n=3 r=2.5"),
         (np.nan, 2, [(1, 2)], "n and r must be integers, got n=nan r=2"),
     ],
-    ids=["fractional-id", "nan-id", "inf-id", "fractional-n", "fractional-r", "nan-n"],
+    ids=["fractional-id", "nan-id", "inf-id", "fraction-object-id", "complex-id",
+         "float-object-id", "fractional-n", "fractional-r", "nan-n"],
 )
 def test_from_edges_rejects_non_integral_input(n, r, edges, message):
-    # an int64 cast would truncate these to a valid graph: (1, 2) and n = 3
-    with pytest.raises(ValueError) as err:
+    # an int64 cast would truncate these to a valid graph: (1, 2) and n = 3;
+    # the complex cast would also warn, so no warning may escape the check
+    with warnings.catch_warnings(), pytest.raises(ValueError) as err:
+        warnings.simplefilter("error")
         Hypergraph.from_edges(n=n, r=r, edges=edges)
     assert str(err.value) == message
+
+
+def test_from_edges_accepts_integral_objects():
+    expected = Hypergraph.from_edges(n=3, r=2, edges=[(1, 2), (1, 3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for edges in ([(Fraction(2), 1), (3, Fraction(1))],
+                      np.array([(2, 1), (3, 1)], dtype=object),
+                      np.array([(2, 1), (3, 1)], dtype=complex)):
+            assert Hypergraph.from_edges(n=3, r=2, edges=edges) == expected
 
 
 def test_from_edges_accepts_integral_floats():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hyperspec import Hypergraph, SolverConfig, gen_complete, random_unit_sphere, rank_vertices
-from hyperspec.ranking import ranked_order
+from hyperspec.ranking import RankedEntries, ranked_order
 
 from conftest import record_starts
 
@@ -68,3 +68,45 @@ class TestRankVertices:
         rep = rank_vertices(gen_complete(4, 3), cfg)
         assert rep.p == 2.0 and rep.runs == 30
         assert rep.lam == pytest.approx(3.0, abs=1e-7)
+
+
+class TestRankedEntries:
+    @pytest.fixture(scope="class")
+    def rep(self):
+        return rank_vertices(two_edge_graph(), SolverConfig(p=3.0, runs=5, seed=2))
+
+    def test_arrays(self, rep):
+        entries = rep.entries
+        assert entries.vertices.dtype == np.int64 and entries.impact.dtype == np.float64
+        assert sorted(entries.vertices.tolist()) == list(range(1, 7))
+        with pytest.raises(ValueError, match="read-only"):
+            entries.impact[0] = 0.0
+
+    def test_iteration_yields_python_pairs(self, rep):
+        entries = rep.entries
+        pairs = tuple(entries)
+        assert pairs == tuple(zip(entries.vertices.tolist(), entries.impact.tolist()))
+        assert all(type(v) is int and type(s) is float for v, s in pairs)
+
+    def test_len_index_and_slice(self, rep):
+        entries = rep.entries
+        pairs = tuple(entries)
+        assert len(entries) == 6
+        assert entries[0] == pairs[0] and entries[-1] == pairs[-1]
+        assert type(entries[2][0]) is int and type(entries[2][1]) is float
+        part = entries[1:4]
+        assert isinstance(part, RankedEntries) and len(part) == 3
+        assert tuple(part) == pairs[1:4]
+        assert np.shares_memory(part.impact, entries.impact)
+        with pytest.raises(IndexError):
+            entries[6]
+
+    def test_equal_reports_hash_equal(self, rep):
+        again = rank_vertices(two_edge_graph(), SolverConfig(p=3.0, runs=5, seed=2))
+        assert again.entries is not rep.entries
+        assert again.entries == rep.entries and hash(again.entries) == hash(rep.entries)
+        assert again == rep and hash(again) == hash(rep)
+
+    def test_different_p_unequal(self, rep):
+        other = rank_vertices(two_edge_graph(), SolverConfig(p=4.0, runs=5, seed=2))
+        assert other.entries != rep.entries

@@ -1122,6 +1122,15 @@ class TestSolveMultistart:
                 assert run.weighting.tobytes() == solo.weighting.tobytes()
             assert multi.best is multi.run_summaries[multi.best_run]
 
+    def test_weighting_is_abs_x_of_every_signed_run(self):
+        # x is the one stored vector; weighting is |x|, derived on access
+        assert "weighting" not in {f.name for f in fields(solver.SolveResult)}
+        # r = 2: f(-x) = f(x), so some runs end at a negative maximizer
+        res = solve_multistart(gen_complete(4, 2), SolverConfig(p=2.0, runs=20, seed=1))
+        assert any((run.x < 0.0).any() for run in res.run_summaries)
+        for run in res.run_summaries:
+            assert run.weighting.tobytes() == np.abs(run.x).tobytes()
+
     def test_default_starts_are_signed(self, monkeypatch):
         # the paper's law: run i from the uniform draw with seed cfg.seed + i
         starts = record_starts(monkeypatch)
@@ -1281,7 +1290,7 @@ class TestSolveMultistart:
         def always_fails(g, cfg, x0, track=False):
             return solver.SolveResult(
                 lam=math.nan,
-                weighting=np.zeros(g.n),
+                x=np.zeros(g.n),
                 iterations=0,
                 converged=False,
                 stop_reason="numerical_failure",
