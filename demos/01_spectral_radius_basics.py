@@ -37,10 +37,10 @@ print()
 # families with closed forms: beta-stars, loose paths
 # ------------------------------------------------------------------
 cases = [
-    ("beta-star  r=3 m=10  p=3", gen_beta_star(3, 10), 3.0, beta_star_value(3, 10, 3.0).value),
-    ("beta-star  r=6 m=4   p=4", gen_beta_star(6, 4), 4.0, beta_star_value(6, 4, 4.0).value),
-    ("loose path r=4 m=3   p=4", gen_loose_path(4, 3), 4.0, loose_path_value(4, 3).value),
-    ("loose path r=4 m=4   p=4", gen_loose_path(4, 4), 4.0, loose_path_value(4, 4).value),
+    ("beta-star  r=3 m=10  p=3", gen_beta_star(3, 10), 3.0, beta_star_value(3, 10, 3.0)),
+    ("beta-star  r=6 m=4   p=4", gen_beta_star(6, 4), 4.0, beta_star_value(6, 4, 4.0)),
+    ("loose path r=4 m=3   p=4", gen_loose_path(4, 3), 4.0, loose_path_value(4, 3)),
+    ("loose path r=4 m=4   p=4", gen_loose_path(4, 4), 4.0, loose_path_value(4, 4)),
 ]
 print(f"{'instance':<28} {'computed':>18} {'closed form':>18} {'rel err':>10}")
 for name, g, p, ref in cases:

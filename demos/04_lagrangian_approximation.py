@@ -11,7 +11,7 @@ from hyperspec import SolverConfig, complete_lagrangian, gen_complete, lagrangia
 
 for n in (4, 10):
     g = gen_complete(n, 3)
-    exact = complete_lagrangian(n, 3).value
+    exact = complete_lagrangian(n, 3)
     cfg = SolverConfig(p=2.0, runs=20, seed=0, grad_tol=1e-6)
     approx = lagrangian_approx(g, cfg, steps=10)
 

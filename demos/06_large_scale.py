@@ -19,7 +19,7 @@ from hyperspec import SolverConfig, beta_star_value, gen_beta_star, solve_single
 from hyperspec.solver import random_unit_sphere
 
 g = gen_beta_star(3, 10_000)
-ref = beta_star_value(3, 10_000, 3.0).value
+ref = beta_star_value(3, 10_000, 3.0)
 print(f"beta-star: n = {g.n}, m = {g.m}, closed form lambda = {ref:.12f}")
 
 x0 = random_unit_sphere(g.n, np.random.default_rng(42))

@@ -1,7 +1,6 @@
 """hyperspec: p-spectral radii and p-optimal weightings of uniform hypergraphs."""
 
 from .families import (
-    ClosedForm,
     beta_star_value,
     brute_force_radius,
     complete_lagrangian,
@@ -37,7 +36,6 @@ from .tensor_ops import objective, value_and_grad
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClosedForm",
     "Hypergraph",
     "LagrangianApproximation",
     "MultistartResult",

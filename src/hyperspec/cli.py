@@ -207,15 +207,15 @@ def _selftest_closed_forms(wanted: list | tuple, runs: int, seed: int, report: l
     cases = [
         # (case, name, graph, p, closed form, tolerance)
         ("closed-forms", "beta-star r=3 m=10 p=3", gen_beta_star(3, 10), 3.0,
-         beta_star_value(3, 10, 3).value, 1e-8),
+         beta_star_value(3, 10, 3), 1e-8),
         ("closed-forms", "beta-star r=6 m=4 p=4", gen_beta_star(6, 4), 4.0,
-         beta_star_value(6, 4, 4).value, 1e-8),
+         beta_star_value(6, 4, 4), 1e-8),
         ("closed-forms", "beta-star r=3 m=10 p=2", gen_beta_star(3, 10), 2.0,
-         beta_star_value(3, 10, 2).value, 1e-8),
+         beta_star_value(3, 10, 2), 1e-8),
         ("closed-forms", "loose-path r=4 m=3 p=4", gen_loose_path(4, 3), 4.0,
-         loose_path_value(4, 3).value, 1e-8),
+         loose_path_value(4, 3), 1e-8),
         ("closed-forms", "loose-path r=4 m=4 p=4", gen_loose_path(4, 4), 4.0,
-         loose_path_value(4, 4).value, 1e-8),
+         loose_path_value(4, 4), 1e-8),
         ("tetrahedron-z", "tetrahedron-z p=2 vs 3.0", gen_complete(4, 3), 2.0, 3.0, 3e-8),
     ]
     for case, name, g, p, ref, tol in cases:
@@ -261,7 +261,7 @@ def _selftest_brute_force(seed: int, report: list) -> None:
         edges, weights = _random_edges(rng, n, 3, int(rng.integers(2, 8)))
         g = Hypergraph.from_edges(n=n, r=3, edges=edges, weights=weights)
         for p in (2.0, 3.0):
-            oracle = brute_force_radius(g, p, budget=400, seed=trial)
+            oracle, _ = brute_force_radius(g, p, budget=400, seed=trial)
             res = solve_multistart(g, SolverConfig(p=p, runs=40, seed=seed + trial))
             worst = max(worst, abs(oracle - res.best.lam))
     report.append(("brute-force 5 graphs p=2,3", worst, 1e-4, None))

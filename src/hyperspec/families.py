@@ -10,21 +10,11 @@ the two is a meaningful cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .hypergraph import Hypergraph
-
-
-@dataclass(frozen=True)
-class ClosedForm:
-    """A spectral value known in closed form for one structured family."""
-
-    value: float
-    source: str  # "beta_star" | "loose_path" | "complete_lagrangian"
-    parameters: tuple
 
 
 def gen_beta_star(r: int, m: int) -> Hypergraph:
@@ -58,7 +48,7 @@ def gen_complete(n: int, r: int) -> Hypergraph:
     return Hypergraph.from_edges(n=n, r=r, edges=list(combinations(range(1, n + 1), r)))
 
 
-def beta_star_value(r: int, m: int, p: float) -> ClosedForm:
+def beta_star_value(r: int, m: int, p: float) -> float:
     """p-spectral radius of the r-uniform beta-star with m edges.
 
     Three regimes: p > r-1, p < r-1, and p = r-1 (where the value does not
@@ -68,15 +58,13 @@ def beta_star_value(r: int, m: int, p: float) -> ClosedForm:
     if r < 2 or m < 1 or p <= 0:
         raise ValueError(f"need r >= 2, m >= 1, p > 0, got r={r} m={m} p={p}")
     if p > r - 1:
-        value = math.factorial(r) * r ** (-r / p) * m ** (1.0 - (r - 1) / p)
-    elif p < r - 1:
-        value = math.factorial(r) * r ** (-r / p)
-    else:
-        value = math.factorial(r - 1) * r ** (-1.0 / (r - 1))
-    return ClosedForm(value=value, source="beta_star", parameters=(r, m, p))
+        return math.factorial(r) * r ** (-r / p) * m ** (1.0 - (r - 1) / p)
+    if p < r - 1:
+        return math.factorial(r) * r ** (-r / p)
+    return math.factorial(r - 1) * r ** (-1.0 / (r - 1))
 
 
-def loose_path_value(r: int, m: int) -> ClosedForm:
+def loose_path_value(r: int, m: int) -> float:
     """r-spectral radius of the r-uniform loose path with m edges (m = 3 or 4).
 
     Equals (r-1)! times the largest H-eigenvalue of the adjacency tensor,
@@ -91,16 +79,14 @@ def loose_path_value(r: int, m: int) -> ClosedForm:
         h_eig = 3.0 ** (1.0 / r)
     else:
         raise ValueError(f"closed form known only for m in {{3, 4}}, got m={m}")
-    value = math.factorial(r - 1) * h_eig
-    return ClosedForm(value=value, source="loose_path", parameters=(r, m, float(r)))
+    return math.factorial(r - 1) * h_eig
 
 
-def complete_lagrangian(n: int, r: int) -> ClosedForm:
+def complete_lagrangian(n: int, r: int) -> float:
     """Lagrangian of the complete r-graph on n vertices: C(n, r) / n^r."""
     if r < 2 or n < r:
         raise ValueError(f"need n >= r >= 2, got n={n} r={r}")
-    value = math.comb(n, r) / n**r
-    return ClosedForm(value=value, source="complete_lagrangian", parameters=(n, r, 1.0))
+    return math.comb(n, r) / n**r
 
 
 # --- independent brute-force estimator ---------------------------------------
@@ -141,9 +127,10 @@ def _naive_value_and_grad(
 
 
 def brute_force_radius(
-    g: Hypergraph, p: float, budget: int = 2000, seed: int = 0, return_vector: bool = False
-):
-    """Dense multistart estimate of the p-spectral radius for tiny instances.
+    g: Hypergraph, p: float, budget: int = 2000, seed: int = 0
+) -> tuple[float, np.ndarray]:
+    """Dense multistart estimate of the p-spectral radius for tiny instances,
+    as (value, unit vector that attains it).
 
     ``budget`` random unit starts are refined simultaneously by normalized
     gradient steps with per-start backtracking until the gradient norm drops
@@ -187,9 +174,5 @@ def brute_force_radius(
     f_flipped, _ = _naive_value_and_grad(g, flipped, p)
     best = int(np.argmax(np.maximum(f, f_flipped)))
     if f_flipped[best] >= f[best]:
-        value, vector = float(f_flipped[best]), flipped[best]
-    else:
-        value, vector = float(f[best]), pts[best]
-    if return_vector:
-        return value, vector
-    return value
+        return float(f_flipped[best]), flipped[best]
+    return float(f[best]), pts[best]

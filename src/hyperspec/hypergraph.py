@@ -55,21 +55,31 @@ class Hypergraph:
 
     @classmethod
     def from_edges(cls, n: int, r: int, edges, weights=None) -> "Hypergraph":
-        """Build a canonical hypergraph from an (m, r) array-like of 1-based
-        vertex ids and optional (m,) weights (default 1.0 each), merging
-        duplicate edges by weight sum.  n, r and every id must be integral
-        (float, complex and object ids included)."""
+        """Build a canonical hypergraph from an (m, r) array of 1-based vertex
+        ids and optional (m,) weights (default 1.0 each), merging duplicate
+        edges by weight sum.  Ids and weights must have an integer or float
+        dtype; n, r and every float id must be whole numbers."""
         if not (float(n).is_integer() and float(r).is_integer()):
             raise ValueError(f"n and r must be integers, got n={n!r} r={r!r}")
-        edges = np.asarray(edges)
-        if edges.dtype.kind in "fcO":  # an int64 cast would truncate silently
-            bad = _non_integral(edges)
+        n, r = int(n), int(r)
+        edges = _numeric("edges", edges)
+        if edges.size == 0:
+            edges = edges.reshape(0, r)
+        if edges.ndim != 2 or edges.shape[1] != r:
+            raise ValueError(f"edges have shape {edges.shape}, expected (m, {r})")
+        if edges.dtype.kind == "f":  # an int64 cast would truncate silently
+            bad = ~(np.isfinite(edges) & (edges == np.trunc(edges)))
             if bad.any():
                 raise ValueError(f"edge {np.argwhere(bad)[0, 0]}: vertex id not an integer")
-            if edges.dtype.kind == "c":  # the real parts, without a cast warning
-                edges = edges.real
-        slots, merged, _ = _merge(edges, r, weights)
-        g = cls(n=int(n), r=int(r), slots=slots, weights=merged)
+        if edges.dtype.kind in "uf":  # ids outside [1, n] become 0, so none wraps in the cast
+            edges = np.where((edges >= 1) & (edges <= min(n, 2**62)), edges, 0)
+        weights = np.ones(len(edges)) if weights is None else _numeric("weights", weights)
+        if weights.ndim != 1:
+            raise ValueError(f"weights have shape {weights.shape}, expected ({len(edges)},)")
+        if len(weights) != len(edges):
+            raise ValueError(f"{len(weights)} weights for {len(edges)} edges")
+        slots, merged, _ = _merge(edges.astype(np.int64, copy=False), weights)
+        g = cls(n=n, r=r, slots=slots, weights=merged)
         if problems := validate(g):
             raise ValueError("invalid hypergraph: " + "; ".join(problems))
         return g
@@ -80,31 +90,19 @@ class Hypergraph:
         return len(self.slots)
 
 
-def _non_integral(edges: np.ndarray) -> np.ndarray:
-    """Mask of the float, complex or object ids that are not whole numbers:
-    fractional, non-finite or with a nonzero imaginary part."""
-    if edges.dtype.kind == "O":
-        return np.array([_not_an_int(v) for v in edges.flat], dtype=bool).reshape(edges.shape)
-    if edges.dtype.kind == "c":
-        return (edges.imag != 0) | _non_integral(edges.real)
-    return ~(np.isfinite(edges) & (edges == np.trunc(edges)))
+def _numeric(name: str, values) -> np.ndarray:
+    """``values`` as an array, which must have an integer or float dtype."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must have an integer or float dtype, got {values.dtype}")
+    return values
 
 
-def _not_an_int(v) -> bool:
-    """True unless ``v`` equals its own int(), as Python ints and Fraction(2) do."""
-    try:
-        return v != int(v)
-    except (TypeError, ValueError, OverflowError):
-        return True
-
-
-def _merge(edges, r, weights=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted distinct 0-based rows of ``edges``, their summed weights, and
-    the row each input edge was merged into.  One argsort of the row keys
-    orders the rows; weights are summed in input order."""
-    edges = np.asarray(edges, dtype=np.int64)
-    if edges.size == 0:
-        edges = edges.reshape(0, r)
+def _merge(edges: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted distinct 0-based rows of the (m, r) int64 ``edges``, their summed
+    (m,) ``weights`` as float64, and the row each input edge was merged into.
+    One argsort of the row keys orders the rows; weights are summed in input
+    order."""
     rows = np.sort(edges, axis=1) - 1
     keys = _row_keys(rows)
     order = keys.argsort()  # need not be stable: equal keys are equal rows
@@ -114,7 +112,6 @@ def _merge(edges, r, weights=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(first) - 1
     slots = rows[order[first]]
-    weights = np.ones(len(edges)) if weights is None else np.asarray(weights, dtype=np.float64)
     return slots, np.bincount(inverse, weights=weights, minlength=len(slots)), inverse
 
 
@@ -227,7 +224,7 @@ def parse_edge_list(source: str | TextIO) -> Hypergraph:
         if bad.any():
             raise ParseError(f"line {numbers[int(np.argmax(bad))]}: {what}")
     # every line passed its checks, so a merged weight overflowed
-    _, merged, inverse = _merge(edges, r, weights)
+    _, merged, inverse = _merge(edges, weights)
     lines = [numbers[k] for k in np.flatnonzero(np.isinf(merged)[inverse])]
     raise ParseError(
         f"line {lines[-1]}: weights of the duplicate edges on lines "

@@ -12,6 +12,7 @@ found.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,8 +66,10 @@ class SolverConfig:
             raise ValueError(f"need finite p > 1, got p={self.p}")
         if not 0.0 < self.grad_tol < math.inf:
             raise ValueError(f"need finite grad_tol > 0, got grad_tol={self.grad_tol}")
-        if self.max_iter < 1 or self.runs < 1:
-            raise ValueError("max_iter and runs must be >= 1")
+        for name, low in (("max_iter", 1), ("runs", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= low):
+                raise ValueError(f"need integer {name} >= {low}, got {name}={value!r}")
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 )
 def test_criterion_1_beta_star_closed_forms(r, m, p):
     g = gen_beta_star(r, m)
-    ref = beta_star_value(r, m, p).value
+    ref = beta_star_value(r, m, p)
     t0 = time.perf_counter()
     res = solve_multistart(g, SolverConfig(p=p, runs=100, seed=10))
     wall = time.perf_counter() - t0
@@ -82,7 +82,7 @@ def test_criterion_1_beta_star_closed_forms(r, m, p):
 @pytest.mark.parametrize("m", [3, 4])
 def test_criterion_2_loose_paths(m):
     g = gen_loose_path(4, m)
-    ref = loose_path_value(4, m).value
+    ref = loose_path_value(4, m)
     res = solve_multistart(g, SolverConfig(p=4.0, runs=100, seed=20))
     rel = abs(res.best.lam - ref) / ref
     success = float(np.mean(np.abs(np.array(res.all_lambdas) - ref) / ref <= 1e-8))
@@ -143,7 +143,7 @@ def _lagrangian_rows(n):
 
 
 def _lagrangian_errors(n):
-    exact = complete_lagrangian(n, 3).value
+    exact = complete_lagrangian(n, 3)
     return {row.theta: abs(row.normalized - exact) for row in _lagrangian_rows(n)}
 
 
@@ -166,7 +166,7 @@ def test_criterion_4_error_tolerance_at_final_step(n):
     assert row.theta == 10
     model = math.comb(n, 3) * n ** (-3.0 / row.p)
     err = abs(row.normalized - model)
-    gap = model - complete_lagrangian(n, 3).value
+    gap = model - complete_lagrangian(n, 3)
     report("criterion 4", err <= 1e-8 * model,
            f"C({n},3) at step 10: normalized {row.normalized:.12f} vs C(n,3)*n^(-3/p) "
            f"{model:.12f}, rel err {err / model:.1e} (distance to the Lagrangian {gap:.4f})")
@@ -256,7 +256,7 @@ def test_criterion_7_brute_force_agreement():
         n = int(rng.integers(4, 7))
         g = make_random_graph(rng, n, 3, int(rng.integers(2, 9)))
         for p in (2.0, 3.0):
-            oracle = brute_force_radius(g, p, budget=400, seed=trial)
+            oracle, _ = brute_force_radius(g, p, budget=400, seed=trial)
             res = solve_multistart(g, SolverConfig(p=p, runs=40, seed=700 + trial))
             worst = max(worst, abs(oracle - res.best.lam))
     report("criterion 7", worst <= 1e-4, f"max |solver - oracle| over 20 graphs: {worst:.2e}")
@@ -283,7 +283,7 @@ def scale_run():
 
 def test_criterion_8_scale_run_cost(scale_run):
     g, res, wall, peak = scale_run
-    ref = beta_star_value(3, 10_000, 3.0).value
+    ref = beta_star_value(3, 10_000, 3.0)
     rel = abs(res.lam - ref) / ref
     budget = (g.n + g.m * g.r) * 8  # bytes for one float64 copy of the data
     ok = res.iterations <= 1000 and wall <= 60.0 and peak <= 64 * budget
@@ -303,7 +303,7 @@ def test_criterion_8_scale_run_cost(scale_run):
 def test_criterion_8_optional_larger_scale():
     # optional larger instance (n = 200001), a few seconds on a desktop
     g = gen_beta_star(3, 100_000)
-    ref = beta_star_value(3, 100_000, 3.0).value
+    ref = beta_star_value(3, 100_000, 3.0)
     x0 = random_unit_sphere(g.n, np.random.default_rng(7))
     t0 = time.perf_counter()
     res = solve_single(g, SolverConfig(p=3.0), x0)
@@ -407,7 +407,7 @@ def test_criterion_9_small_p_selects_heavy_group(two_edge_graph):
     assert {i for i, _ in top} == {4, 5, 6}
     assert separation >= 1e4
     # cross-check the pattern against the independent estimator
-    _, vec = brute_force_radius(two_edge_graph, p, budget=400, seed=9, return_vector=True)
+    _, vec = brute_force_radius(two_edge_graph, p, budget=400, seed=9)
     assert set(np.argsort(-vec)[:3] + 1) == {4, 5, 6}
     assert np.sort(vec)[-3] >= 1e4 * np.sort(vec)[2]
 
@@ -418,5 +418,5 @@ def test_criterion_9_large_p_scores_individually(two_edge_graph):
     spread = max(vals) / min(vals)
     report("criterion 9", spread <= 1.2, f"p=16: factor spread {spread:.3f} (within 20%)")
     assert spread <= 1.2
-    _, vec = brute_force_radius(two_edge_graph, 16.0, budget=400, seed=9, return_vector=True)
+    _, vec = brute_force_radius(two_edge_graph, 16.0, budget=400, seed=9)
     assert float(vec.max() / vec.min()) <= 1.2

@@ -279,6 +279,13 @@ def test_bad_input_prints_error_without_traceback(argv, status, single_edge_file
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["solve", "rank", "lagrangian"])
+def test_negative_seed_error_names_the_flag(command, single_edge_file, capsys):
+    argv = [command, single_edge_file, "--seed", "-1"] + (["--p", "2"] * (command != "lagrangian"))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: need integer seed >= 0, got seed=-1\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [["gen", "beta-star", "--r", "3", "--m", "2"], ["solve", "{edge}", "--p", "2", "--runs", "1"]],

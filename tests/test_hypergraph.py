@@ -160,10 +160,11 @@ class TestIncidence:
         (3, 2, [(1.5, 2.9)], "edge 0: vertex id not an integer"),
         (3, 2, [(1, 2), (2, np.nan)], "edge 1: vertex id not an integer"),
         (3, 2, [(1, 2), (1, 3), (-np.inf, 2)], "edge 2: vertex id not an integer"),
-        (3, 2, [(Fraction(3, 2), 2)], "edge 0: vertex id not an integer"),
-        (3, 2, [(1, 2), (1 + 0.5j, 2)], "edge 1: vertex id not an integer"),
+        (3, 2, [(Fraction(3, 2), 2)], "edges must have an integer or float dtype, got object"),
+        (3, 2, [(1, 2), (1 + 0.5j, 2)],
+         "edges must have an integer or float dtype, got complex128"),
         (3, 2, np.array([(1, 2), (2, 3), (1, 2.5)], dtype=object),
-         "edge 2: vertex id not an integer"),
+         "edges must have an integer or float dtype, got object"),
         (3.7, 2, [(1, 2)], "n and r must be integers, got n=3.7 r=2"),
         (3, 2.5, [(1, 2)], "n and r must be integers, got n=3 r=2.5"),
         (np.nan, 2, [(1, 2)], "n and r must be integers, got n=nan r=2"),
@@ -173,21 +174,73 @@ class TestIncidence:
 )
 def test_from_edges_rejects_non_integral_input(n, r, edges, message):
     # an int64 cast would truncate these to a valid graph: (1, 2) and n = 3;
-    # the complex cast would also warn, so no warning may escape the check
+    # a cast of a complex array would also warn, so no warning may escape
     with warnings.catch_warnings(), pytest.raises(ValueError) as err:
         warnings.simplefilter("error")
         Hypergraph.from_edges(n=n, r=r, edges=edges)
     assert str(err.value) == message
 
 
-def test_from_edges_accepts_integral_objects():
-    expected = Hypergraph.from_edges(n=3, r=2, edges=[(1, 2), (1, 3)])
+@pytest.mark.parametrize(
+    "edges, weights, message",
+    [
+        # numpy reads these as text or as objects, which an int64 or float64
+        # cast would turn into the edge (1, 2) of weight 2, or an OverflowError
+        ([(1, "2")], None, "edges must have an integer or float dtype, got <U21"),
+        ([(1, 2**70)], None, "edges must have an integer or float dtype, got object"),
+        ([(1, 2)], ["2"], "weights must have an integer or float dtype, got <U1"),
+        ([(True, False)], None, "edges must have an integer or float dtype, got bool"),
+        ([(1, 2)], [1 + 0j], "weights must have an integer or float dtype, got complex128"),
+        # ids beyond int64, which a cast would turn into in-range or unsorted ids
+        ([(1.0, 1e20)], None, "invalid hypergraph: edge 0: vertex out of range [1, 3]"),
+        ([(2, -1e30)], None, "invalid hypergraph: edge 0: vertex out of range [1, 3]"),
+        (np.array([(1, 2**63)], dtype=np.uint64), None,
+         "invalid hypergraph: edge 0: vertex out of range [1, 3]"),
+        (np.array([(2**64 - 1, 2)], dtype=np.uint64), None,
+         "invalid hypergraph: edge 0: vertex out of range [1, 3]"),
+        # shapes
+        ([1, 2], None, "edges have shape (2,), expected (m, 2)"),
+        ([(1, 2, 3)], None, "edges have shape (1, 3), expected (m, 2)"),
+        ([[[1, 2]]], None, "edges have shape (1, 1, 2), expected (m, 2)"),
+        ([(1, 2)], [1.0, 2.0], "2 weights for 1 edges"),
+        ([(1, 2), (2, 3)], [1.0], "1 weights for 2 edges"),
+        ([(1, 2)], [[1.0]], "weights have shape (1, 1), expected (1,)"),
+        ([(1, 2)], 1.0, "weights have shape (), expected (1,)"),
+    ],
+    ids=["string-id", "object-id-beyond-int64", "string-weight", "bool-ids", "complex-weight",
+         "float-id-beyond-int64", "negative-float-id-beyond-int64", "uint64-id-2**63",
+         "uint64-max-id", "1d-edges", "wide-edges", "3d-edges", "too-many-weights",
+         "too-few-weights", "2d-weights", "scalar-weight"],
+)
+def test_from_edges_rejects_other_input(edges, weights, message):
+    with warnings.catch_warnings(), pytest.raises(ValueError) as err:
+        warnings.simplefilter("error")
+        Hypergraph.from_edges(n=3, r=2, edges=edges, weights=weights)
+    assert str(err.value) == message
+
+
+def test_from_edges_ids_beyond_int64_are_out_of_range_for_any_n():
+    # no int64 slot holds the id 2**65, though n = 2**70 admits it
+    for edges in ([(1.0, 2.0**65)], np.array([(1, 2**63)], dtype=np.uint64)):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="vertex out of range"):
+            warnings.simplefilter("error")
+            Hypergraph.from_edges(n=2**70, r=2, edges=edges)
+
+
+@pytest.mark.parametrize("edges", [[], np.empty((0, 2)), np.empty(0, dtype=np.uint64)])
+def test_from_edges_accepts_no_edges(edges):
+    g = Hypergraph.from_edges(n=3, r=2, edges=edges, weights=None if len(edges) else [])
+    assert (g.n, g.r, g.m) == (3, 2, 0)
+
+
+def test_from_edges_accepts_numeric_dtypes():
+    expected = Hypergraph.from_edges(n=3, r=2, edges=[(1, 2), (1, 3)], weights=[2.0, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for edges in ([(Fraction(2), 1), (3, Fraction(1))],
-                      np.array([(2, 1), (3, 1)], dtype=object),
-                      np.array([(2, 1), (3, 1)], dtype=complex)):
-            assert Hypergraph.from_edges(n=3, r=2, edges=edges) == expected
+        for dtype in (np.uint8, np.int32, np.uint64, np.float32):
+            edges = np.array([(2, 1), (3, 1)], dtype=dtype)
+            for weights in ([2, 1], np.array([2.0, 1.0], dtype=np.float32)):
+                assert Hypergraph.from_edges(n=3, r=2, edges=edges, weights=weights) == expected
 
 
 def test_from_edges_accepts_integral_floats():
@@ -354,7 +407,9 @@ def edge_tables(draw):
 @example((PACKING_LIMIT_ROWS[2**21], 3, None))
 @settings(max_examples=100, deadline=None)
 def test_merge_matches_unique_reference(table):
-    got = _merge(*table)
+    edges, r, weights = table
+    got = _merge(np.array(edges, dtype=np.int64).reshape(-1, r),
+                 np.ones(len(edges)) if weights is None else np.array(weights, dtype=np.float64))
     expected = merge_reference(*table)
     for a, b in zip(got, expected):
         assert a.dtype == b.dtype and a.shape == b.shape

@@ -82,6 +82,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("runs", 2.5), ("max_iter", 10.5), ("runs", "2"), ("seed", -1), ("seed", 1.5)],
+    )
+    def test_non_integral_counts_rejected(self, field, value):
+        # a float runs would fail later in range(), and a negative seed in numpy
+        with pytest.raises(ValueError, match=f"integer {field} >= "):
+            SolverConfig(p=2.0, **{field: value})
+
 
 class TestRandomUnitSphere:
     def test_unit_norm(self):
@@ -471,7 +480,7 @@ class TestLineSearch:
 class TestSolveSingle:
     def test_beta_star_from_good_start(self):
         g = gen_beta_star(3, 10)
-        ref = beta_star_value(3, 10, 3).value
+        ref = beta_star_value(3, 10, 3)
         cfg = SolverConfig(p=3.0)
         # start biased toward the optimum's sign pattern
         x0 = np.ones(g.n) / math.sqrt(g.n)
@@ -487,7 +496,7 @@ class TestSolveSingle:
 
     def test_loose_path_value(self):
         g = gen_loose_path(4, 4)
-        ref = loose_path_value(4, 4).value
+        ref = loose_path_value(4, 4)
         best = -np.inf
         for seed in range(5):
             rng = np.random.default_rng(seed)
@@ -594,7 +603,7 @@ class TestSolveSingle:
         res = solve_single(g, SolverConfig(p=3.0), x0)
         assert res.stop_reason == "grad_tol"
         assert res.converged
-        ref = beta_star_value(3, 10, 3).value
+        ref = beta_star_value(3, 10, 3)
         assert abs(res.lam - ref) / ref <= 1e-12
         # a search allowed a single trial really fails and is reported so
         monkeypatch.setattr(solver, "MAX_LINESEARCH_STEPS", 1)
@@ -870,7 +879,7 @@ class TestSolveSingle:
         runs = solve_multistart(
             gen_beta_star(3, 10), SolverConfig(p=1.5, runs=40, seed=0)
         ).run_summaries
-        ref = beta_star_value(3, 10, 1.5).value
+        ref = beta_star_value(3, 10, 1.5)
         assert all(run.stop_reason == "grad_tol" for run in runs)
         assert all(abs(run.lam - ref) <= 1e-8 * ref for run in runs)
 
@@ -1001,7 +1010,7 @@ class TestSolveSingle:
         runs = solve_multistart(
             gen_beta_star(6, 4), SolverConfig(p=4.0, runs=40, seed=0)
         ).run_summaries
-        ref = beta_star_value(6, 4, 4.0).value
+        ref = beta_star_value(6, 4, 4.0)
         assert all(run.stop_reason == "grad_tol" for run in runs)
         assert all(abs(run.lam - ref) <= 1e-12 * ref for run in runs)
         assert sum(run.iterations for run in runs) <= 2000
@@ -1264,7 +1273,7 @@ class TestSolveMultistart:
             n=3, r=3, edges=[(1, 1, 2), (1, 2, 3), (3, 3, 3)], weights=[1.0, 2.0, 0.5]
         )
         res = solve_multistart(g, SolverConfig(p=2.0, runs=30, seed=0))
-        oracle = brute_force_radius(g, 2.0, budget=500, seed=0)
+        oracle, _ = brute_force_radius(g, 2.0, budget=500, seed=0)
         assert abs(res.best.lam - oracle) <= 1e-8
 
     def test_isolated_vertices_get_zero_weight(self):
@@ -1314,7 +1323,7 @@ class TestLagrangianApprox:
         cfg = SolverConfig(p=2.0, runs=5, seed=0, grad_tol=1e-10)
         approx = lagrangian_approx(g, cfg, steps=5)
         for row in approx.rows:
-            ref = beta_star_value(2, 1, row.p).value
+            ref = beta_star_value(2, 1, row.p)
             assert abs(row.lam - ref) / ref <= 1e-9
         assert approx.estimate == approx.rows[-1].normalized
 
