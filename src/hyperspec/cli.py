@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from .families import (
     gen_beta_star,
     gen_complete,
     gen_loose_path,
+    gen_random,
     loose_path_value,
 )
 from .hypergraph import Hypergraph, ParseError, parse_edge_list, serialize_edge_list
@@ -75,19 +77,27 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _make_config(args, default_runs: int) -> SolverConfig:
-    return SolverConfig(
-        p=args.p,
-        grad_tol=args.tol,
-        max_iter=args.max_iter,
-        runs=args.runs if args.runs is not None else default_runs,
-        seed=args.seed,
-    )
+def _emit_rows(args, meta: dict, key: str, rows: list[dict], text: list[str]) -> None:
+    """Write ``rows`` as JSON (``{**meta, key: rows}``), as CSV (the row keys,
+    then each row's values by ``repr``) or as the given text lines."""
+    if args.format == "json":
+        lines = [json.dumps({**meta, key: rows})]
+    elif args.format == "csv":
+        lines = [",".join(rows[0])] + [",".join(map(repr, row.values())) for row in rows]
+    else:
+        lines = text
+    _emit("\n".join(lines) + "\n", args.out)
+
+
+def _make_config(args) -> SolverConfig:
+    """A SolverConfig from the flags that are set; SolverConfig holds the defaults."""
+    given = vars(args)
+    return SolverConfig(**{f.name: given[f.name] for f in fields(SolverConfig) if f.name in given})
 
 
 def cmd_solve(args) -> int:
     g = _load_graph(args.graph)
-    cfg = _make_config(args, default_runs=100)
+    cfg = _make_config(args)
     t0 = time.perf_counter()
     res = solve_multistart(g, cfg)
     wall = time.perf_counter() - t0
@@ -133,75 +143,48 @@ def cmd_solve(args) -> int:
 
 def cmd_rank(args) -> int:
     g = _load_graph(args.graph)
-    cfg = _make_config(args, default_runs=10)
     top = args.top if args.top is not None else min(10, g.n)
-    report = rank_vertices(g, cfg, top_k=top)
-
-    if args.format == "json":
-        payload = {
-            "p": report.p,
-            "lambda": report.lam,
-            "runs": report.runs,
-            "ranking": [
-                {"rank": i + 1, "vertex": v, "impact_factor": val}
-                for i, (v, val) in enumerate(report.entries)
-            ],
-        }
-        _emit(json.dumps(payload) + "\n", args.out)
-    elif args.format == "csv":
-        rows = ["rank,vertex,impact_factor"]
-        rows += [f"{i + 1},{v},{val!r}" for i, (v, val) in enumerate(report.entries)]
-        _emit("\n".join(rows) + "\n", args.out)
-    else:
-        lines = [f"lambda {report.lam!r}  p {report.p:g}  runs {report.runs}"]
-        lines += [
-            f"{i + 1:>4}  vertex {v:<8} impact {val:.10f}"
-            for i, (v, val) in enumerate(report.entries)
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
+    report = rank_vertices(g, _make_config(args), top_k=top)
+    rows = [{"rank": i + 1, "vertex": v, "impact_factor": val}
+            for i, (v, val) in enumerate(report.entries)]
+    text = [f"lambda {report.lam!r}  p {report.p:g}  runs {report.runs}"]
+    text += ["{rank:>4}  vertex {vertex:<8} impact {impact_factor:.10f}".format(**row)
+             for row in rows]
+    _emit_rows(args, {"p": report.p, "lambda": report.lam, "runs": report.runs},
+               "ranking", rows, text)
     return 0
 
 
 def cmd_lagrangian(args) -> int:
     g = _load_graph(args.graph)
-    cfg = _make_config(args, default_runs=100)
-    approx = lagrangian_approx(g, cfg, steps=args.steps)
-
-    if args.format == "json":
-        payload = {
-            "estimate": approx.estimate,
-            "r_factorial": math.factorial(g.r),
-            "schedule": [
-                {"theta": row.theta, "p": row.p, "lambda": row.lam, "normalized": row.normalized}
-                for row in approx.rows
-            ],
-        }
-        _emit(json.dumps(payload) + "\n", args.out)
-    elif args.format == "csv":
-        rows = ["theta,p,lambda,normalized"]
-        rows += [f"{r.theta},{r.p!r},{r.lam!r},{r.normalized!r}" for r in approx.rows]
-        _emit("\n".join(rows) + "\n", args.out)
-    else:
-        lines = [f"{'theta':>5} {'p':>12} {'lambda':>20} {'lambda/r!':>20}"]
-        for row in approx.rows:
-            lines.append(f"{row.theta:>5} {row.p:>12.8f} {row.lam:>20.12f} {row.normalized:>20.12f}")
-        lines.append(f"estimate {approx.estimate!r}")
-        _emit("\n".join(lines) + "\n", args.out)
+    approx = lagrangian_approx(g, _make_config(args), steps=args.steps)
+    rows = [{"theta": row.theta, "p": row.p, "lambda": row.lam, "normalized": row.normalized}
+            for row in approx.rows]
+    text = [f"{'theta':>5} {'p':>12} {'lambda':>20} {'lambda/r!':>20}"]
+    text += ["{theta:>5} {p:>12.8f} {lambda:>20.12f} {normalized:>20.12f}".format(**row)
+             for row in rows]
+    text.append(f"estimate {approx.estimate!r}")
+    _emit_rows(args, {"estimate": approx.estimate, "r_factorial": math.factorial(g.r)},
+               "schedule", rows, text)
     return 0
+
+
+# family -> (generator, its size flags in call order)
+GENERATORS = {
+    "beta-star": (gen_beta_star, ("r", "m")),
+    "loose-path": (gen_loose_path, ("r", "m")),
+    "complete": (gen_complete, ("n", "r")),
+}
+SIZE_HELP = {"n": "number of vertices", "r": "edge cardinality", "m": "number of edges"}
 
 
 def cmd_gen(args) -> int:
-    if args.family == "beta-star":
-        g = gen_beta_star(args.r, args.m)
-    elif args.family == "loose-path":
-        g = gen_loose_path(args.r, args.m)
-    else:
-        g = gen_complete(args.n, args.r)
-    _emit(serialize_edge_list(g), args.out)
+    gen, size_flags = GENERATORS[args.family]
+    _emit(serialize_edge_list(gen(*(getattr(args, flag) for flag in size_flags))), args.out)
     return 0
 
 
-def _selftest_closed_forms(wanted: list | tuple, runs: int, seed: int, report: list) -> None:
+def _selftest_closed_forms(wanted: list | tuple, cfg: SolverConfig, report: list) -> None:
     """Best value of each wanted case against its closed form, and the share
     of runs that hit the closed form to 1e-8."""
     cases = [
@@ -220,18 +203,9 @@ def _selftest_closed_forms(wanted: list | tuple, runs: int, seed: int, report: l
     ]
     for case, name, g, p, ref, tol in cases:
         if case in wanted:
-            res = solve_multistart(g, SolverConfig(p=p, runs=runs, seed=seed))
+            res = solve_multistart(g, replace(cfg, p=p))
             rel = np.abs(np.array(res.all_lambdas) - ref) / abs(ref)
             report.append((name, rel[res.best_run], tol, float(np.mean(rel <= 1e-8))))
-
-
-def _random_edges(rng, n: int, r: int, m: int) -> tuple[list, list]:
-    """m random edges of r distinct vertices of 1..n, weights in [0.5, 2)."""
-    edges, weights = [], []
-    for _ in range(m):
-        edges.append(rng.choice(np.arange(1, n + 1), size=r, replace=False))
-        weights.append(float(rng.uniform(0.5, 2.0)))
-    return edges, weights
 
 
 def _selftest_gradient_fd(seed: int, report: list) -> None:
@@ -240,8 +214,7 @@ def _selftest_gradient_fd(seed: int, report: list) -> None:
     for _ in range(100):
         n = int(rng.integers(3, 11))
         r = int(rng.integers(2, min(n, 4) + 1))
-        edges, weights = _random_edges(rng, n, r, int(rng.integers(1, 6)))
-        g = Hypergraph.from_edges(n=n, r=r, edges=edges, weights=weights)
+        g = gen_random(rng, n, r, int(rng.integers(1, 6)))
         p = float(rng.choice([1.5, 2.0, 3.0, 8.0]))
         x = rng.uniform(0.2, 1.0, size=n) * rng.choice([-1.0, 1.0], size=n)
         x /= np.linalg.norm(x)
@@ -253,16 +226,15 @@ def _selftest_gradient_fd(seed: int, report: list) -> None:
     report.append(("gradient-fd 100 probes", worst, 1e-6, None))
 
 
-def _selftest_brute_force(seed: int, report: list) -> None:
-    rng = np.random.default_rng(seed)
+def _selftest_brute_force(cfg: SolverConfig, report: list) -> None:
+    rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     for trial in range(5):
         n = int(rng.integers(4, 7))
-        edges, weights = _random_edges(rng, n, 3, int(rng.integers(2, 8)))
-        g = Hypergraph.from_edges(n=n, r=3, edges=edges, weights=weights)
+        g = gen_random(rng, n, 3, int(rng.integers(2, 8)))
         for p in (2.0, 3.0):
             oracle, _ = brute_force_radius(g, p, budget=400, seed=trial)
-            res = solve_multistart(g, SolverConfig(p=p, runs=40, seed=seed + trial))
+            res = solve_multistart(g, replace(cfg, p=p, runs=40, seed=cfg.seed + trial))
             worst = max(worst, abs(oracle - res.best.lam))
     report.append(("brute-force 5 graphs p=2,3", worst, 1e-4, None))
 
@@ -271,14 +243,15 @@ SELFTEST_CASES = ("closed-forms", "tetrahedron-z", "gradient-fd", "brute-force")
 
 
 def cmd_selftest(args) -> int:
+    cfg = _make_config(args)
     report: list[tuple[str, float, float, float | None]] = []
     wanted = args.case or SELFTEST_CASES
     t0 = time.perf_counter()
-    _selftest_closed_forms(wanted, args.runs if args.runs is not None else 100, args.seed, report)
+    _selftest_closed_forms(wanted, cfg, report)
     if "gradient-fd" in wanted:
-        _selftest_gradient_fd(args.seed, report)
+        _selftest_gradient_fd(cfg.seed, report)
     if "brute-force" in wanted:
-        _selftest_brute_force(args.seed, report)
+        _selftest_brute_force(cfg, report)
     wall = time.perf_counter() - t0
 
     cases = []
@@ -305,15 +278,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"hyperspec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    unset = argparse.SUPPRESS  # an unset solver flag takes SolverConfig's default
 
     def add_solver_flags(sp, with_p=True, formats=("text", "json", "csv")):
         if with_p:
             sp.add_argument("--p", type=parse_p, required=True,
                             help="spectral parameter p > 1 (decimal or fraction like 4/3)")
-        sp.add_argument("--runs", type=int, default=None, help="number of multistart runs")
-        sp.add_argument("--tol", type=float, default=1e-8, help="gradient-norm stop tolerance")
-        sp.add_argument("--max-iter", type=int, default=1000, help="iteration cap per run")
-        sp.add_argument("--seed", type=int, default=0, help="base random seed")
+        sp.add_argument("--runs", type=int, default=unset, help="number of multistart runs")
+        sp.add_argument("--tol", type=float, dest="grad_tol", metavar="TOL", default=unset,
+                        help="gradient-norm stop tolerance")
+        sp.add_argument("--max-iter", type=int, default=unset, help="iteration cap per run")
+        sp.add_argument("--seed", type=int, default=unset, help="base random seed")
         sp.add_argument("--format", choices=formats, default="text")
         sp.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
@@ -328,35 +303,30 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("graph", help="edge-list file")
     add_solver_flags(sp)
     sp.add_argument("--top", type=int, default=None, help="report only the top K vertices")
-    sp.set_defaults(func=cmd_rank)
+    sp.set_defaults(runs=10, func=cmd_rank)
 
     sp = sub.add_parser("lagrangian", help="approximate the Lagrangian via p -> 1 schedule")
     sp.add_argument("graph", help="edge-list file")
     add_solver_flags(sp, with_p=False)
     sp.add_argument("--steps", type=int, default=10, help="schedule length")
-    sp.set_defaults(p=2.0, tol=1e-6, func=cmd_lagrangian)
+    sp.set_defaults(p=2.0, grad_tol=1e-6, func=cmd_lagrangian)
 
     sp = sub.add_parser("gen", help="generate a structured hypergraph family")
     gen_sub = sp.add_subparsers(dest="family", required=True)
-    for family in ("beta-star", "loose-path"):
+    for family, (_, size_flags) in GENERATORS.items():
         fp = gen_sub.add_parser(family)
-        fp.add_argument("--r", type=int, required=True, help="edge cardinality")
-        fp.add_argument("--m", type=int, required=True, help="number of edges")
+        for flag in size_flags:
+            fp.add_argument(f"--{flag}", type=int, required=True, help=SIZE_HELP[flag])
         fp.add_argument("--out", default=None)
-        fp.set_defaults(func=cmd_gen, family=family)
-    fp = gen_sub.add_parser("complete")
-    fp.add_argument("--n", type=int, required=True, help="number of vertices")
-    fp.add_argument("--r", type=int, required=True, help="edge cardinality")
-    fp.add_argument("--out", default=None)
-    fp.set_defaults(func=cmd_gen, family="complete")
+        fp.set_defaults(func=cmd_gen)
 
     sp = sub.add_parser("selftest", help="run the oracle-vs-solver verification suite")
     sp.add_argument("--case", action="append", choices=SELFTEST_CASES,
                     help="restrict to one case (repeatable)")
-    sp.add_argument("--runs", type=int, default=None, help="multistart runs per case")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--runs", type=int, default=unset, help="multistart runs per case")
+    sp.add_argument("--seed", type=int, default=unset)
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.set_defaults(func=cmd_selftest)
+    sp.set_defaults(p=2.0, func=cmd_selftest)
 
     return parser
 

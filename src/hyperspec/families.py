@@ -10,6 +10,7 @@ the two is a meaningful cross-check.
 from __future__ import annotations
 
 import math
+import numbers
 from itertools import combinations
 
 import numpy as np
@@ -46,6 +47,15 @@ def gen_complete(n: int, r: int) -> Hypergraph:
     if r < 2 or n < r:
         raise ValueError(f"need n >= r >= 2, got n={n} r={r}")
     return Hypergraph.from_edges(n=n, r=r, edges=list(combinations(range(1, n + 1), r)))
+
+
+def gen_random(rng: np.random.Generator, n: int, r: int, m: int) -> Hypergraph:
+    """m random edges of r distinct vertices of 1..n, weights uniform in [0.5, 2)."""
+    edges, weights = [], []
+    for _ in range(m):
+        edges.append(rng.choice(np.arange(1, n + 1), size=r, replace=False))
+        weights.append(rng.uniform(0.5, 2.0))
+    return Hypergraph.from_edges(n=n, r=r, edges=edges, weights=weights)
 
 
 def beta_star_value(r: int, m: int, p: float) -> float:
@@ -142,6 +152,8 @@ def brute_force_radius(
         raise ValueError(f"brute force is restricted to n <= 8, got n={g.n}")
     if p <= 1:
         raise ValueError(f"need p > 1, got p={p}")
+    if not (isinstance(budget, numbers.Integral) and budget >= 1):
+        raise ValueError(f"need integer budget >= 1, got budget={budget!r}")
 
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((budget, g.n))

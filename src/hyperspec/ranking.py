@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -75,8 +76,8 @@ def rank_vertices(g: Hypergraph, cfg: SolverConfig, top_k: int | None = None) ->
     they converge to nonnegative critical points whose weighting is
     stationary, not to mixed-sign ones whose |x| is not.
     """
-    if top_k is not None and not 1 <= top_k <= g.n:
-        raise ValueError(f"top_k must be in [1, {g.n}], got {top_k}")
+    if top_k is not None and not (isinstance(top_k, numbers.Integral) and 1 <= top_k <= g.n):
+        raise ValueError(f"need integer top_k in [1, {g.n}], got top_k={top_k!r}")
     res = solve_multistart(g, cfg, orthant=True)
     impact = res.best.weighting
     order = ranked_order(impact)[:top_k]

@@ -617,8 +617,8 @@ def solve_multistart(
 
 def lagrangian_schedule(steps: int) -> list[float]:
     """The p values 1 + 1/(2 theta + 1) for theta = 1..steps."""
-    if steps < 1:
-        raise ValueError(f"need steps >= 1, got {steps}")
+    if not (isinstance(steps, numbers.Integral) and steps >= 1):
+        raise ValueError(f"need integer steps >= 1, got steps={steps!r}")
     return [1.0 + 1.0 / (2 * theta + 1) for theta in range(1, steps + 1)]
 
 

@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hyperspec
-from hyperspec import SolverError, cli, parse_edge_list, ranking, solver
+from hyperspec import SolverConfig, SolverError, cli, parse_edge_list, ranking, solver
 from hyperspec.cli import main, parse_p
 
 
@@ -279,11 +280,75 @@ def test_bad_input_prints_error_without_traceback(argv, status, single_edge_file
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("command", ["solve", "rank", "lagrangian"])
-def test_negative_seed_error_names_the_flag(command, single_edge_file, capsys):
-    argv = [command, single_edge_file, "--seed", "-1"] + (["--p", "2"] * (command != "lagrangian"))
-    assert main(argv) == 2
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "{edge}", "--p", "2"], ["rank", "{edge}", "--p", "2"], ["lagrangian", "{edge}"],
+     ["selftest", "--case", "gradient-fd"], ["selftest", "--case", "brute-force"]],
+    ids=["solve", "rank", "lagrangian", "selftest-gradient-fd", "selftest-brute-force"],
+)
+def test_negative_seed_error_names_the_flag(argv, single_edge_file, capsys):
+    assert main([a.format(edge=single_edge_file) for a in argv] + ["--seed", "-1"]) == 2
     assert capsys.readouterr().err == "error: need integer seed >= 0, got seed=-1\n"
+
+
+def test_unset_flags_take_solver_config_defaults(single_edge_file, monkeypatch):
+    configs = []
+
+    def record(g, cfg, *args, **kwargs):
+        configs.append(cfg)
+        raise SolverError("recorded")
+
+    for name in ("solve_multistart", "rank_vertices", "lagrangian_approx"):
+        monkeypatch.setattr(cli, name, record)
+    for command in (["solve", "--p", "3"], ["rank", "--p", "3"], ["lagrangian"]):
+        assert main([command[0], single_edge_file, *command[1:]]) == 1
+    defaults = SolverConfig(p=3.0)
+    assert configs == [defaults, replace(defaults, runs=10),
+                       replace(defaults, p=2.0, grad_tol=1e-6)]
+
+
+SOLVER_COMMANDS = {"solve": ["--p", "2"], "rank": ["--p", "2"], "lagrangian": []}
+
+
+class TestTableOutput:
+    """rank and lagrangian write one table: the CSV header is the JSON rows'
+    key list and each CSV line is the repr join of its JSON row."""
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [(["rank", "--p", "3", "--runs", "3", "--seed", "5", "--top", "21"], "ranking"),
+         (["lagrangian", "--runs", "3", "--seed", "5", "--steps", "3"], "schedule")],
+        ids=["rank", "lagrangian"],
+    )
+    def test_csv_is_the_json_rows(self, argv, key, beta_star_file, capsys):
+        argv = [argv[0], beta_star_file, *argv[1:]]
+        assert main(argv + ["--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)[key]
+        assert main(argv + ["--format", "csv"]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert header.split(",") == list(rows[0])
+        assert lines == [",".join(map(repr, row.values())) for row in rows]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [[], ["solve"], ["rank"], ["lagrangian"], ["gen"], ["selftest"],
+     ["gen", "beta-star"], ["gen", "loose-path"], ["gen", "complete"]],
+    ids=lambda command: " ".join(command) or "hyperspec",
+)
+def test_help_exits_zero(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hyperspec")
+
+
+@pytest.mark.parametrize("command", list(SOLVER_COMMANDS))
+def test_solver_help_lists_solver_flags(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    usage = capsys.readouterr().out
+    assert all(f" {flag} " in usage for flag in ("--runs", "--tol", "--max-iter", "--seed"))
 
 
 @pytest.mark.parametrize(
@@ -374,6 +439,10 @@ class TestSelftest:
         assert set(case) == {"name", "err", "tol", "ok", "accuracy"}
         assert case["ok"] is True and case["err"] <= case["tol"]
         assert 0.0 < case["accuracy"] <= 1.0
+
+    def test_runs_is_checked_for_every_case(self, capsys):
+        assert main(["selftest", "--case", "gradient-fd", "--runs", "0"]) == 2
+        assert capsys.readouterr().err == "error: need integer runs >= 1, got runs=0\n"
 
     def test_json_non_finite_err_is_null_and_fails(self, capsys, monkeypatch):
         def nan_case(seed, report):

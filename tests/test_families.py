@@ -138,6 +138,11 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_radius(gen_complete(4, 3), 1.0)
 
+    @pytest.mark.parametrize("budget", [0, 2.5])
+    def test_budget_must_be_a_positive_integer(self, budget):
+        with pytest.raises(ValueError, match=rf"^need integer budget >= 1, got budget={budget}$"):
+            brute_force_radius(gen_complete(4, 3), 2.0, budget=budget)
+
     def test_return_vector(self):
         g = gen_complete(4, 3)
         value, vec = brute_force_radius(g, 2.0, budget=300, seed=2)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hyperspec import Hypergraph, SolverConfig, gen_complete, random_unit_sphere, rank_vertices
+from hyperspec import ranking
 from hyperspec.ranking import RankedEntries, ranked_order
 
 from conftest import record_starts
@@ -52,6 +53,15 @@ class TestRankVertices:
     def test_top_k_bounds(self):
         with pytest.raises(ValueError):
             rank_vertices(two_edge_graph(), SolverConfig(p=3.0, runs=2), top_k=7)
+
+    @pytest.mark.parametrize("top_k", [2.5, 0, 7])
+    def test_top_k_is_checked_before_solving(self, top_k, monkeypatch):
+        def never(*args, **kwargs):
+            pytest.fail("the multistart ran with an invalid top_k")
+
+        monkeypatch.setattr(ranking, "solve_multistart", never)
+        with pytest.raises(ValueError, match=rf"^need integer top_k in \[1, 6\], got top_k={top_k}$"):
+            rank_vertices(two_edge_graph(), SolverConfig(p=3.0, runs=2), top_k=top_k)
 
     def test_runs_start_in_orthant(self, monkeypatch):
         starts = record_starts(monkeypatch)

@@ -1317,6 +1317,12 @@ class TestLagrangianApprox:
         with pytest.raises(ValueError):
             lagrangian_schedule(0)
 
+    @pytest.mark.parametrize("steps", [2.5, 0])
+    def test_steps_must_be_a_positive_integer(self, steps):
+        g = Hypergraph.from_edges(n=2, r=2, edges=[(1, 2)])
+        with pytest.raises(ValueError, match=rf"^need integer steps >= 1, got steps={steps}$"):
+            lagrangian_approx(g, SolverConfig(p=2.0, runs=1), steps=steps)
+
     def test_single_edge_matches_closed_form(self):
         # a single pair edge is the one-edge star: lambda^(p) = 2 * 2^(-2/p)
         g = Hypergraph.from_edges(n=2, r=2, edges=[(1, 2)])
