@@ -65,8 +65,8 @@ def beta_star_value(r: int, m: int, p: float) -> float:
     depend on m).  The branches do not agree in the limit p -> r-1 and no
     continuity across the split is assumed.
     """
-    if r < 2 or m < 1 or p <= 0:
-        raise ValueError(f"need r >= 2, m >= 1, p > 0, got r={r} m={m} p={p}")
+    if r < 2 or m < 1 or not 0.0 < p < math.inf:
+        raise ValueError(f"need r >= 2, m >= 1, finite p > 0, got r={r} m={m} p={p}")
     if p > r - 1:
         return math.factorial(r) * r ** (-r / p) * m ** (1.0 - (r - 1) / p)
     if p < r - 1:
@@ -150,8 +150,8 @@ def brute_force_radius(
     """
     if g.n > 8:
         raise ValueError(f"brute force is restricted to n <= 8, got n={g.n}")
-    if p <= 1:
-        raise ValueError(f"need p > 1, got p={p}")
+    if not 1.0 < p < math.inf:  # SolverConfig's rule
+        raise ValueError(f"need finite p > 1, got p={p}")
     if not (isinstance(budget, numbers.Integral) and budget >= 1):
         raise ValueError(f"need integer budget >= 1, got budget={budget!r}")
 

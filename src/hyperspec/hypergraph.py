@@ -19,6 +19,20 @@ class ParseError(ValueError):
     """Raised when an edge-list file cannot be parsed."""
 
 
+class _RowError(ValueError):
+    """A rule that input rows of :meth:`Hypergraph.from_edges` break, named
+    "edge k" there and by their lines in :func:`parse_edge_list`."""
+
+    def __init__(self, rows: list[int], what: str):
+        self.rows, self.what = rows, what
+        super().__init__("invalid hypergraph: " + self.naming(rows, "edge", "in rows"))
+
+    def naming(self, numbers: list[int], unit: str, listed: str) -> str:
+        """The message with ``numbers`` for the rows, listed where ``what`` has {}."""
+        listing = ", ".join(map(str, numbers))
+        return f"{unit} {numbers[-1]}: " + self.what.format(f"{listed} {listing}")
+
+
 @dataclass(frozen=True, eq=False)
 class Hypergraph:
     """An r-uniform weighted (multi-)hypergraph on vertices 1..n.
@@ -58,10 +72,14 @@ class Hypergraph:
         """Build a canonical hypergraph from an (m, r) array of 1-based vertex
         ids and optional (m,) weights (default 1.0 each), merging duplicate
         edges by weight sum.  Ids and weights must have an integer or float
-        dtype; n, r and every float id must be whole numbers."""
+        dtype; n, r and every float id must be whole numbers.  The error for
+        an id outside [1, n], a weight that is not positive and finite or an
+        infinite merged weight names the input row as "edge k"."""
         if not (float(n).is_integer() and float(r).is_integer()):
             raise ValueError(f"n and r must be integers, got n={n!r} r={r!r}")
         n, r = int(n), int(r)
+        if problems := _size_problems(n, r):
+            raise ValueError("invalid hypergraph: " + "; ".join(problems))
         edges = _numeric("edges", edges)
         if edges.size == 0:
             edges = edges.reshape(0, r)
@@ -71,18 +89,20 @@ class Hypergraph:
             bad = ~(np.isfinite(edges) & (edges == np.trunc(edges)))
             if bad.any():
                 raise ValueError(f"edge {np.argwhere(bad)[0, 0]}: vertex id not an integer")
-        if edges.dtype.kind in "uf":  # ids outside [1, n] become 0, so none wraps in the cast
-            edges = np.where((edges >= 1) & (edges <= min(n, 2**62)), edges, 0)
         weights = np.ones(len(edges)) if weights is None else _numeric("weights", weights)
         if weights.ndim != 1:
             raise ValueError(f"weights have shape {weights.shape}, expected ({len(edges)},)")
         if len(weights) != len(edges):
             raise ValueError(f"{len(weights)} weights for {len(edges)} edges")
-        slots, merged, _ = _merge(edges.astype(np.int64, copy=False), weights)
-        g = cls(n=n, r=r, slots=slots, weights=merged)
-        if problems := validate(g):
-            raise ValueError("invalid hypergraph: " + "; ".join(problems))
-        return g
+        top = min(n, 2**62 if edges.dtype.kind in "uf" else 2**63 - 1)  # no id wraps in the cast
+        for bad, what in _edge_rules(edges, 1, top, weights, n):
+            if bad.any():
+                raise _RowError([int(np.argmax(bad))], what)
+        slots, merged, inverse = _merge(edges.astype(np.int64, copy=False), weights)
+        if np.isinf(merged).any():  # the edge of the first row that sums to inf
+            rows = np.flatnonzero(inverse == inverse[np.argmax(np.isinf(merged)[inverse])])
+            raise _RowError(rows.tolist(), "weights of the duplicate edges {} sum to inf")
+        return cls(n=n, r=r, slots=slots, weights=merged)
 
     @property
     def m(self) -> int:
@@ -136,33 +156,36 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows[:, 0]
 
 
+def _size_problems(n: int, r: int) -> list[str]:
+    """The vertex count and edge size rules that n and r break."""
+    return [f"vertex count must be positive, got {n}"] * (n < 1) + [
+        f"edge cardinality must be at least 2, got {r}"] * (r < 2)
+
+
+def _edge_rules(ids: np.ndarray, low: int, high: int, weights: np.ndarray, n: int) -> list:
+    """(rows that break it, what) of the range rule, ids in [low, high], and the weight rule."""
+    return [
+        (((ids < low) | (ids > high)).any(axis=1), f"vertex out of range [1, {n}]"),
+        (~((weights > 0.0) & (weights < np.inf)), "weight must be positive and finite"),
+    ]
+
+
 def validate(g: Hypergraph) -> list[str]:
-    """Check every hypergraph invariant; return one message per kind of
-    violation, naming the first edge position that shows it, or none for a
-    valid canonical hypergraph.  Row order and duplicates come from row keys."""
-    problems: list[str] = []
-    if g.n < 1:
-        problems.append(f"vertex count must be positive, got {g.n}")
-    if g.r < 2:
-        problems.append(f"edge cardinality must be at least 2, got {g.r}")
+    """Check every invariant of a hypergraph from the raw constructor; return
+    one message per kind of violation, naming the first edge position that
+    shows it, or none for a valid canonical hypergraph.  Duplicates come from
+    row keys."""
+    problems = _size_problems(g.n, g.r)
     slots, weights = g.slots, g.weights
     if slots.ndim != 2 or slots.shape[1] != g.r:
         return problems + [f"edges have {slots.shape[-1]} slots, expected {g.r}"]
     if weights.shape != (len(slots),):
         return problems + [f"{weights.size} weights for {len(slots)} edges"]
-    keys = _row_keys(slots)
-    duplicate = np.zeros(len(keys), dtype=bool)
-    duplicate[1:] = keys[1:] == keys[:-1]   # in lexicographic order copies follow the first
-    if (keys[1:] < keys[:-1]).any():
-        duplicate = np.ones(len(keys), dtype=bool)
-        duplicate[np.unique(keys, return_index=True)[1]] = False
-    # no int64 id names slot 2**63 - 1, but id -2**63 wraps to it in from_edges
-    top = min(g.n, 2**63 - 1)
-    checks = [
-        (((slots < 0) | (slots >= top)).any(axis=1), f"vertex out of range [1, {g.n}]"),
+    duplicate = np.ones(len(slots), dtype=bool)  # all but the first copy of each row
+    duplicate[np.unique(_row_keys(slots), return_index=True)[1]] = False
+    # slot 2**63 - 1 would be id 2**63, beyond int64
+    checks = _edge_rules(slots, 0, min(g.n, 2**63 - 1) - 1, weights, g.n) + [
         ((slots[:, 1:] < slots[:, :-1]).any(axis=1), "vertex slots not in nondecreasing order"),
-        (~(weights > 0.0), "nonpositive weight"),
-        (np.isinf(weights), "infinite weight"),
         (duplicate, "duplicate of an earlier edge"),
     ]
     for bad, what in checks:
@@ -184,8 +207,9 @@ def parse_edge_list(source: str | TextIO) -> Hypergraph:
     One front end scans the header and raises its errors; one of two body
     readers turns the rest into id and weight arrays: :func:`_read_table`
     when one ``np.loadtxt`` call reads the body, :func:`_read_lines`
-    otherwise.  Both feed the same id, weight and merged-sum checks, so a
-    file gives the same graph or the same error whichever reader took it.
+    otherwise.  Both feed :meth:`Hypergraph.from_edges`, whose error names
+    the line of the row it names, so a file gives the same graph or the same
+    error whichever reader took it.
     """
     text = source if isinstance(source, str) else source.read()
     start, lineno = 0, 1
@@ -204,32 +228,15 @@ def parse_edge_list(source: str | TextIO) -> Hypergraph:
         r, n = int(tokens[0]), int(tokens[1])
     except ValueError:
         raise ParseError(f"line {lineno}: header must be two integers") from None
-    if r < 2 or n < 1:
-        raise ParseError(f"line {lineno}: need r >= 2 and n >= 1, got r={r} n={n}")
+    if problems := _size_problems(n, r):
+        raise ParseError(f"line {lineno}: " + "; ".join(problems))
     body, first = text[end + 1:], lineno + 1
     edges, weights = _read_table(body, r) or _read_lines(body, r, n, first)
-    # weights are checked line by line, since a negative one can merge into a
-    # positive sum; from_edges rejects out-of-range ids and overflowing sums
-    bad_weights = ~((weights > 0.0) & (weights < np.inf))
-    if not bad_weights.any():
-        try:
-            return Hypergraph.from_edges(n=n, r=r, edges=edges, weights=weights)
-        except ValueError:
-            pass
-    numbers = [k for k, _ in _data_lines(body, first)]
-    for bad, what in (
-        (((edges < 1) | (edges > n)).any(axis=1), f"vertex id out of range [1, {n}]"),
-        (bad_weights, "weight must be positive and finite"),
-    ):
-        if bad.any():
-            raise ParseError(f"line {numbers[int(np.argmax(bad))]}: {what}")
-    # every line passed its checks, so a merged weight overflowed
-    _, merged, inverse = _merge(edges, weights)
-    lines = [numbers[k] for k in np.flatnonzero(np.isinf(merged)[inverse])]
-    raise ParseError(
-        f"line {lines[-1]}: weights of the duplicate edges on lines "
-        f"{', '.join(map(str, lines))} sum to inf"
-    )
+    try:
+        return Hypergraph.from_edges(n=n, r=r, edges=edges, weights=weights)
+    except _RowError as err:  # row k of the table is the body's data line k
+        numbers = [k for k, _ in _data_lines(body, first)]
+        raise ParseError(err.naming([numbers[k] for k in err.rows], "line", "on lines")) from None
 
 
 def _tokens(line: str) -> list[str]:

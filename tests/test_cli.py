@@ -12,6 +12,8 @@ import hyperspec
 from hyperspec import SolverConfig, SolverError, cli, parse_edge_list, ranking, solver
 from hyperspec.cli import main, parse_p
 
+from conftest import record_starts
+
 
 @pytest.fixture
 def single_edge_file(tmp_path):
@@ -439,6 +441,14 @@ class TestSelftest:
         assert set(case) == {"name", "err", "tol", "ok", "accuracy"}
         assert case["ok"] is True and case["err"] <= case["tol"]
         assert 0.0 < case["accuracy"] <= 1.0
+
+    def test_runs_reaches_the_brute_force_case(self, monkeypatch):
+        # the oracle is stubbed out: only the solver's starts are counted
+        monkeypatch.setattr(cli, "brute_force_radius", lambda g, p, budget, seed: (0.0, None))
+        for runs in (1, 3):
+            starts = record_starts(monkeypatch)
+            main(["selftest", "--case", "brute-force", "--runs", str(runs)])
+            assert len(starts) == 5 * 2 * runs  # five graphs, each at p = 2 and 3
 
     def test_runs_is_checked_for_every_case(self, capsys):
         assert main(["selftest", "--case", "gradient-fd", "--runs", "0"]) == 2

@@ -99,6 +99,12 @@ class TestClosedForms:
             est, _ = brute_force_radius(g, p, budget=500, seed=0)
             assert abs(est - ref) / ref <= 1e-6
 
+    @pytest.mark.parametrize("p", [0.0, -1.0, np.nan, np.inf])
+    def test_beta_star_rejects_p(self, p):
+        # nan fell through to the p = r - 1 branch
+        with pytest.raises(ValueError, match="finite p > 0"):
+            beta_star_value(3, 2, p)
+
     def test_loose_path_values(self):
         assert loose_path_value(4, 3) == pytest.approx(6.0 * PHI**0.5, rel=1e-15)
         assert loose_path_value(4, 4) == pytest.approx(6.0 * 3.0**0.25, rel=1e-15)
@@ -135,8 +141,9 @@ class TestBruteForce:
             brute_force_radius(gen_complete(9, 3), 2.0)
 
     def test_p_limit(self):
-        with pytest.raises(ValueError):
-            brute_force_radius(gen_complete(4, 3), 1.0)
+        for p in (1.0, np.nan, np.inf):  # nan took no branch, inf overflowed
+            with pytest.raises(ValueError, match=rf"^need finite p > 1, got p={p}$"):
+                brute_force_radius(gen_complete(4, 3), p)
 
     @pytest.mark.parametrize("budget", [0, 2.5])
     def test_budget_must_be_a_positive_integer(self, budget):

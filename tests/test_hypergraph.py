@@ -1,3 +1,4 @@
+import re
 import time
 import warnings
 from fractions import Fraction
@@ -110,8 +111,9 @@ class TestValidate:
         assert validate(gen_complete(4, 3)) == []
 
     def test_nonpositive_weight(self):
-        g = raw(4, 3, [(1, 2, 3)], [0.0])
-        assert any("nonpositive weight" in v for v in validate(g))
+        for w in (0.0, -1.0, np.inf, np.nan):  # the weight rule of from_edges
+            g = raw(4, 3, [(1, 2, 3)], [w])
+            assert validate(g) == ["edge 0: weight must be positive and finite"]
 
     def test_vertex_out_of_range(self):
         g = raw(4, 3, [(1, 2, 5)], [1.0])
@@ -217,6 +219,36 @@ def test_from_edges_rejects_other_input(edges, weights, message):
         warnings.simplefilter("error")
         Hypergraph.from_edges(n=3, r=2, edges=edges, weights=weights)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "edges, weights, message",
+    [
+        ([(1, 2), (2, 3), (1, 5)], None, "edge 2: vertex out of range [1, 3]"),
+        ([(2, 3), (1, 2)], [1.0, 0.0], "edge 1: weight must be positive and finite"),
+        ([(2, 3), (1, 2), (3, 1)], [1.0, np.inf, 1.0],
+         "edge 1: weight must be positive and finite"),
+        # a negative weight is an error even where its duplicate makes the sum positive
+        ([(1, 2), (1, 2)], [-1.0, 2.0], "edge 0: weight must be positive and finite"),
+        # rows 1 and 3 sum to inf as well, but row 0 comes first
+        ([(2, 3), (1, 2), (3, 2), (2, 1)], [1e308] * 4,
+         "edge 2: weights of the duplicate edges in rows 0, 2 sum to inf"),
+    ],
+    ids=["out-of-range", "zero-weight", "inf-weight", "negative-weight-positive-sum",
+         "sum-to-inf"],
+)
+def test_from_edges_names_the_callers_row(edges, weights, message):
+    # the row of the input, not the position in the sorted, merged table
+    with pytest.raises(ValueError) as err:
+        Hypergraph.from_edges(n=3, r=2, edges=edges, weights=weights)
+    assert str(err.value) == "invalid hypergraph: " + message
+
+
+def test_parse_names_the_lines_of_an_overflowing_sum():
+    text = "2 3\n2 3 1e308\n1 2 1e308\n# c\n3 2 1e308\n2 1 1e308\n"
+    with pytest.raises(ParseError) as err:
+        parse_edge_list(text)
+    assert str(err.value) == "line 5: weights of the duplicate edges on lines 2, 5 sum to inf"
 
 
 def test_from_edges_ids_beyond_int64_are_out_of_range_for_any_n():
@@ -549,6 +581,51 @@ def test_bench_shaped_file_takes_table_read(monkeypatch):
     monkeypatch.setattr(hypergraph, "_read_lines", fail)
     g = parse_edge_list(text)
     assert g == expected and g.weights.tobytes() == expected.weights.tobytes()
+
+
+# --- from_edges against parse_edge_list ---------------------------------------
+
+bad_weights = st.sampled_from([0.0, -0.0, -1.0, np.inf, -np.inf, np.nan, 1e308])
+
+
+@st.composite
+def edge_rows(draw):
+    """(n, r, ids, weights) of a small table whose ids may leave [1, n] and
+    whose weights may be zero, negative, infinite, nan or sum to inf."""
+    r = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 6))
+    ids = st.integers(1, n) | st.integers(-1, n + 2)
+    edges = draw(st.lists(st.lists(ids, min_size=r, max_size=r), min_size=m, max_size=m))
+    edge_weights = draw(st.lists(weights | bad_weights, min_size=m, max_size=m))
+    return n, r, edges, edge_weights
+
+
+@given(edge_rows(), st.lists(st.booleans(), min_size=6, max_size=6))
+@example((3, 2, [(1, 2), (2, 1)], [-1.0, 2.0]), [False] * 6)      # negative, positive sum
+@example((3, 2, [(1, 3), (1, 2), (2, 1)], [1.0, 1e308, 1e308]), [True] * 6)  # sum to inf
+@example((3, 2, [(1, 2), (3, 4)], [0.0, 1.0]), [False] * 6)       # two rules, two rows
+@settings(max_examples=300, deadline=None)
+def test_from_edges_agrees_with_parse(table, comments):
+    # from_edges raises if and only if the parse of the same rows does, and
+    # its "edge k" is the row of the line the parse names
+    n, r, edges, edge_weights = table
+    lines, numbers = [f"{r} {n}"], []
+    for row, w, comment in zip(edges, edge_weights, comments):
+        if comment:
+            lines.append("# a comment")
+        lines.append(" ".join(map(str, row)) + f" {w!r}")
+        numbers.append(len(lines))
+    text = "\n".join(lines) + "\n"
+    try:
+        g = Hypergraph.from_edges(n=n, r=r, edges=np.array(edges, dtype=np.int64).reshape(-1, r),
+                                  weights=edge_weights)
+    except ValueError as exc:
+        row = int(re.match(r"invalid hypergraph: edge (\d+): ", str(exc))[1])
+        with pytest.raises(ParseError, match=f"^line {numbers[row]}: "):
+            parse_edge_list(text)
+    else:
+        assert_same_outcome(parse_edge_list(text), g)
 
 
 # --- validate's duplicate test against np.unique ------------------------------
