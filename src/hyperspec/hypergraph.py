@@ -40,11 +40,13 @@ class Hypergraph:
     ``slots`` is the (m, r) int64 table of 0-based vertex ids and ``weights``
     the (m,) float64 edge weights; both are stored read-only, ``slots``
     column-major so that ``slots.T`` is the C-contiguous (r, m) table the
-    objective kernel reads.  Instances built through :meth:`from_edges` or
-    :func:`parse_edge_list` are canonical: each row sorted nondecreasing,
-    duplicate rows merged by summing weights, rows in lexicographic order
-    (both through one int64 key per row).  The raw constructor performs no
-    checks so that :func:`validate` can report violations.
+    objective kernel reads.  The private ``_incidence`` is that table
+    flattened, a writeable view of the same memory.  Instances built through
+    :meth:`from_edges` or :func:`parse_edge_list` are canonical: each row
+    sorted nondecreasing, duplicate rows merged by summing weights, rows in
+    lexicographic order (both through one int64 key per row).  The raw
+    constructor performs no checks so that :func:`validate` can report
+    violations.
     """
 
     n: int
@@ -53,8 +55,11 @@ class Hypergraph:
     weights: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("slots", np.int64), ("weights", np.float64)):
-            array = np.array(getattr(self, name), dtype=dtype, order="F")
+        owner = np.array(self.slots, dtype=np.int64, order="F")
+        # writeable, since np.bincount copies a read-only index on every call
+        object.__setattr__(self, "_incidence", owner.T.reshape(-1))
+        weights = np.array(self.weights, dtype=np.float64, order="F")
+        for name, array in (("slots", owner.view()), ("weights", weights)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 
@@ -303,9 +308,9 @@ def _read_lines(body: str, r: int, n: int, first: int) -> tuple[np.ndarray, np.n
         return np.array(ids, dtype=np.int64).reshape(-1, r), np.array(weights, dtype=np.float64)
     except OverflowError:  # an id beyond int64, which n + 1 may not fit either
         k = next(k for k, v in enumerate(ids) if not 1 <= v <= min(n, 2**63 - 1))
-        what = f"out of range [1, {n}]" if not 1 <= ids[k] <= n else "beyond int64"
+        what = "vertex id beyond int64" if 1 <= ids[k] <= n else f"vertex out of range [1, {n}]"
         lineno = [number for number, _ in _data_lines(body, first)][k // r]
-        raise ParseError(f"line {lineno}: vertex id {what}") from None
+        raise ParseError(f"line {lineno}: {what}") from None
 
 
 def serialize_edge_list(g: Hypergraph) -> str:

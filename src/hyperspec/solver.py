@@ -398,6 +398,8 @@ def line_search_wolfe(
 
         if trial == current or (math.isfinite(hi) and hi - lo <= 1e-16 * max(1.0, hi)):
             break
+        # the rejected trial's tables go before the next value pass builds its own
+        point_t = x_t = grad_t = None
     return LineSearchResult(False, 0.0, None, evals, grad_evals, increments)
 
 
@@ -480,7 +482,8 @@ def solve_single(
                 grad_evals += 1
                 if math.isfinite(final.f) and cfg.grad_tol < _norm(final.grad) < math.inf:
                     point = final
-                    step_prev = grad_diff_prev = gain_prev = final = None
+                    # search still holds the last iterate's record
+                    step_prev = grad_diff_prev = gain_prev = final = search = None
                     finishes += 1
                     finish = True
                     continue

@@ -51,7 +51,9 @@ class _Eval:
     """The kernel tables of one point x, (2r-1)*m floats once complete:
     :func:`_value` fills in ``prefix``, ``w`` and ``f``, :func:`_gradient`
     trades the prefix for ``suffix`` and sets ``axr`` and ``grad``.  After a
-    sub-resolution step ``f`` is the base's f plus the exact increase."""
+    sub-resolution step ``f`` is the base's f plus the exact increase.  A
+    line search holds two records with tables, its base and its current
+    trial: a rejected trial is dropped before the next one is built."""
 
     x: np.ndarray
     entries: np.ndarray    # (r, m) slot entries
@@ -98,11 +100,16 @@ def _gradient(g: Hypergraph, point: _Eval) -> np.ndarray:
     for j in range(g.r - 3, -1, -1):
         np.multiply(entries[j + 1], suffix[j + 1], out=suffix[j])
     prefix[:-2] *= suffix   # row r-1 already is the last slot's partial
-    axr1 = np.bincount(g.slots.T.ravel(), weights=prefix[:-1].ravel(), minlength=g.n)
+    axr1 = np.bincount(g._incidence, weights=prefix[:-1].ravel(), minlength=g.n)
+    axr1 = axr1.astype(np.float64, copy=False)  # int64 when the index is empty
     point.suffix, point.prefix = suffix, None
     axr = point.axr = float(point.x.dot(axr1))
-    scaled = axr1 - (axr / point.pnorm_p) * np.copysign(point.abs_x ** (point.p - 1.0), point.x)
-    point.grad = (math.factorial(g.r) / point.norm_r) * scaled
+    penalty = point.abs_x ** (point.p - 1.0)
+    np.copysign(penalty, point.x, out=penalty)
+    penalty *= axr / point.pnorm_p
+    axr1 -= penalty
+    axr1 *= math.factorial(g.r) / point.norm_r
+    point.grad = axr1
     return point.grad
 
 
@@ -126,16 +133,28 @@ def _increment(g: Hypergraph, base: _Eval, trial: _Eval) -> float:
     when y equals x.
     """
     p, r = base.p, g.r
-    terms = trial.entries - base.entries       # (r, m) slot steps
-    terms *= trial.prefix[:-1]
-    terms[:-1] *= base.suffix
-    dw = float(np.add.reduce(np.add.reduce(terms)))
+    # each edge's slot terms summed in slot order from 0.0, as np.add.reduce
+    # sums an (r, m) table along axis 0, without forming the table
+    m = trial.entries.shape[1]
+    edge_dw, term = np.zeros(m), np.empty(m)
+    for j in range(r):
+        np.subtract(trial.entries[j], base.entries[j], out=term)   # slot step
+        term *= trial.prefix[j]
+        if j < r - 1:
+            term *= base.suffix[j]
+        edge_dw += term
+    dw = float(np.add.reduce(edge_dw))
 
     abs_x, abs_y = base.abs_x, trial.abs_x
     with np.errstate(divide="ignore", invalid="ignore"):
         # an entry that drops to zero has log1p(-1) = -inf, so expm1 gives -1;
         # entries where x is zero come out nan here and are set directly
-        dpow = base.pow_x * np.expm1(p * np.log1p((abs_y - abs_x) / abs_x))
+        dpow = abs_y - abs_x
+        dpow /= abs_x
+        np.log1p(dpow, out=dpow)
+        dpow *= p
+        np.expm1(dpow, out=dpow)
+        dpow *= base.pow_x
     if not abs_x.all():
         zeros = abs_x == 0.0
         dpow[zeros] = abs_y[zeros] ** p

@@ -373,6 +373,35 @@ def test_criterion_8_optional_retained_report_at_larger_scale():
     assert ok
 
 
+# a line search holds two kernel records with tables: the base, 2r - 1 = 5
+# tables, and the trial, 2r + 1 = 7 while its value stage and 9 while its
+# gradient stage runs (14 tables).  One more record, such as a rejected
+# trial, or a copy of the slot index would exceed the bound
+SEARCH_PEAK_TABLES = 16
+
+
+@pytest.mark.parametrize("n", [
+    40,  # m = 9880
+    pytest.param(100, marks=pytest.mark.skipif(  # m = 161700
+        not os.environ.get("HYPERSPEC_LONG_TESTS"),
+        reason="optional long-running scale test; set HYPERSPEC_LONG_TESTS=1",
+    )),
+])
+def test_criterion_8_search_peak_bytes(n):
+    # the traced peak of one run on the complete 3-graph at p = 2
+    g = gen_complete(n, 3)
+    x0 = random_unit_sphere(g.n, np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        solve_single(g, SolverConfig(p=2.0), x0)
+        peak = tracemalloc.get_traced_memory()[1] / (8 * g.m)
+    finally:
+        tracemalloc.stop()
+    ok = peak <= SEARCH_PEAK_TABLES
+    report("criterion 8", ok, f"m={g.m}: traced peak of one run {peak:.1f} x 8m bytes")
+    assert ok
+
+
 def test_criterion_8_gradient_tolerance_at_scale(scale_run):
     # near f ~ 43 the rounding noise of float64 values of f (~1e-14) exceeds
     # the true per-step increase once the gradient norm is below about 1e-6;

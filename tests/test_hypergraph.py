@@ -101,6 +101,23 @@ class TestParse:
         with pytest.raises(ParseError, match=f"line {line}"):
             parse_edge_list(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3 4\n1 2 5\n", "line 2: vertex out of range [1, 4]"),
+            # the line reader's overflow branch, with from_edges' words
+            ("3 4\n1 2 99999999999999999999\n", "line 2: vertex out of range [1, 4]"),
+            ("3 4\n1 2 3\n0 1 99999999999999999999\n", "line 3: vertex out of range [1, 4]"),
+            # an id within [1, n] that int64 cannot hold
+            ("3 99999999999999999999\n1 2 9223372036854775808\n",
+             "line 2: vertex id beyond int64"),
+        ],
+    )
+    def test_out_of_range_id_has_one_wording(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_edge_list(text)
+        assert str(err.value) == message
+
     def test_empty_input(self):
         with pytest.raises(ParseError, match="header"):
             parse_edge_list("# nothing here\n")
@@ -316,6 +333,14 @@ def test_slots_stored_slot_major(build):
     assert g.slots.shape == (g.m, g.r)
     assert g.slots.T.flags.c_contiguous
     assert not g.slots.flags.writeable
+    # the kernel's bincount index: flat, writeable so that bincount does not
+    # copy it, and the same memory as slots
+    index = g._incidence
+    assert index.flags.writeable and index.flags.c_contiguous
+    assert index.shape == (g.r * g.m,)
+    assert index.base is g.slots.base  # one owner, also when m = 0
+    assert g.m == 0 or np.shares_memory(index, g.slots)
+    assert np.array_equal(index, g.slots.T.ravel())
 
 
 def test_header_only_file_is_an_empty_graph():

@@ -248,6 +248,80 @@ class TestAgainstReference:
         assert point.prefix is None and point.suffix.shape == (r - 1, g.m)
 
 
+def parent_gradient(g, point):
+    """The gradient stage with a new array for each step of its n-sized
+    tail: the reference the in-place kernel matches byte for byte."""
+    entries, prefix = point.entries, point.prefix
+    suffix = np.empty((g.r - 1, entries.shape[1]))
+    suffix[-1] = entries[-1]
+    for j in range(g.r - 3, -1, -1):
+        np.multiply(entries[j + 1], suffix[j + 1], out=suffix[j])
+    prefix[:-2] *= suffix
+    axr1 = np.bincount(g.slots.T.ravel(), weights=prefix[:-1].ravel(), minlength=g.n)
+    point.suffix, point.prefix = suffix, None
+    axr = point.axr = float(point.x.dot(axr1))
+    scaled = axr1 - (axr / point.pnorm_p) * np.copysign(point.abs_x ** (point.p - 1.0), point.x)
+    point.grad = (math.factorial(g.r) / point.norm_r) * scaled
+    return point.grad
+
+
+def parent_increment(g, base, trial):
+    """The increment from an (r, m) table of slot terms and a new array for
+    each step of dpow: the reference the row-by-row kernel matches byte for
+    byte."""
+    p, r = base.p, g.r
+    terms = trial.entries - base.entries
+    terms *= trial.prefix[:-1]
+    terms[:-1] *= base.suffix
+    dw = float(np.add.reduce(np.add.reduce(terms)))
+    abs_x, abs_y = base.abs_x, trial.abs_x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dpow = base.pow_x * np.expm1(p * np.log1p((abs_y - abs_x) / abs_x))
+    if not abs_x.all():
+        zeros = abs_x == 0.0
+        dpow[zeros] = abs_y[zeros] ** p
+    dpnorm_p = float(np.add.reduce(dpow))
+    q = math.expm1((r / p) * math.log1p(dpnorm_p / base.pnorm_p))
+    norm_y = (base.pnorm_p + dpnorm_p) ** (r / p)
+    return math.factorial(r) / norm_y * (dw - base.w * q)
+
+
+class TestBitParity:
+    """The kernel gives the bytes of the reference expressions above."""
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 7, 1000])
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+    def test_gradient_and_increment(self, r, m):
+        rng = np.random.default_rng(10 * r + m)
+        n = 50 if m > 100 else 8
+        g = Hypergraph(n=n, r=r, slots=rng.integers(0, n, size=(m, r)),
+                       weights=rng.uniform(0.5, 2.0, size=m))
+        for p in (1.5, 2.0, 3.0):
+            x = rng.standard_normal(n)
+            x[rng.random(n) < 0.3] = 0.0   # exact zeros, some shared with y below
+            x[0] = 0.5
+            f, grad = value_and_grad(g, x, p)
+            point = _value(g, x, p)
+            assert f == point.f and grad.tobytes() == parent_gradient(g, point).tobytes()
+            base = evaluated(g, x, p)
+            assert base.axr == point.axr
+            far = x.copy()
+            far[rng.random(n) < 0.5] = 0.0  # entries that drop to zero or stay there
+            far[1] = 0.25                   # and one that may leave zero
+            for y in (x.copy(), x + 1e-12 * rng.standard_normal(n), far):
+                trial = _value(g, y, p)
+                got, want = _increment(g, base, trial), parent_increment(g, base, trial)
+                assert got.hex() == want.hex()
+
+    def test_empty_graph(self):
+        g = Hypergraph.from_edges(n=4, r=3, edges=[])
+        x = np.array([0.5, -0.5, 0.0, 0.5])
+        point = _value(g, x, 2.0)
+        assert value_and_grad(g, x, 2.0)[1].tobytes() == parent_gradient(g, point).tobytes()
+        base, trial = evaluated(g, x, 2.0), _value(g, x[::-1].copy(), 2.0)
+        assert _increment(g, base, trial).hex() == parent_increment(g, base, trial).hex()
+
+
 BLAS_PROBE = """
 import numpy as np
 from hyperspec import Hypergraph
