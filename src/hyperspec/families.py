@@ -1,6 +1,11 @@
 """Structured hypergraph families with known spectral values, plus an
 independent brute-force estimator for small instances.
 
+The beta-star, loose-path and complete generators write 0-based slot tables
+that are canonical by construction (rows sorted, distinct, in lexicographic
+order) straight into the raw ``Hypergraph`` constructor, skipping
+``from_edges``' check, sort and merge; ``gen_random``'s rows need the merge.
+
 The brute-force path deliberately shares no evaluation code with the solver:
 it recomputes the weight polynomial and its gradient with plain per-edge
 products and refines plain normalized gradient steps, so agreement between
@@ -11,7 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -26,8 +31,9 @@ def gen_beta_star(r: int, m: int) -> Hypergraph:
     if r < 2 or m < 1:
         raise ValueError(f"need r >= 2 and m >= 1, got r={r} m={m}")
     n = m * (r - 1) + 1
-    leaves = np.arange(2, n + 1).reshape(m, r - 1)
-    return Hypergraph.from_edges(n=n, r=r, edges=np.column_stack([np.ones(m, int), leaves]))
+    slots = np.zeros((m, r), np.int64)  # slot 0 is the center, vertex 1
+    slots[:, 1:] = np.arange(1, n).reshape(m, r - 1)
+    return Hypergraph(n=int(n), r=int(r), slots=slots, weights=np.ones(len(slots)))
 
 
 def gen_loose_path(r: int, m: int) -> Hypergraph:
@@ -38,15 +44,18 @@ def gen_loose_path(r: int, m: int) -> Hypergraph:
     if r < 2 or m < 1:
         raise ValueError(f"need r >= 2 and m >= 1, got r={r} m={m}")
     n = m * (r - 1) + 1
-    starts = 1 + (r - 1) * np.arange(m)
-    return Hypergraph.from_edges(n=n, r=r, edges=starts[:, None] + np.arange(r))
+    slots = (r - 1) * np.arange(m, dtype=np.int64)[:, None] + np.arange(r)
+    return Hypergraph(n=int(n), r=int(r), slots=slots, weights=np.ones(len(slots)))
 
 
 def gen_complete(n: int, r: int) -> Hypergraph:
     """All C(n, r) distinct-vertex edges on n vertices, weights 1."""
     if r < 2 or n < r:
         raise ValueError(f"need n >= r >= 2, got n={n} r={r}")
-    return Hypergraph.from_edges(n=n, r=r, edges=list(combinations(range(1, n + 1), r)))
+    m = math.comb(n, r)
+    rows = chain.from_iterable(combinations(range(n), r))  # lexicographic order
+    slots = np.fromiter(rows, np.int64, count=m * r).reshape(m, r)
+    return Hypergraph(n=int(n), r=int(r), slots=slots, weights=np.ones(len(slots)))
 
 
 def gen_random(rng: np.random.Generator, n: int, r: int, m: int) -> Hypergraph:

@@ -44,9 +44,11 @@ class Hypergraph:
     flattened, a writeable view of the same memory.  Instances built through
     :meth:`from_edges` or :func:`parse_edge_list` are canonical: each row
     sorted nondecreasing, duplicate rows merged by summing weights, rows in
-    lexicographic order (both through one int64 key per row).  The raw
-    constructor performs no checks so that :func:`validate` can report
-    violations.
+    lexicographic order (both through one int64 key per row).  So are the
+    family generators' graphs (``gen_beta_star``, ``gen_loose_path``,
+    ``gen_complete``), which pass the raw constructor tables that are
+    canonical by construction.  The raw constructor performs no checks so
+    that :func:`validate` can report violations.
     """
 
     n: int
@@ -100,7 +102,11 @@ class Hypergraph:
         if len(weights) != len(edges):
             raise ValueError(f"{len(weights)} weights for {len(edges)} edges")
         top = min(n, 2**62 if edges.dtype.kind in "uf" else 2**63 - 1)  # no id wraps in the cast
-        for bad, what in _edge_rules(edges, 1, top, weights, n):
+        rules = [_weight_rule(weights)]
+        # two reductions judge the ids; only a failure builds the (m, r) mask that names the row
+        if edges.size and not 1 <= int(edges.min()) <= int(edges.max()) <= top:
+            rules.insert(0, _range_rule(edges, 1, top, n))
+        for bad, what in rules:
             if bad.any():
                 raise _RowError([int(np.argmax(bad))], what)
         slots, merged, inverse = _merge(edges.astype(np.int64, copy=False), weights)
@@ -167,12 +173,14 @@ def _size_problems(n: int, r: int) -> list[str]:
         f"edge cardinality must be at least 2, got {r}"] * (r < 2)
 
 
-def _edge_rules(ids: np.ndarray, low: int, high: int, weights: np.ndarray, n: int) -> list:
-    """(rows that break it, what) of the range rule, ids in [low, high], and the weight rule."""
-    return [
-        (((ids < low) | (ids > high)).any(axis=1), f"vertex out of range [1, {n}]"),
-        (~((weights > 0.0) & (weights < np.inf)), "weight must be positive and finite"),
-    ]
+def _range_rule(ids: np.ndarray, low: int, high: int, n: int) -> tuple[np.ndarray, str]:
+    """(rows that break it, what) of the range rule: every id in [low, high]."""
+    return ((ids < low) | (ids > high)).any(axis=1), f"vertex out of range [1, {n}]"
+
+
+def _weight_rule(weights: np.ndarray) -> tuple[np.ndarray, str]:
+    """(rows that break it, what) of the weight rule: positive and finite."""
+    return ~((weights > 0.0) & (weights < np.inf)), "weight must be positive and finite"
 
 
 def validate(g: Hypergraph) -> list[str]:
@@ -189,7 +197,9 @@ def validate(g: Hypergraph) -> list[str]:
     duplicate = np.ones(len(slots), dtype=bool)  # all but the first copy of each row
     duplicate[np.unique(_row_keys(slots), return_index=True)[1]] = False
     # slot 2**63 - 1 would be id 2**63, beyond int64
-    checks = _edge_rules(slots, 0, min(g.n, 2**63 - 1) - 1, weights, g.n) + [
+    checks = [
+        _range_rule(slots, 0, min(g.n, 2**63 - 1) - 1, g.n),
+        _weight_rule(weights),
         ((slots[:, 1:] < slots[:, :-1]).any(axis=1), "vertex slots not in nondecreasing order"),
         (duplicate, "duplicate of an earlier edge"),
     ]

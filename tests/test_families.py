@@ -1,4 +1,6 @@
 import math
+import os
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -73,6 +75,75 @@ class TestGenerators:
     def test_family_vertex_counts(self, r, m):
         assert gen_beta_star(r, m).n == m * (r - 1) + 1
         assert gen_loose_path(r, m).n == m * (r - 1) + 1
+
+
+def _beta_star_rows(r, m):
+    """The 1-based rows of the beta-star, edge k = {1} and the leaves after edge k-1's."""
+    return [[1, *range(2 + k * (r - 1), 2 + (k + 1) * (r - 1))] for k in range(m)]
+
+
+def _loose_path_rows(r, m):
+    """The 1-based rows of the loose path: edge k starts at edge k-1's last vertex."""
+    return [list(range(1 + k * (r - 1), 1 + k * (r - 1) + r)) for k in range(m)]
+
+
+def _complete_rows(n, r):
+    return list(combinations(range(1, n + 1), r))
+
+
+# (generator, its two arguments, the 1-based rows, n) of each family at r and size k
+FAMILIES = {
+    "beta-star": lambda r, k: (gen_beta_star, (r, k), _beta_star_rows(r, k), k * (r - 1) + 1),
+    "loose-path": lambda r, k: (gen_loose_path, (r, k), _loose_path_rows(r, k), k * (r - 1) + 1),
+    "complete": lambda r, k: (gen_complete, (k, r), _complete_rows(k, r), k),
+}
+
+
+def _sizes(family, r):
+    return range(r, 10) if family == "complete" else range(1, 51)
+
+
+def _assert_same_graph(g, ref):
+    assert g == ref
+    assert g.slots.tobytes() == ref.slots.tobytes()
+    assert g.weights.tobytes() == ref.weights.tobytes()
+    assert type(g.n) is int and type(g.r) is int
+    assert validate(g) == []
+
+
+class TestCanonicalByConstruction:
+    """The generators' raw tables equal what from_edges makes of the same rows."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("r", range(2, 7))
+    def test_equals_from_edges(self, family, r):
+        for k in _sizes(family, r):
+            gen, args, rows, n = FAMILIES[family](r, k)
+            ref = Hypergraph.from_edges(n=n, r=r, edges=rows)
+            _assert_same_graph(gen(*args), ref)
+            _assert_same_graph(gen(*map(np.int64, args)), ref)
+
+    def test_built_without_from_edges(self, monkeypatch):
+        cases = [FAMILIES[family](3, 5) for family in FAMILIES]
+        refs = [Hypergraph.from_edges(n=n, r=3, edges=rows) for _, _, rows, n in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a family generator called from_edges")
+
+        monkeypatch.setattr(Hypergraph, "from_edges", refuse)
+        for (gen, args, _, _), ref in zip(cases, refs):
+            _assert_same_graph(gen(*args), ref)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("HYPERSPEC_LONG_TESTS"),
+    reason="optional long-running scale test; set HYPERSPEC_LONG_TESTS=1",
+)
+@pytest.mark.parametrize("family, r, k", [("beta-star", 3, 100_000), ("complete", 4, 60)])
+def test_generators_at_scale_match_from_edges(family, r, k):
+    # n = 200001, and m = C(60, 4) = 487635
+    gen, args, rows, n = FAMILIES[family](r, k)
+    _assert_same_graph(gen(*args), Hypergraph.from_edges(n=n, r=r, edges=rows))
 
 
 class TestClosedForms:
