@@ -41,10 +41,13 @@ class Hypergraph:
     the (m,) float64 edge weights; both are stored read-only, ``slots``
     column-major so that ``slots.T`` is the C-contiguous (r, m) table the
     objective kernel reads.  The private ``_incidence`` is that table
-    flattened, a writeable view of the same memory.  Instances built through
-    :meth:`from_edges` or :func:`parse_edge_list` are canonical: each row
-    sorted nondecreasing, duplicate rows merged by summing weights, rows in
-    lexicographic order (both through one int64 key per row).  So are the
+    flattened, a writeable view of the same memory.  A writeable column-major
+    int64 ``slots`` is kept without a copy (``from_edges`` hands over its
+    merged table), so its caller must not write it afterwards; any other
+    table is copied.  Instances built through :meth:`from_edges` or
+    :func:`parse_edge_list` are canonical: each row sorted nondecreasing,
+    duplicate rows merged by summing weights, rows in lexicographic order
+    (both through one int64 key per row, see :func:`_row_keys`).  So are the
     family generators' graphs (``gen_beta_star``, ``gen_loose_path``,
     ``gen_complete``), which pass the raw constructor tables that are
     canonical by construction.  The raw constructor performs no checks so
@@ -57,8 +60,9 @@ class Hypergraph:
     weights: np.ndarray
 
     def __post_init__(self):
-        owner = np.array(self.slots, dtype=np.int64, order="F")
-        # writeable, since np.bincount copies a read-only index on every call
+        owner = np.asarray(self.slots, dtype=np.int64, order="F")
+        if not owner.flags.writeable:  # np.bincount copies a read-only index on every call
+            owner = owner.copy(order="F")
         object.__setattr__(self, "_incidence", owner.T.reshape(-1))
         weights = np.array(self.weights, dtype=np.float64, order="F")
         for name, array in (("slots", owner.view()), ("weights", weights)):
@@ -129,37 +133,64 @@ def _numeric(name: str, values) -> np.ndarray:
     return values
 
 
+# Rows of up to _NETWORK_WIDTH ids are sorted by odd-even transposition (Knuth,
+# TAOCP 3, 5.3.4) in blocks of _BLOCK_ROWS rows, which stay in cache through its
+# r rounds; wider rows by np.sort, which costs less than r(r - 1)/2 exchanges.
+_NETWORK_WIDTH, _BLOCK_ROWS = 7, 2**14
+
+
 def _merge(edges: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted distinct 0-based rows of the (m, r) int64 ``edges``, their summed
-    (m,) ``weights`` as float64, and the row each input edge was merged into.
-    One argsort of the row keys orders the rows; weights are summed in input
-    order."""
-    rows = np.sort(edges, axis=1) - 1
+    """Sorted distinct 0-based rows of the (m, r) int64 ``edges`` as a
+    column-major table, their summed (m,) ``weights`` as float64, and the row
+    each input edge was merged into.  The rows are sorted in one column-major
+    copy and ordered by one argsort of one int64 key per row; weights are
+    summed in input order."""
+    m, r = edges.shape
+    rows = np.empty((m, r), dtype=np.int64, order="F")
+    for start in range(0, m, _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        block[...] = edges[start:start + _BLOCK_ROWS]
+        if r > _NETWORK_WIDTH:
+            block.sort(axis=1)
+        for t in range(r if r <= _NETWORK_WIDTH else 0):  # round t: j, j + 1 for j of its parity
+            a, b = block[:, t % 2:r - 1:2], block[:, t % 2 + 1::2]
+            low = np.minimum(a, b)
+            np.maximum(a, b, out=b)
+            a[...] = low
+        block -= 1
     keys = _row_keys(rows)
     order = keys.argsort()  # need not be stable: equal keys are equal rows
     keys = keys[order]
     first = np.ones(len(rows), dtype=bool)      # row starts a run of equal rows
     first[1:] = keys[1:] != keys[:-1]
+    pick = order[first]
     inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(first) - 1
-    slots = rows[order[first]]
+    inverse[order] = np.cumsum(first, out=keys) - 1
+    del keys, order, first  # freed before the gather and the weight sum
+    slots = np.empty((len(pick), r), dtype=np.int64, order="F")
+    np.take(rows.T, pick, axis=1, out=slots.T, mode="clip")  # "clip" writes out unbuffered
+    del rows, pick
     return slots, np.bincount(inverse, weights=weights, minlength=len(slots)), inverse
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One int64 per row of the (m, r) int64 ``rows``, equal for equal rows and
-    sorted as the rows are: the row as a base-w number (w the span of the
-    values) when w**r < 2**63, else its words of k such ids (its ids when
-    w >= 2**63) ranked and read in pairs over log2(r / k) rounds."""
+    """One int64 key per row of the (m, r) int64 ``rows``, equal for equal
+    rows and sorted as the rows are: the row read in base w (w the span of the
+    values) by Horner's rule when w**r < 2**63, else its words of k such ids
+    (its ids when w >= 2**63) ranked and read in pairs over log2(r / k) rounds."""
     m, r = rows.shape
     if m < 2 or r == 0:  # nothing to order: skip the work over the r columns
         return np.zeros(m, dtype=np.int64)
     lo = int(np.minimum.reduce(rows, axis=None))
     w = int(np.maximum.reduce(rows, axis=None)) - lo + 1
-    if k := min(r, 63 // w.bit_length()):  # k ids a word, w**k < 2**63; the last padded
-        table, rows = rows, np.zeros((m, -(-r // k) * k), dtype=np.int64)
-        np.subtract(table, lo, out=rows[:, :r])
-        rows = rows.reshape(m, -1, k) @ w ** np.arange(k - 1, -1, -1)
+    if k := min(r, 63 // w.bit_length()):  # k ids a word, w**k < 2**63
+        words = np.zeros((m, -(-r // k)), dtype=np.int64, order="F")
+        for j in range(k):  # Horner's rule on all words; a last short word ends in zeros
+            digits = rows[:, j::k]
+            words *= w
+            words[:, :digits.shape[1]] += digits  # may wrap on the way, not at the end
+            words[:, :digits.shape[1]] -= lo
+        rows = words
     while rows.shape[1] > 1:  # rank the even and the odd words apart, then read pairs
         (_, even), (values, odd) = [np.unique(rows[:, j::2], return_inverse=True) for j in (0, 1)]
         rows = even.reshape(m, -1) * len(values)  # a last even word pairs with a zero

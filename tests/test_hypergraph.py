@@ -1,5 +1,7 @@
+import os
 import re
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -449,7 +451,9 @@ PACKING_LIMIT_ROWS = {
 
 @st.composite
 def edge_tables(draw):
-    r = draw(st.integers(min_value=2, max_value=6))
+    # r up to 8 runs every round of the row sort's network, and its np.sort
+    # beyond the network's width
+    r = draw(st.integers(min_value=2, max_value=8))
     m = draw(st.integers(min_value=0, max_value=12))
     ids = draw(key_ids(1, 4))
     edges = draw(st.lists(st.lists(ids, min_size=r, max_size=r), min_size=m, max_size=m))
@@ -457,20 +461,79 @@ def edge_tables(draw):
     return edges, r, edge_weights
 
 
+def reversed_rows(r):
+    """A table whose rows each need every round of a network over r columns."""
+    return [list(range(r, 0, -1)), list(range(2 * r, r, -1)), list(range(r, 0, -1))], r, None
+
+
+# more rows than one block of the row sort, with many duplicates
+BLOCKS_TABLE = (np.random.default_rng(0).integers(1, 7, (2**14 + 3, 4)).tolist(), 4, None)
+
+
 @given(edge_tables())
 @example(([], 3, None))
 @example(([], 2, []))
 @example((PACKING_LIMIT_ROWS[2**21 - 1], 3, None))
 @example((PACKING_LIMIT_ROWS[2**21], 3, None))
+@example(([INT64_EXTREMES, INT64_EXTREMES[::-1], [1, 2**63 - 1, 1, -2**63]], 4, None))
+@example(([[3, 1, 3], [1, 3, 3], [2, 2, 2], [3, 3, 1]], 3, [1.0, 2.0, 4.0, 8.0]))   # repeated ids
+# a span just below 2**31 far from 0: one packed key per row of 2, which would
+# wrap past 2**63 for some rows if read without the offset of the lowest id
+@example(([[3 * 2**30 + 2**31 - 1] * 2, [3 * 2**30 + 1] * 2, [3 * 2**30 + 1, 3 * 2**30 + 2**31 - 1]],
+          2, None))
+@example(([[5, 5, 1, 5, 1, 5], [1, 1, 5, 5, 5, 5], [2, 1, 2, 1, 2, 1]], 6, None))
+@example(reversed_rows(2))
+@example(reversed_rows(3))
+@example(reversed_rows(4))
+@example(reversed_rows(5))
+@example(reversed_rows(6))
+@example(reversed_rows(7))
+@example(reversed_rows(8))
+@example(BLOCKS_TABLE)
 @settings(max_examples=100, deadline=None)
 def test_merge_matches_unique_reference(table):
     edges, r, weights = table
-    got = _merge(np.array(edges, dtype=np.int64).reshape(-1, r),
-                 np.ones(len(edges)) if weights is None else np.array(weights, dtype=np.float64))
+    ids = np.array(edges, dtype=np.int64).reshape(-1, r)
+    weights = np.ones(len(edges)) if weights is None else np.array(weights, dtype=np.float64)
     expected = merge_reference(*table)
-    for a, b in zip(got, expected):
+    for a, b in zip(_merge(ids, weights), expected):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+    if ids.size and ids.min() < 1:
+        return
+    # from_edges keeps the merged table as the graph's column-major slots,
+    # whose owner is writeable only through _incidence
+    g = Hypergraph.from_edges(n=int(ids.max(initial=1)), r=r, edges=ids, weights=weights)
+    assert g.slots.tobytes() == expected[0].tobytes() and g.weights.tobytes() == expected[1].tobytes()
+    assert g.slots.T.flags.c_contiguous and not g.slots.flags.writeable
+    index = g._incidence
+    assert index.flags.writeable and index.base is g.slots.base
+    assert np.array_equal(index, g.slots.T.ravel())
+
+
+@pytest.mark.skipif(
+    not os.environ.get("HYPERSPEC_LONG_TESTS"),
+    reason="optional long-running scale test; set HYPERSPEC_LONG_TESTS=1",
+)
+def test_from_edges_at_scale():
+    # a seeded Zipf 3-graph with n = 1e6 and m = 3e6: from_edges equals the
+    # np.unique reference, and its traced peak is at most 3.4 times the (m, r)
+    # int64 table of 72 MB.  It read 246 MB with a per-row np.sort, a padded
+    # key table and a copied slot table, about 198 MB with the column-major merge
+    n, m, r = 10**6, 3 * 10**6, 3
+    rng = np.random.default_rng(29)
+    popularity = 1.0 / np.arange(1, n + 1) ** 0.8
+    edges = rng.choice(n, size=(m, r), p=popularity / popularity.sum()) + 1
+    edge_weights = rng.uniform(0.5, 2.0, m)
+    tracemalloc.start()
+    try:
+        g = Hypergraph.from_edges(n=n, r=r, edges=edges, weights=edge_weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    slots, merged, _ = merge_reference(edges, r, edge_weights)
+    assert g.slots.tobytes() == slots.tobytes() and g.weights.tobytes() == merged.tobytes()
+    assert peak <= 3.4 * m * r * 8
 
 
 # --- the table read against the line reader ----------------------------------
