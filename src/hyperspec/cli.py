@@ -77,16 +77,17 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_rows(args, meta: dict, key: str, rows: list[dict], text: list[str]) -> None:
-    """Write ``rows`` as JSON (``{**meta, key: rows}``), as CSV (the row keys,
-    then each row's values by ``repr``) or as the given text lines."""
+def _write(args, record: dict, text: list[str], rows: list[dict] | None = None) -> None:
+    """Write ``record`` as JSON (no NaN or infinity), ``rows`` as CSV (the row
+    keys, then each row's values by ``repr``) or the ``text`` lines, as
+    ``--format`` says, to ``--out`` or stdout."""
     if args.format == "json":
-        lines = [json.dumps({**meta, key: rows})]
+        lines = [json.dumps(record, allow_nan=False)]
     elif args.format == "csv":
         lines = [",".join(rows[0])] + [",".join(map(repr, row.values())) for row in rows]
     else:
         lines = text
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit("\n".join(lines) + "\n", getattr(args, "out", None))
 
 
 def _make_config(args) -> SolverConfig:
@@ -106,38 +107,24 @@ def cmd_solve(args) -> int:
         for key in ("iterations", "evals", "grad_evals", "increments", "restarts",
                     "support_steps", "finishes")
     }
-
-    payload = {
-        "lambda": res.best.lam,
-        "p": cfg.p,
-        "r": g.r,
-        "n": g.n,
-        "m": g.m,
-        "runs": cfg.runs,
-        "best_run": res.best_run,
-        "converged": res.best.converged,
-    }
+    payload = {"lambda": res.best.lam, "p": cfg.p, "r": g.r, "n": g.n, "m": g.m,
+               "runs": cfg.runs, "best_run": res.best_run, "converged": res.best.converged}
     if args.emit_weighting:
         payload["weighting"] = res.best.weighting.tolist()
-
-    if args.format == "json":
-        _emit(json.dumps(payload) + "\n", args.out)
-    else:
-        lines = [
-            f"lambda      {res.best.lam!r}",
-            f"p           {cfg.p:g}",
-            f"graph       r={g.r} n={g.n} m={g.m}",
-            f"runs        {cfg.runs} (best run {res.best_run}, "
-            f"{'converged' if res.best.converged else res.best.stop_reason})",
-            f"iterations  {total['iterations']} total",
-            f"kernel      {total['evals']} value passes, {total['grad_evals']} gradient passes",
-            f"increments  {total['increments']} cancellation-free increment passes",
-            f"restarts    {total['restarts']} second searches after a failed CG search",
-            f"support     {total['support_steps']} support steps",
-            f"finishes    {total['finishes']} moves from a sign-mixed converged x to |x|",
-            f"time        {wall:.3f} s",
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
+    _write(args, payload, [
+        f"lambda      {res.best.lam!r}",
+        f"p           {cfg.p:g}",
+        f"graph       r={g.r} n={g.n} m={g.m}",
+        f"runs        {cfg.runs} (best run {res.best_run}, "
+        f"{'converged' if res.best.converged else res.best.stop_reason})",
+        f"iterations  {total['iterations']} total",
+        f"kernel      {total['evals']} value passes, {total['grad_evals']} gradient passes",
+        f"increments  {total['increments']} cancellation-free increment passes",
+        f"restarts    {total['restarts']} second searches after a failed CG search",
+        f"support     {total['support_steps']} support steps",
+        f"finishes    {total['finishes']} moves from a sign-mixed converged x to |x|",
+        f"time        {wall:.3f} s",
+    ])
     return 0
 
 
@@ -150,8 +137,8 @@ def cmd_rank(args) -> int:
     text = [f"lambda {report.lam!r}  p {report.p:g}  runs {report.runs}"]
     text += ["{rank:>4}  vertex {vertex:<8} impact {impact_factor:.10f}".format(**row)
              for row in rows]
-    _emit_rows(args, {"p": report.p, "lambda": report.lam, "runs": report.runs},
-               "ranking", rows, text)
+    _write(args, {"p": report.p, "lambda": report.lam, "runs": report.runs, "ranking": rows},
+           text, rows)
     return 0
 
 
@@ -164,8 +151,8 @@ def cmd_lagrangian(args) -> int:
     text += ["{theta:>5} {p:>12.8f} {lambda:>20.12f} {normalized:>20.12f}".format(**row)
              for row in rows]
     text.append(f"estimate {approx.estimate!r}")
-    _emit_rows(args, {"estimate": approx.estimate, "r_factorial": math.factorial(g.r)},
-               "schedule", rows, text)
+    _write(args, {"estimate": approx.estimate, "r_factorial": math.factorial(g.r),
+                  "schedule": rows}, text, rows)
     return 0
 
 
@@ -184,32 +171,19 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _selftest_closed_forms(wanted: list | tuple, cfg: SolverConfig, report: list) -> None:
-    """Best value of each wanted case against its closed form, and the share
-    of runs that hit the closed form to 1e-8."""
-    cases = [
-        # (case, name, graph, p, closed form, tolerance)
-        ("closed-forms", "beta-star r=3 m=10 p=3", gen_beta_star(3, 10), 3.0,
-         beta_star_value(3, 10, 3), 1e-8),
-        ("closed-forms", "beta-star r=6 m=4 p=4", gen_beta_star(6, 4), 4.0,
-         beta_star_value(6, 4, 4), 1e-8),
-        ("closed-forms", "beta-star r=3 m=10 p=2", gen_beta_star(3, 10), 2.0,
-         beta_star_value(3, 10, 2), 1e-8),
-        ("closed-forms", "loose-path r=4 m=3 p=4", gen_loose_path(4, 3), 4.0,
-         loose_path_value(4, 3), 1e-8),
-        ("closed-forms", "loose-path r=4 m=4 p=4", gen_loose_path(4, 4), 4.0,
-         loose_path_value(4, 4), 1e-8),
-        ("tetrahedron-z", "tetrahedron-z p=2 vs 3.0", gen_complete(4, 3), 2.0, 3.0, 3e-8),
-    ]
-    for case, name, g, p, ref, tol in cases:
-        if case in wanted:
-            res = solve_multistart(g, replace(cfg, p=p))
-            rel = np.abs(np.array(res.all_lambdas) - ref) / abs(ref)
-            report.append((name, rel[res.best_run], tol, float(np.mean(rel <= 1e-8))))
+def _selftest_closed_forms(cfg: SolverConfig, cases: list) -> list:
+    """Per (name, graph, p, closed form, tolerance): the best value's relative
+    error and the share of runs that hit the closed form to 1e-8."""
+    report = []
+    for name, g, p, ref, tol in cases:
+        res = solve_multistart(g, replace(cfg, p=p))
+        rel = np.abs(np.array(res.all_lambdas) - ref) / abs(ref)
+        report.append((name, rel[res.best_run], tol, float(np.mean(rel <= 1e-8))))
+    return report
 
 
-def _selftest_gradient_fd(seed: int, report: list) -> None:
-    rng = np.random.default_rng(seed)
+def _selftest_gradient_fd(cfg: SolverConfig) -> list:
+    rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(3, 11))
@@ -223,10 +197,10 @@ def _selftest_gradient_fd(seed: int, report: list) -> None:
         fd = np.array([(objective(g, x + e, p) - objective(g, x - e, p)) / (2 * h)
                        for e in h * np.eye(n)])
         worst = max(worst, float(np.linalg.norm(grad - fd) / np.linalg.norm(grad)))
-    report.append(("gradient-fd 100 probes", worst, 1e-6, None))
+    return [("gradient-fd 100 probes", worst, 1e-6, None)]
 
 
-def _selftest_brute_force(cfg: SolverConfig, report: list) -> None:
+def _selftest_brute_force(cfg: SolverConfig) -> list:
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     for trial in range(5):
@@ -236,38 +210,41 @@ def _selftest_brute_force(cfg: SolverConfig, report: list) -> None:
             oracle, _ = brute_force_radius(g, p, budget=400, seed=trial)
             res = solve_multistart(g, replace(cfg, p=p, seed=cfg.seed + trial))
             worst = max(worst, abs(oracle - res.best.lam))
-    report.append(("brute-force 5 graphs p=2,3", worst, 1e-4, None))
+    return [("brute-force 5 graphs p=2,3", worst, 1e-4, None)]
 
 
-SELFTEST_CASES = ("closed-forms", "tetrahedron-z", "gradient-fd", "brute-force")
+# case -> its report rows (name, err, tol, accuracy or None), in report order
+SELFTEST_CASES = {
+    "closed-forms": lambda cfg: _selftest_closed_forms(cfg, [
+        ("beta-star r=3 m=10 p=3", gen_beta_star(3, 10), 3.0, beta_star_value(3, 10, 3), 1e-8),
+        ("beta-star r=6 m=4 p=4", gen_beta_star(6, 4), 4.0, beta_star_value(6, 4, 4), 1e-8),
+        ("beta-star r=3 m=10 p=2", gen_beta_star(3, 10), 2.0, beta_star_value(3, 10, 2), 1e-8),
+        ("loose-path r=4 m=3 p=4", gen_loose_path(4, 3), 4.0, loose_path_value(4, 3), 1e-8),
+        ("loose-path r=4 m=4 p=4", gen_loose_path(4, 4), 4.0, loose_path_value(4, 4), 1e-8),
+    ]),
+    "tetrahedron-z": lambda cfg: _selftest_closed_forms(
+        cfg, [("tetrahedron-z p=2 vs 3.0", gen_complete(4, 3), 2.0, 3.0, 3e-8)]),
+    "gradient-fd": _selftest_gradient_fd,
+    "brute-force": _selftest_brute_force,
+}
 
 
 def cmd_selftest(args) -> int:
     cfg = _make_config(args)
-    report: list[tuple[str, float, float, float | None]] = []
     wanted = args.case or SELFTEST_CASES
     t0 = time.perf_counter()
-    _selftest_closed_forms(wanted, cfg, report)
-    if "gradient-fd" in wanted:
-        _selftest_gradient_fd(cfg.seed, report)
-    if "brute-force" in wanted:
-        _selftest_brute_force(cfg, report)
+    report = [row for case, run in SELFTEST_CASES.items() if case in wanted for row in run(cfg)]
     wall = time.perf_counter() - t0
-
-    cases = []
-    for name, err, tol, accuracy in report:
-        ok = bool(err <= tol)  # a non-finite err fails
-        cases.append({"name": name, "err": float(err) if math.isfinite(err) else None,
-                      "tol": tol, "ok": ok, "accuracy": accuracy})
-        if args.format == "text":
-            accu = f"  accu={accuracy:.2f}" if accuracy is not None else ""
-            print(f"{'PASS' if ok else 'FAIL'}  {name:<28} err={err:.3e}  tol={tol:.0e}{accu}")
+    cases = [{"name": name, "err": float(err) if math.isfinite(err) else None, "tol": tol,
+              "ok": bool(err <= tol), "accuracy": accuracy}  # a non-finite err fails
+             for name, err, tol, accuracy in report]
     passed = sum(case["ok"] for case in cases)
-    if args.format == "json":  # no wall time, so the bytes are reproducible
-        print(json.dumps({"cases": cases, "passed": passed, "total": len(cases)},
-                         allow_nan=False))
-    else:
-        print(f"{passed}/{len(cases)} cases passed in {wall:.1f} s")
+    text = [f"{'PASS' if case['ok'] else 'FAIL'}  {name:<28} err={err:.3e}  tol={tol:.0e}"
+            + (f"  accu={accuracy:.2f}" if accuracy is not None else "")
+            for case, (name, err, tol, accuracy) in zip(cases, report)]
+    text.append(f"{passed}/{len(cases)} cases passed in {wall:.1f} s")
+    # the JSON record has no wall time, so its bytes are reproducible
+    _write(args, {"cases": cases, "passed": passed, "total": len(cases)}, text)
     return 1 if passed < len(cases) else 0
 
 

@@ -41,10 +41,9 @@ class Hypergraph:
     the (m,) float64 edge weights; both are stored read-only, ``slots``
     column-major so that ``slots.T`` is the C-contiguous (r, m) table the
     objective kernel reads.  The private ``_incidence`` is that table
-    flattened, a writeable view of the same memory.  A writeable column-major
-    int64 ``slots`` is kept without a copy (``from_edges`` hands over its
-    merged table), so its caller must not write it afterwards; any other
-    table is copied.  Instances built through :meth:`from_edges` or
+    flattened, a writeable view of the same memory.  Both tables are copies
+    of what the caller passed, so no later write to those changes the graph.
+    Instances built through :meth:`from_edges` or
     :func:`parse_edge_list` are canonical: each row sorted nondecreasing,
     duplicate rows merged by summing weights, rows in lexicographic order
     (both through one int64 key per row, see :func:`_row_keys`).  So are the
@@ -60,9 +59,7 @@ class Hypergraph:
     weights: np.ndarray
 
     def __post_init__(self):
-        owner = np.asarray(self.slots, dtype=np.int64, order="F")
-        if not owner.flags.writeable:  # np.bincount copies a read-only index on every call
-            owner = owner.copy(order="F")
+        owner = np.array(self.slots, dtype=np.int64, order="F")
         object.__setattr__(self, "_incidence", owner.T.reshape(-1))
         weights = np.array(self.weights, dtype=np.float64, order="F")
         for name, array in (("slots", owner.view()), ("weights", weights)):
@@ -217,22 +214,25 @@ def _weight_rule(weights: np.ndarray) -> tuple[np.ndarray, str]:
 def validate(g: Hypergraph) -> list[str]:
     """Check every invariant of a hypergraph from the raw constructor; return
     one message per kind of violation, naming the first edge position that
-    shows it, or none for a valid canonical hypergraph.  Duplicates come from
-    row keys."""
+    shows it, or none for a valid canonical hypergraph.  Duplicates and row
+    order come from the row keys."""
     problems = _size_problems(g.n, g.r)
     slots, weights = g.slots, g.weights
     if slots.ndim != 2 or slots.shape[1] != g.r:
         return problems + [f"edges have {slots.shape[-1]} slots, expected {g.r}"]
     if weights.shape != (len(slots),):
         return problems + [f"{weights.size} weights for {len(slots)} edges"]
+    keys = _row_keys(slots)
     duplicate = np.ones(len(slots), dtype=bool)  # all but the first copy of each row
-    duplicate[np.unique(_row_keys(slots), return_index=True)[1]] = False
+    duplicate[np.unique(keys, return_index=True)[1]] = False
+    below = np.append(False, keys[1:] < keys[:-1])  # a row keyed below the row before it
     # slot 2**63 - 1 would be id 2**63, beyond int64
     checks = [
         _range_rule(slots, 0, min(g.n, 2**63 - 1) - 1, g.n),
         _weight_rule(weights),
         ((slots[:, 1:] < slots[:, :-1]).any(axis=1), "vertex slots not in nondecreasing order"),
         (duplicate, "duplicate of an earlier edge"),
+        (below, "before the previous edge in lexicographic order"),
     ]
     for bad, what in checks:
         count = int(np.count_nonzero(bad))
@@ -258,25 +258,20 @@ def parse_edge_list(source: str | TextIO) -> Hypergraph:
     error whichever reader took it.
     """
     text = source if isinstance(source, str) else source.read()
-    start, lineno = 0, 1
-    while True:  # the header is the first line that is neither blank nor a comment
-        end = text.find("\n", start)
-        end = len(text) if end < 0 else end
-        tokens = _tokens(text[start:end])
-        if tokens:
-            break
-        if end == len(text):
-            raise ParseError("empty input: missing 'r n' header line")
-        start, lineno = end + 1, lineno + 1
+    lines = text.split("\n")
+    # the header is the first line that is neither blank nor a comment
+    lineno, tokens = next(_data_lines(lines, 1), (0, None))
+    if tokens is None:
+        raise ParseError("empty input: missing 'r n' header line")
     if len(tokens) != 2:
-        raise ParseError(f"line {lineno}: header must be 'r n', got {text[start:end].strip()!r}")
+        raise ParseError(f"line {lineno}: header must be 'r n', got {lines[lineno - 1].strip()!r}")
     try:
         r, n = int(tokens[0]), int(tokens[1])
     except ValueError:
         raise ParseError(f"line {lineno}: header must be two integers") from None
     if problems := _size_problems(n, r):
         raise ParseError(f"line {lineno}: " + "; ".join(problems))
-    body, first = text[end + 1:], lineno + 1
+    body, first = lines[lineno:], lineno + 1
     edges, weights = _read_table(body, r) or _read_lines(body, r, n, first)
     try:
         return Hypergraph.from_edges(n=n, r=r, edges=edges, weights=weights)
@@ -291,10 +286,9 @@ def _tokens(line: str) -> list[str]:
     return [] if tokens and tokens[0].startswith("#") else tokens
 
 
-def _data_lines(body: str, first: int):
-    """(number, tokens) of each data line of ``body``, whose first line is ``first``."""
-    lines = enumerate(map(_tokens, body.split("\n")), first)
-    return ((k, tokens) for k, tokens in lines if tokens)
+def _data_lines(lines: list[str], first: int):
+    """(number, tokens) of each data line of ``lines``, numbered from ``first``."""
+    return ((k, tokens) for k, tokens in enumerate(map(_tokens, lines), first) if tokens)
 
 
 # The characters of a body the table read takes.  On them Python's int and
@@ -302,18 +296,19 @@ def _data_lines(body: str, first: int):
 _TABLE_ALPHABET = b"0123456789+-.eE \t\n"
 
 
-def _read_table(body: str, r: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The (m, r) ids and (m,) weights of a body that one ``np.loadtxt``
-    call reads, or None for any other body; it never raises.
+def _read_table(body: list[str], r: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (m, r) ids and (m,) weights of a body, given as its lines, that one
+    ``np.loadtxt`` call reads, or None for any other body; it never raises.
 
     The table read takes a body without comments, with only the characters
     of ``_TABLE_ALPHABET`` and with every data line carrying the token count
     of the first, r ids or r ids and a weight; its rows are then the body's
     nonblank lines in order.  Any other body is left to :func:`_read_lines`.
     """
-    if not body.isascii() or body.encode().translate(None, _TABLE_ALPHABET):
+    text = "\n".join(body)
+    if not text.isascii() or text.encode().translate(None, _TABLE_ALPHABET):
         return None
-    width = len(body.lstrip().partition("\n")[0].split())  # of the first data line
+    width = len(next(filter(str.strip, body), "").split())  # of the first data line
     if width not in (r, r + 1):  # also an empty body
         return None
     fields = [("ids", np.int64, (r,))] + [("w", np.float64)] * (width - r)
@@ -321,14 +316,14 @@ def _read_table(body: str, r: int) -> tuple[np.ndarray, np.ndarray] | None:
         with warnings.catch_warnings():
             # numpy before 2.0 reads an id such as "1.0" through float, with a warning
             warnings.simplefilter("error")
-            table = np.loadtxt(body.split("\n"), dtype=fields, comments=None, ndmin=1)
+            table = np.loadtxt(body, dtype=fields, comments=None, ndmin=1)
     except (ValueError, OverflowError, Warning):
         return None
     return table["ids"], (table["w"] if width > r else np.ones(len(table)))
 
 
-def _read_lines(body: str, r: int, n: int, first: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ids and weights of any body, read line by line; raises the
+def _read_lines(body: list[str], r: int, n: int, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ids and weights of any body, given as its lines; raises the
     ParseError of a line's tokens or of an id beyond int64."""
     ids, weights = [], []
     for lineno, tokens in _data_lines(body, first):

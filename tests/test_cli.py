@@ -455,10 +455,10 @@ class TestSelftest:
         assert capsys.readouterr().err == "error: need integer runs >= 1, got runs=0\n"
 
     def test_json_non_finite_err_is_null_and_fails(self, capsys, monkeypatch):
-        def nan_case(seed, report):
-            report.append(("gradient-fd 100 probes", float("nan"), 1e-6, None))
+        def nan_case(cfg):
+            return [("gradient-fd 100 probes", float("nan"), 1e-6, None)]
 
-        monkeypatch.setattr(cli, "_selftest_gradient_fd", nan_case)
+        monkeypatch.setitem(cli.SELFTEST_CASES, "gradient-fd", nan_case)
         assert main(["selftest", "--case", "gradient-fd", "--format", "json"]) == 1
         out = json.loads(capsys.readouterr().out)
         assert out == {
@@ -469,3 +469,18 @@ class TestSelftest:
         }
         assert main(["selftest", "--case", "gradient-fd"]) == 1
         assert "FAIL  gradient-fd" in capsys.readouterr().out
+
+    def test_cases_report_in_table_order(self, capsys):
+        # the order of the case table, whatever order --case names them in
+        argv = ["selftest", "--case", "gradient-fd", "--case", "tetrahedron-z",
+                "--runs", "3", "--format", "json"]
+        assert main(argv) == 0
+        names = [case["name"] for case in json.loads(capsys.readouterr().out)["cases"]]
+        assert names == ["tetrahedron-z p=2 vs 3.0", "gradient-fd 100 probes"]
+
+    def test_case_choices_are_the_table_keys(self, capsys):
+        assert list(cli.SELFTEST_CASES) == [
+            "closed-forms", "tetrahedron-z", "gradient-fd", "brute-force"]
+        with pytest.raises(SystemExit):
+            main(["selftest", "--help"])
+        assert "{" + ",".join(cli.SELFTEST_CASES) + "}" in capsys.readouterr().out
