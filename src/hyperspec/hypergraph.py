@@ -49,8 +49,8 @@ class Hypergraph:
     (both through one int64 key per row, see :func:`_row_keys`).  So are the
     family generators' graphs (``gen_beta_star``, ``gen_loose_path``,
     ``gen_complete``), which pass the raw constructor tables that are
-    canonical by construction.  The raw constructor performs no checks so
-    that :func:`validate` can report violations.
+    canonical by construction.  The raw constructor performs no checks;
+    :func:`validate` tells whether its tables are canonical.
     """
 
     n: int
@@ -103,10 +103,11 @@ class Hypergraph:
         if len(weights) != len(edges):
             raise ValueError(f"{len(weights)} weights for {len(edges)} edges")
         top = min(n, 2**62 if edges.dtype.kind in "uf" else 2**63 - 1)  # no id wraps in the cast
-        rules = [_weight_rule(weights)]
+        rules = [(~((weights > 0.0) & (weights < np.inf)), "weight must be positive and finite")]
         # two reductions judge the ids; only a failure builds the (m, r) mask that names the row
         if edges.size and not 1 <= int(edges.min()) <= int(edges.max()) <= top:
-            rules.insert(0, _range_rule(edges, 1, top, n))
+            bad = ((edges < 1) | (edges > top)).any(axis=1)
+            rules.insert(0, (bad, f"vertex out of range [1, {n}]"))
         for bad, what in rules:
             if bad.any():
                 raise _RowError([int(np.argmax(bad))], what)
@@ -201,45 +202,21 @@ def _size_problems(n: int, r: int) -> list[str]:
         f"edge cardinality must be at least 2, got {r}"] * (r < 2)
 
 
-def _range_rule(ids: np.ndarray, low: int, high: int, n: int) -> tuple[np.ndarray, str]:
-    """(rows that break it, what) of the range rule: every id in [low, high]."""
-    return ((ids < low) | (ids > high)).any(axis=1), f"vertex out of range [1, {n}]"
-
-
-def _weight_rule(weights: np.ndarray) -> tuple[np.ndarray, str]:
-    """(rows that break it, what) of the weight rule: positive and finite."""
-    return ~((weights > 0.0) & (weights < np.inf)), "weight must be positive and finite"
-
-
 def validate(g: Hypergraph) -> list[str]:
-    """Check every invariant of a hypergraph from the raw constructor; return
-    one message per kind of violation, naming the first edge position that
-    shows it, or none for a valid canonical hypergraph.  Duplicates and row
-    order come from the row keys."""
-    problems = _size_problems(g.n, g.r)
-    slots, weights = g.slots, g.weights
-    if slots.ndim != 2 or slots.shape[1] != g.r:
-        return problems + [f"edges have {slots.shape[-1]} slots, expected {g.r}"]
-    if weights.shape != (len(slots),):
-        return problems + [f"{weights.size} weights for {len(slots)} edges"]
-    keys = _row_keys(slots)
-    duplicate = np.ones(len(slots), dtype=bool)  # all but the first copy of each row
-    duplicate[np.unique(keys, return_index=True)[1]] = False
-    below = np.append(False, keys[1:] < keys[:-1])  # a row keyed below the row before it
-    # slot 2**63 - 1 would be id 2**63, beyond int64
-    checks = [
-        _range_rule(slots, 0, min(g.n, 2**63 - 1) - 1, g.n),
-        _weight_rule(weights),
-        ((slots[:, 1:] < slots[:, :-1]).any(axis=1), "vertex slots not in nondecreasing order"),
-        (duplicate, "duplicate of an earlier edge"),
-        (below, "before the previous edge in lexicographic order"),
-    ]
-    for bad, what in checks:
-        count = int(np.count_nonzero(bad))
-        if count:
-            more = f" (and {count - 1} more)" if count > 1 else ""
-            problems.append(f"edge {int(np.argmax(bad))}: {what}{more}")
-    return problems
+    """The error of :meth:`Hypergraph.from_edges` on the rows and weights of
+    a graph from the raw constructor, or one message naming the first edge
+    position where its tables differ from the canonical ones ``from_edges``
+    makes of them; none for a canonical graph."""
+    try:
+        canonical = Hypergraph.from_edges(g.n, g.r, np.add(g.slots, 1, dtype=np.int64), g.weights)
+    except ValueError as err:
+        return [str(err)]
+    if canonical == g:
+        return []
+    slots = g.slots.reshape(-1, canonical.r)  # already (m, r) unless empty, then of any shape
+    m = min(len(slots), canonical.m)
+    same = (slots[:m] == canonical.slots[:m]).all(axis=1) & (g.weights[:m] == canonical.weights[:m])
+    return [f"edge {np.argmin(np.append(same, False))}: not canonical, unlike from_edges on its rows"]
 
 
 def parse_edge_list(source: str | TextIO) -> Hypergraph:
@@ -272,8 +249,8 @@ def parse_edge_list(source: str | TextIO) -> Hypergraph:
     if problems := _size_problems(n, r):
         raise ParseError(f"line {lineno}: " + "; ".join(problems))
     body, first = lines[lineno:], lineno + 1
-    edges, weights = _read_table(body, r) or _read_lines(body, r, n, first)
     try:
+        edges, weights = _read_table(body, r) or _read_lines(body, r, n, first)
         return Hypergraph.from_edges(n=n, r=r, edges=edges, weights=weights)
     except _RowError as err:  # row k of the table is the body's data line k
         numbers = [k for k, _ in _data_lines(body, first)]
@@ -324,7 +301,7 @@ def _read_table(body: list[str], r: int) -> tuple[np.ndarray, np.ndarray] | None
 
 def _read_lines(body: list[str], r: int, n: int, first: int) -> tuple[np.ndarray, np.ndarray]:
     """The ids and weights of any body, given as its lines; raises the
-    ParseError of a line's tokens or of an id beyond int64."""
+    ParseError of a line's tokens, and the row error of an id beyond int64."""
     ids, weights = [], []
     for lineno, tokens in _data_lines(body, first):
         if len(tokens) not in (r, r + 1):
@@ -345,8 +322,7 @@ def _read_lines(body: list[str], r: int, n: int, first: int) -> tuple[np.ndarray
     except OverflowError:  # an id beyond int64, which n + 1 may not fit either
         k = next(k for k, v in enumerate(ids) if not 1 <= v <= min(n, 2**63 - 1))
         what = "vertex id beyond int64" if 1 <= ids[k] <= n else f"vertex out of range [1, {n}]"
-        lineno = [number for number, _ in _data_lines(body, first)][k // r]
-        raise ParseError(f"line {lineno}: {what}") from None
+        raise _RowError([k // r], what) from None
 
 
 def serialize_edge_list(g: Hypergraph) -> str:

@@ -1,6 +1,24 @@
+import os
+
 import numpy as np
+import pytest
 
 from hyperspec import Hypergraph, families, solver, tensor_ops
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "long: optional long-running scale test, run when HYPERSPEC_LONG_TESTS is set")
+
+
+def pytest_collection_modifyitems(config, items):
+    """Skip the tests marked long unless HYPERSPEC_LONG_TESTS is set."""
+    if os.environ.get("HYPERSPEC_LONG_TESTS"):
+        return
+    skip = pytest.mark.skip(reason="optional long-running scale test; set HYPERSPEC_LONG_TESTS=1")
+    for item in items:
+        if item.get_closest_marker("long"):
+            item.add_marker(skip)
 
 
 make_random_graph = families.gen_random  # random r-graph, distinct-vertex edges

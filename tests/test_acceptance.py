@@ -21,7 +21,6 @@ Notes on two criteria:
 
 import gc
 import math
-import os
 import time
 import tracemalloc
 
@@ -296,10 +295,7 @@ def test_criterion_8_scale_run_cost(scale_run):
     assert rel <= 1e-8  # the value itself converges regardless of the gradient stop
 
 
-@pytest.mark.skipif(
-    not os.environ.get("HYPERSPEC_LONG_TESTS"),
-    reason="optional long-running scale test; set HYPERSPEC_LONG_TESTS=1",
-)
+@pytest.mark.long
 def test_criterion_8_optional_larger_scale():
     # optional larger instance (n = 200001), a few seconds on a desktop
     g = gen_beta_star(3, 100_000)
@@ -356,10 +352,7 @@ def test_criterion_8_retained_result_bytes():
     assert runs_bytes <= cfg.runs * (8 * g.n + RETAINED_SLACK)
 
 
-@pytest.mark.skipif(
-    not os.environ.get("HYPERSPEC_LONG_TESTS"),
-    reason="optional long-running scale test; set HYPERSPEC_LONG_TESTS=1",
-)
+@pytest.mark.long
 def test_criterion_8_optional_retained_report_at_larger_scale():
     # the report bound at n = 200001, one ranking run
     g = gen_beta_star(3, 100_000)
@@ -382,10 +375,7 @@ SEARCH_PEAK_TABLES = 16
 
 @pytest.mark.parametrize("n", [
     40,  # m = 9880
-    pytest.param(100, marks=pytest.mark.skipif(  # m = 161700
-        not os.environ.get("HYPERSPEC_LONG_TESTS"),
-        reason="optional long-running scale test; set HYPERSPEC_LONG_TESTS=1",
-    )),
+    pytest.param(100, marks=pytest.mark.long),  # m = 161700
 ])
 def test_criterion_8_search_peak_bytes(n):
     # the traced peak of one run on the complete 3-graph at p = 2

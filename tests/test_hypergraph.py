@@ -1,4 +1,4 @@
-import os
+import math
 import re
 import time
 import tracemalloc
@@ -125,6 +125,9 @@ class TestParse:
             parse_edge_list("# nothing here\n")
 
 
+NOT_CANONICAL = "not canonical, unlike from_edges on its rows"
+
+
 class TestValidate:
     def test_complete_graph_ok(self):
         assert validate(gen_complete(4, 3)) == []
@@ -132,29 +135,32 @@ class TestValidate:
     def test_nonpositive_weight(self):
         for w in (0.0, -1.0, np.inf, np.nan):  # the weight rule of from_edges
             g = raw(4, 3, [(1, 2, 3)], [w])
-            assert validate(g) == ["edge 0: weight must be positive and finite"]
+            assert validate(g) == ["invalid hypergraph: edge 0: weight must be positive and finite"]
 
     def test_vertex_out_of_range(self):
         g = raw(4, 3, [(1, 2, 5)], [1.0])
-        assert any("out of range" in v for v in validate(g))
+        assert validate(g) == ["invalid hypergraph: edge 0: vertex out of range [1, 4]"]
 
     def test_wrong_edge_size(self):
         g = raw(4, 3, [(1, 2)], [1.0])
-        assert any("slots" in v for v in validate(g))
+        assert validate(g) == ["edges have shape (1, 2), expected (m, 3)"]
 
     def test_unsorted_slots(self):
-        g = raw(4, 3, [(3, 2, 1)], [1.0])
-        assert any("nondecreasing" in v for v in validate(g))
+        g = raw(4, 3, [(1, 2, 3), (3, 2, 4)], [1.0, 1.0])
+        assert validate(g) == [f"edge 1: {NOT_CANONICAL}"]
 
     def test_duplicate_edge(self):
+        # from_edges merges the two rows into one of weight 3.0 at position 0
         g = raw(4, 3, [(1, 2, 3), (1, 2, 3)], [1.0, 2.0])
-        assert any("duplicate" in v for v in validate(g))
+        assert validate(g) == [f"edge 0: {NOT_CANONICAL}"]
+        g = raw(4, 3, [(1, 2, 3), (1, 2, 4), (1, 2, 4)], [1.0, 1.0, 1.0])
+        assert validate(g) == [f"edge 1: {NOT_CANONICAL}"]
 
     def test_rows_out_of_order(self):
         # each row is sorted and distinct, but the rows are not in
         # lexicographic order, as from_edges would put them
         g = Hypergraph(n=3, r=2, slots=[[1, 2], [0, 1]], weights=[1.0, 1.0])
-        assert validate(g) == ["edge 1: before the previous edge in lexicographic order"]
+        assert validate(g) == [f"edge 0: {NOT_CANONICAL}"]
         assert g != Hypergraph.from_edges(n=3, r=2, edges=[(2, 3), (1, 2)])
 
     @pytest.mark.parametrize(
@@ -170,10 +176,23 @@ class TestValidate:
         # a nondecreasing row whose neighbouring slots differ by more than
         # int64 holds is in order; only its out-of-range slots are reported
         g = raw(3, 2, [(-2**63 + 1, 2**63 - 1), (1, 2)], [1.0, 1.0])
-        assert validate(g) == ["edge 0: vertex out of range [1, 3]"]
+        assert validate(g) == ["invalid hypergraph: edge 0: vertex out of range [1, 3]"]
         with pytest.raises(ValueError) as err:
             Hypergraph.from_edges(n=3, r=2, edges=[(-2**62, 2**62)])
         assert str(err.value) == "invalid hypergraph: edge 0: vertex out of range [1, 3]"
+
+    @pytest.mark.parametrize("slots, weights, message", [
+        (np.int64(1), [1.0], "edges have shape (), expected (m, 2)"),
+        (np.zeros((2, 2, 2)), [1.0, 1.0], "edges have shape (2, 2, 2), expected (m, 2)"),
+        ([[0, 1]], [[1.0]], "weights have shape (1, 1), expected (1,)"),
+        ([[0, 1]], 1.0, "weights have shape (), expected (1,)"),
+    ], ids=["0-d slots", "3-d slots", "2-d weights", "0-d weights"])
+    def test_malformed_table_gets_from_edges_message(self, slots, weights, message):
+        g = Hypergraph(n=3, r=2, slots=slots, weights=weights)
+        assert validate(g) == [message]
+        with pytest.raises(ValueError) as err:
+            Hypergraph.from_edges(n=3, r=2, edges=np.add(g.slots, 1), weights=g.weights)
+        assert str(err.value) == message
 
 
 class TestIncidence:
@@ -540,10 +559,7 @@ def test_merge_matches_unique_reference(table):
     assert np.array_equal(index, g.slots.T.ravel())
 
 
-@pytest.mark.skipif(
-    not os.environ.get("HYPERSPEC_LONG_TESTS"),
-    reason="optional long-running scale test; set HYPERSPEC_LONG_TESTS=1",
-)
+@pytest.mark.long
 def test_from_edges_at_scale():
     # a seeded Zipf 3-graph with n = 1e6 and m = 3e6: from_edges equals the
     # np.unique reference, and its traced peak is at most 3.4 times the (m, r)
@@ -746,18 +762,25 @@ def test_from_edges_agrees_with_parse(table, comments):
         assert_same_outcome(parse_edge_list(text), g)
 
 
-# --- validate's duplicate test against np.unique ------------------------------
+# --- validate against a Python oracle of the canonical form ------------------
 
 
-def duplicate_reference(slots):
-    """``validate``'s duplicate message from np.unique(axis=0), for any rows."""
-    duplicate = np.ones(len(slots), dtype=bool)
-    duplicate[np.unique(slots, axis=0, return_index=True)[1]] = False
-    count = int(np.count_nonzero(duplicate))
-    if not count:
-        return []
-    more = f" (and {count - 1} more)" if count > 1 else ""
-    return [f"edge {int(np.argmax(duplicate))}: duplicate of an earlier edge{more}"]
+def canonical_oracle(g):
+    """Whether a raw graph is canonical, judged in Python from the definition:
+    n >= 1 and r >= 2, an (m, r) slot table with (m,) weights, slots in
+    [0, n), weights positive and finite, each row nondecreasing and the rows
+    strictly increasing as tuples.  Slot 2**63 - 1 would be id 2**63, which no
+    int64 table holds, so it is out of range for every n."""
+    slots, weights = g.slots, g.weights
+    if g.n < 1 or g.r < 2 or slots.ndim != 2 or slots.shape[1] != g.r:
+        return False
+    if weights.shape != (len(slots),):
+        return False
+    rows = [tuple(row) for row in slots.tolist()]
+    return (all(0 <= v < min(g.n, 2**63 - 1) for row in rows for v in row)
+            and all(0.0 < w < math.inf for w in weights.tolist())
+            and all(list(row) == sorted(row) for row in rows)
+            and all(a < b for a, b in zip(rows, rows[1:])))
 
 
 @st.composite
@@ -768,8 +791,17 @@ def raw_tables(draw):
     rows = np.array(draw(st.lists(st.lists(ids, min_size=r, max_size=r),
                                   min_size=m, max_size=m)), dtype=np.int64).reshape(m, r)
     if draw(st.booleans()):
+        rows.sort(axis=1)                       # each row nondecreasing
+    if draw(st.booleans()):
         rows = rows[np.lexsort(rows.T[::-1])]   # lexicographic order, duplicates kept
-    return Hypergraph(n=3, r=r, slots=rows, weights=np.ones(m))
+    if draw(st.booleans()):
+        rows = np.unique(rows, axis=0)          # in order and distinct
+    edge_weights = np.array(draw(st.lists(weights, min_size=len(rows), max_size=len(rows))))
+    if len(rows) and not draw(st.integers(0, 3)):
+        bad = draw(st.sampled_from([0.0, -0.0, -1.0, np.inf, -np.inf, np.nan]))
+        edge_weights[draw(st.integers(0, len(rows) - 1))] = bad
+    n = draw(st.sampled_from([3, 2**63 - 1, 2**64, 1]))
+    return Hypergraph(n=n, r=r, slots=rows, weights=edge_weights)
 
 
 @given(raw_tables())
@@ -780,11 +812,21 @@ def raw_tables(draw):
 @example(raw(2**21, 3, PACKING_LIMIT_ROWS[2**21 - 1], np.ones(6)))
 @example(raw(2**21, 3, PACKING_LIMIT_ROWS[2**21], np.ones(6)))
 @example(raw(3, 2, [(2**63 - 1, 1), (1, 2**63 - 1), (2**63 - 1, 1)], np.ones(3)))
+@example(Hypergraph(n=2**64, r=2, slots=[[0, 2**63 - 2], [0, 2**63 - 1]], weights=np.ones(2)))
 @example(raw(3, 0, [(), ()], np.ones(2)))                                    # empty rows
-@settings(max_examples=200, deadline=None)
-def test_validate_duplicates_match_unique_reference(g):
-    got = [problem for problem in validate(g) if "duplicate" in problem]
-    assert got == duplicate_reference(g.slots)
+@example(raw(0, 2, [], []))                                                  # no vertices
+@example(Hypergraph(n=3, r=2, slots=np.int64(1), weights=[1.0]))             # 0-d slots
+@example(Hypergraph(n=3, r=2, slots=np.zeros((2, 2, 2)), weights=np.ones(2)))
+@example(Hypergraph(n=3, r=2, slots=np.zeros((0, 2, 2)), weights=[]))        # empty, 3-d
+@example(Hypergraph(n=3, r=2, slots=[[0, 1]], weights=[[1.0]]))
+@example(Hypergraph(n=3, r=2, slots=[[0, 1]], weights=1.0))
+@example(Hypergraph(n=3, r=2, slots=[[0, 1]], weights=[1.0, 1.0]))
+@example(Hypergraph(n=3.0, r=2.0, slots=[[1, 0]], weights=[1.0]))           # float n and r
+@settings(max_examples=300, deadline=None)
+def test_validate_matches_canonical_oracle(g):
+    problems = validate(g)
+    assert len(problems) <= 1
+    assert (problems == []) == canonical_oracle(g)
 
 
 @pytest.mark.parametrize("span, packed", [(2**21 - 1, True), (2**21, False)])
