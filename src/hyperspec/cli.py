@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -107,6 +108,8 @@ def cmd_solve(args) -> int:
         for key in ("iterations", "evals", "grad_evals", "increments", "restarts",
                     "support_steps", "finishes")
     }
+    # the stop reasons in order of first appearance over the runs
+    stops = Counter(run.stop_reason for run in res.run_summaries)
     payload = {"lambda": res.best.lam, "p": cfg.p, "r": g.r, "n": g.n, "m": g.m,
                "runs": cfg.runs, "best_run": res.best_run, "converged": res.best.converged}
     if args.emit_weighting:
@@ -117,6 +120,7 @@ def cmd_solve(args) -> int:
         f"graph       r={g.r} n={g.n} m={g.m}",
         f"runs        {cfg.runs} (best run {res.best_run}, "
         f"{'converged' if res.best.converged else res.best.stop_reason})",
+        f"stops       {', '.join(f'{reason} {count}' for reason, count in stops.items())}",
         f"iterations  {total['iterations']} total",
         f"kernel      {total['evals']} value passes, {total['grad_evals']} gradient passes",
         f"increments  {total['increments']} cancellation-free increment passes",

@@ -213,8 +213,9 @@ def validate(g: Hypergraph) -> list[str]:
         return [str(err)]
     if canonical == g:
         return []
-    slots = g.slots.reshape(-1, canonical.r)  # already (m, r) unless empty, then of any shape
-    m = min(len(slots), canonical.m)
+    if g.slots.shape[1:] != (canonical.r,):  # an empty table, which from_edges reshapes
+        return [f"edges have shape {g.slots.shape}, expected (m, {canonical.r})"]
+    slots, m = g.slots, min(g.m, canonical.m)
     same = (slots[:m] == canonical.slots[:m]).all(axis=1) & (g.weights[:m] == canonical.weights[:m])
     return [f"edge {np.argmin(np.append(same, False))}: not canonical, unlike from_edges on its rows"]
 

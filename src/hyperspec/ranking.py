@@ -76,8 +76,12 @@ def rank_vertices(g: Hypergraph, cfg: SolverConfig, top_k: int | None = None) ->
     Signed starts end with a stationary weighting too; orthant starts are
     used because they are cheaper.  On the twelve seeded 20k-edge 3-graphs
     of the rank-large benchmark at p = 2, 2 runs each, both laws agree to
-    4e-16 on every graph, and orthant starts take 725 iterations in all
-    against 1391 for signed ones.
+    4e-16 on every graph, and orthant starts take 609 iterations in all
+    against 1276 for signed ones (725 against 1391 before the multistart's
+    "known_maximum" stop).  That stop ends a second run that rejoins the
+    first one's maximum; its weighting is stationary to 1e-6 relative
+    (``solver.KNOWN_GRAD_TOL``), and the report's weighting never comes
+    from such a run.
     """
     if top_k is not None and not (isinstance(top_k, numbers.Integral) and 1 <= top_k <= g.n):
         raise ValueError(f"need integer top_k in [1, {g.n}], got top_k={top_k!r}")

@@ -153,6 +153,16 @@ class TestSolve:
         assert finishes > 0
         assert f"finishes    {finishes} moves from a sign-mixed converged x to |x|\n" in out
 
+    def test_text_reports_stop_reasons(self, beta_star_file, capsys):
+        # the stop-reason histogram over all runs, in order of first
+        # appearance; the JSON form keeps its keys
+        main(["solve", beta_star_file, "--p", "3", "--seed", "1"])
+        out = capsys.readouterr().out
+        assert "stops       grad_tol 9, known_maximum 91\n" in out
+        main(["solve", beta_star_file, "--p", "3", "--seed", "1", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["lambda", "p", "r", "n", "m", "runs", "best_run", "converged"]
+
     def test_fractional_p(self, single_edge_file, capsys):
         rc = main(["solve", single_edge_file, "--p", "4/3", "--runs", "2", "--format", "json"])
         assert rc == 0

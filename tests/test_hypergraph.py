@@ -194,6 +194,14 @@ class TestValidate:
             Hypergraph.from_edges(n=3, r=2, edges=np.add(g.slots, 1), weights=g.weights)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (0,), (0, 3), (0, 0)])
+    def test_empty_table_of_another_shape_gets_its_shape(self, shape):
+        # from_edges reshapes an empty id table to (0, r) and accepts it, so
+        # only the shape tells this graph from the canonical empty one
+        g = Hypergraph(n=3, r=2, slots=np.zeros(shape), weights=[])
+        assert validate(g) == [f"edges have shape {shape}, expected (m, 2)"]
+        assert validate(Hypergraph(n=3, r=2, slots=np.zeros((0, 2)), weights=[])) == []
+
 
 class TestIncidence:
     def test_single_edge(self):

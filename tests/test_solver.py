@@ -33,6 +33,14 @@ def draw(n, seed):
     return random_unit_sphere(n, np.random.default_rng(seed))
 
 
+def solo_runs(g, cfg, track=False, orthant=False):
+    """Each run of ``solve_multistart(g, cfg, track, orthant=orthant)`` as its
+    solo run: solve_single from the same start with no known maxima, so that
+    every run goes on to its own stop."""
+    starts = (draw(g.n, cfg.seed + i) for i in range(cfg.runs))
+    return [solve_single(g, cfg, np.abs(x0) if orthant else x0, track) for x0 in starts]
+
+
 def face_step(g, x, p, grad_tol):
     """The penalty-dominated entries Z of unit x and the Cayley parameter
     alpha* = 2 / (sqrt(1 - s) (1 + sqrt(1 - s))), s = ||x_Z||^2, that zeroes
@@ -806,7 +814,7 @@ class TestSolveSingle:
 
         monkeypatch.setattr(solver, "line_search_wolfe", search)
         cfg = SolverConfig(p=4.0, runs=40, seed=0)
-        runs = solve_multistart(gen_beta_star(6, 4), cfg, track=True).run_summaries
+        runs = solo_runs(gen_beta_star(6, 4), cfg, track=True)
         kinds = {rec.search for run in runs for rec in run.trace}
         assert {"cg_default", "retry"} <= kinds
         assert [rec.ascent for run in runs for rec in run.trace] == accepted
@@ -876,9 +884,7 @@ class TestSolveSingle:
     def test_beta_star_near_p_one_reaches_grad_tol(self):
         # p = 1.5 < r - 1: the zero-gain searches start warm from the last
         # increase instead of cold, so no run goes on to max_iter
-        runs = solve_multistart(
-            gen_beta_star(3, 10), SolverConfig(p=1.5, runs=40, seed=0)
-        ).run_summaries
+        runs = solo_runs(gen_beta_star(3, 10), SolverConfig(p=1.5, runs=40, seed=0))
         ref = beta_star_value(3, 10, 1.5)
         assert all(run.stop_reason == "grad_tol" for run in runs)
         assert all(abs(run.lam - ref) <= 1e-8 * ref for run in runs)
@@ -893,8 +899,8 @@ class TestSolveSingle:
             return res
 
         monkeypatch.setattr(solver, "line_search_wolfe", counted)
-        multi = solve_multistart(gen_beta_star(3, 200), SolverConfig(p=3.0, runs=20, seed=0))
-        assert all(run.stop_reason == "grad_tol" for run in multi.run_summaries)
+        runs = solo_runs(gen_beta_star(3, 200), SolverConfig(p=3.0, runs=20, seed=0))
+        assert all(run.stop_reason == "grad_tol" for run in runs)
         assert sum(counts) / len(counts) < 2.5
 
     def test_evaluation_counters(self, monkeypatch):
@@ -1007,9 +1013,7 @@ class TestSolveSingle:
     def test_support_steps_shorten_sublinear_tail(self):
         # p = 4 < r - 1: support steps on the relative-gain rule reach the
         # face long before f is at its float64 resolution
-        runs = solve_multistart(
-            gen_beta_star(6, 4), SolverConfig(p=4.0, runs=40, seed=0)
-        ).run_summaries
+        runs = solo_runs(gen_beta_star(6, 4), SolverConfig(p=4.0, runs=40, seed=0))
         ref = beta_star_value(6, 4, 4.0)
         assert all(run.stop_reason == "grad_tol" for run in runs)
         assert all(abs(run.lam - ref) <= 1e-12 * ref for run in runs)
@@ -1064,6 +1068,48 @@ class TestSolveSingle:
                 increments += res.increments > 0
         assert small > 0 and increments > 0
 
+    def test_known_maximum_stop_tests_value_weighting_and_final_pass(self, monkeypatch):
+        # beta-star(3,10) from start 5: at iteration k, the first with
+        # ||grad|| <= KNOWN_GRAD_TOL * f, f(|x|) exceeds the iterate's f by
+        # an ulp or two.  An entry with lam = f(|x|) and weighting |x| stops
+        # the run there; with lam = f the final pass exceeds lam, and with a
+        # weighting beyond KNOWN_DIST the test fails: both runs go on as
+        # without the entry, the first after one more value pass
+        g, cfg = gen_beta_star(3, 10), SolverConfig(p=3.0)
+        iterates = []
+        real_search = solver.line_search_wolfe
+
+        def search(*args):
+            res = real_search(*args)
+            if res.ok:
+                iterates.append(res.x)
+            return res
+
+        monkeypatch.setattr(solver, "line_search_wolfe", search)
+        solo = solve_single(g, cfg, draw(g.n, 5), track=True)
+        monkeypatch.undo()
+        assert solo.finishes == 0  # the k-th iterate is the k-th accepted point
+        k = next(rec.k for rec in solo.trace if rec.gnorm <= solver.KNOWN_GRAD_TOL * rec.f)
+        f, weighting = solo.trace[k].f, np.abs(iterates[k - 1])
+        lam = objective(g, weighting, cfg.p)
+        assert lam > f
+
+        def rerun(entry_lam, entry_weighting):
+            entry = solver.KnownMaximum(3, entry_lam, entry_weighting)
+            return solve_single(g, cfg, draw(g.n, 5), known=(entry,))
+
+        stopped = rerun(lam, weighting)
+        assert (stopped.stop_reason, stopped.rejoined) == ("known_maximum", 3)
+        assert stopped.iterations == k
+        assert (stopped.lam, stopped.converged) == (lam, False)
+        went_on, far = rerun(f, weighting), rerun(lam, np.roll(weighting, 1))
+        assert np.linalg.norm(np.roll(weighting, 1) - weighting) > solver.KNOWN_DIST
+        for res in (went_on, far):
+            assert (res.stop_reason, res.rejoined) == ("grad_tol", None)
+            assert (res.lam, res.iterations) == (solo.lam, solo.iterations)
+            assert res.x.tobytes() == solo.x.tobytes()
+        assert (went_on.evals, far.evals) == (solo.evals + 1, solo.evals)
+
     def test_numerical_failure_on_overflow(self):
         edges = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
         g = Hypergraph.from_edges(n=4, r=3, edges=edges, weights=[1e308] * 4)
@@ -1117,19 +1163,34 @@ class TestSolveMultistart:
         assert res.best.lam == pytest.approx(3.0, abs=3e-8)
 
     def test_single_run_equals_solo(self):
-        # run i is solve_single from the uniform start drawn with seed cfg.seed + i
+        # run i is solve_single from the uniform start drawn with seed
+        # cfg.seed + i, given the maxima of the grad_tol runs j < i: one per
+        # run whose lam and weighting rejoin no maximum kept before it
+        eps, delta = solver.KNOWN_LAM_TOL, solver.KNOWN_DIST
+        reasons = set()
         for g, p in ((gen_beta_star(3, 4), 3.0), (gen_complete(4, 3), 2.0)):
-            cfg = SolverConfig(p=p, runs=5, seed=5)
+            cfg = SolverConfig(p=p, runs=20, seed=5)
             multi = solve_multistart(g, cfg)
             assert len(multi.run_summaries) == cfg.runs
+            known = []
             for i, run in enumerate(multi.run_summaries):
                 x0 = random_unit_sphere(g.n, np.random.default_rng(cfg.seed + i))
-                solo = solve_single(g, cfg, x0)
+                solo = solve_single(g, cfg, x0, known=tuple(known))
                 assert run.lam == solo.lam == multi.all_lambdas[i]
                 assert run.iterations == solo.iterations
                 assert run.stop_reason == solo.stop_reason
+                assert run.rejoined == solo.rejoined
                 assert run.weighting.tobytes() == solo.weighting.tobytes()
+                assert (run.evals, run.grad_evals) == (solo.evals, solo.grad_evals)
+                reasons.add(run.stop_reason)
+                lam, w = run.lam, run.weighting
+                if run.stop_reason == "grad_tol" and not any(
+                    m.lam * (1.0 - eps) <= lam <= m.lam and np.linalg.norm(w - m.weighting) <= delta
+                    for m in known
+                ):
+                    known.append(solver.KnownMaximum(i, lam, w))
             assert multi.best is multi.run_summaries[multi.best_run]
+        assert reasons == {"grad_tol", "known_maximum"}
 
     def test_weighting_is_abs_x_of_every_signed_run(self):
         # x is the one stored vector; weighting is |x|, derived on access
@@ -1188,7 +1249,7 @@ class TestSolveMultistart:
         # orthant starts converge to nonnegative critical points directly
         g = make_random_graph(np.random.default_rng(0), n=100, r=3, m=300)
         cfg = SolverConfig(p=2.0, runs=20, seed=0)
-        for run in solve_multistart(g, cfg, orthant=True).run_summaries:
+        for run in solo_runs(g, cfg, orthant=True):
             assert run.stop_reason == "grad_tol"
             f, grad = value_and_grad(g, run.weighting, cfg.p)
             assert np.linalg.norm(grad) / f <= 1e-5
@@ -1220,10 +1281,10 @@ class TestSolveMultistart:
     def test_converged_only_at_certified_stationarity(self):
         # p < r - 1: some runs end in sublinear tails and stop at max_iter
         cfg = SolverConfig(p=4.0, runs=8, seed=0, max_iter=60)
-        res = solve_multistart(gen_beta_star(6, 4), cfg)
-        reasons = {run.stop_reason for run in res.run_summaries}
+        runs = solo_runs(gen_beta_star(6, 4), cfg)
+        reasons = {run.stop_reason for run in runs}
         assert reasons == {"grad_tol", "max_iter"}
-        for run in res.run_summaries:
+        for run in runs:
             assert run.converged == (run.stop_reason == "grad_tol")
             assert run.converged == (run.grad_norm <= cfg.grad_tol)
 
@@ -1296,7 +1357,7 @@ class TestSolveMultistart:
         assert res.best.iterations == 0
 
     def test_aggregate_failure(self, monkeypatch):
-        def always_fails(g, cfg, x0, track=False):
+        def always_fails(g, cfg, x0, track=False, *, known=()):
             return solver.SolveResult(
                 lam=math.nan,
                 x=np.zeros(g.n),
@@ -1309,6 +1370,59 @@ class TestSolveMultistart:
         monkeypatch.setattr(solver, "solve_single", always_fails)
         with pytest.raises(SolverError):
             solver.solve_multistart(gen_complete(4, 3), SolverConfig(p=2.0, runs=3))
+
+
+class TestKnownMaximum:
+    """The known_maximum stop on the benchmark's closed-form instances: the
+    five multistart-small instances (100 runs, seed 1) and beta-star(6,4) at
+    p = 4 (40 runs, seed 0), every run traced."""
+
+    @pytest.fixture(scope="class")
+    def instances(self):
+        cases = [
+            (gen_beta_star(3, 10), SolverConfig(p=3.0, seed=1), beta_star_value(3, 10, 3.0)),
+            (gen_beta_star(3, 200), SolverConfig(p=3.0, seed=1), beta_star_value(3, 200, 3.0)),
+            (gen_loose_path(4, 3), SolverConfig(p=4.0, seed=1), loose_path_value(4, 3)),
+            (gen_complete(4, 3), SolverConfig(p=2.0, seed=1), 3.0),
+            (gen_complete(10, 3), SolverConfig(p=2.0, seed=1), 6 * math.comb(10, 3) * 10**-1.5),
+            (gen_beta_star(6, 4), SolverConfig(p=4.0, runs=40, seed=0), beta_star_value(6, 4, 4.0)),
+        ]
+        return [(g, cfg, ref, solve_multistart(g, cfg, track=True)) for g, cfg, ref in cases]
+
+    def test_best_is_a_grad_tol_run_at_the_closed_form(self, instances):
+        for _, _, ref, res in instances:
+            assert res.best.stop_reason == "grad_tol"
+            assert abs(res.best.lam - ref) <= 1e-14 * ref
+            assert all(abs(lam - ref) <= 1e-8 * ref for lam in res.all_lambdas)
+
+    def test_stopped_run_is_its_solo_run_truncated(self, instances):
+        stopped = 0
+        for g, cfg, _, res in instances:
+            for i, run in enumerate(res.run_summaries):
+                if run.stop_reason != "known_maximum":
+                    continue
+                stopped += 1
+                solo = solve_single(g, cfg, draw(g.n, cfg.seed + i), track=True)
+                assert solo.iterations > run.iterations == len(run.trace)
+                # bit for bit: repr tells -0.0 from 0.0 and prints every float exactly
+                assert list(map(repr, run.trace)) == list(map(repr, solo.trace[: run.iterations]))
+        assert stopped >= 300
+
+    def test_stopped_run_is_certified(self, instances):
+        tau, eps = solver.KNOWN_GRAD_TOL, solver.KNOWN_LAM_TOL
+        for g, cfg, _, res in instances:
+            for i, run in enumerate(res.run_summaries):
+                if run.stop_reason != "known_maximum":
+                    assert run.rejoined is None
+                    continue
+                assert not run.converged
+                j = res.run_summaries[run.rejoined]
+                assert run.rejoined < i and j.stop_reason == "grad_tol"
+                f, grad = value_and_grad(g, run.weighting, cfg.p)
+                assert f == run.lam
+                assert np.linalg.norm(grad) <= tau * f
+                assert j.lam * (1.0 - eps) <= run.lam <= j.lam
+                assert np.linalg.norm(run.weighting - j.weighting) <= solver.KNOWN_DIST
 
 
 class TestLagrangianApprox:
