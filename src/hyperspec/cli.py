@@ -110,16 +110,24 @@ def cmd_solve(args) -> int:
     }
     # the stop reasons in order of first appearance over the runs
     stops = Counter(run.stop_reason for run in res.run_summaries)
+    runs = len(res.all_lambdas)
     payload = {"lambda": res.best.lam, "p": cfg.p, "r": g.r, "n": g.n, "m": g.m,
-               "runs": cfg.runs, "best_run": res.best_run, "converged": res.best.converged}
+               "runs": runs, "best_run": res.best_run, "converged": res.best.converged,
+               "upper": res.upper}
     if args.emit_weighting:
         payload["weighting"] = res.best.weighting.tolist()
+    if res.upper is None:
+        bound = "none (p < r, or no grad_tol run at a positive weighting)"
+    else:
+        bound = f"lambda <= {res.upper!r} (gap {res.upper - res.best.lam:.1e})"
     _write(args, payload, [
         f"lambda      {res.best.lam!r}",
+        f"bound       {bound}",
         f"p           {cfg.p:g}",
         f"graph       r={g.r} n={g.n} m={g.m}",
-        f"runs        {cfg.runs} (best run {res.best_run}, "
-        f"{'converged' if res.best.converged else res.best.stop_reason})",
+        f"runs        {runs} of {cfg.runs} (best run {res.best_run}, "
+        f"{'converged' if res.best.converged else res.best.stop_reason}"
+        f"{', certified' if res.certified else ''})",
         f"stops       {', '.join(f'{reason} {count}' for reason, count in stops.items())}",
         f"iterations  {total['iterations']} total",
         f"kernel      {total['evals']} value passes, {total['grad_evals']} gradient passes",
@@ -217,6 +225,17 @@ def _selftest_brute_force(cfg: SolverConfig) -> list:
     return [("brute-force 5 graphs p=2,3", worst, 1e-4, None)]
 
 
+def _selftest_bracket(cfg: SolverConfig, cases: list) -> list:
+    """Per (name, graph, p, closed form) at p >= r: how far, relative, the
+    closed form lies outside [best lam, upper]; inf when no run gave a bound."""
+    report = []
+    for name, g, p, ref in cases:
+        res = solve_multistart(g, replace(cfg, p=p))
+        upper = res.upper if res.upper is not None else -math.inf
+        report.append((name, max(res.best.lam - ref, ref - upper, 0.0) / ref, 1e-14, None))
+    return report
+
+
 # case -> its report rows (name, err, tol, accuracy or None), in report order
 SELFTEST_CASES = {
     "closed-forms": lambda cfg: _selftest_closed_forms(cfg, [
@@ -225,6 +244,12 @@ SELFTEST_CASES = {
         ("beta-star r=3 m=10 p=2", gen_beta_star(3, 10), 2.0, beta_star_value(3, 10, 2), 1e-8),
         ("loose-path r=4 m=3 p=4", gen_loose_path(4, 3), 4.0, loose_path_value(4, 3), 1e-8),
         ("loose-path r=4 m=4 p=4", gen_loose_path(4, 4), 4.0, loose_path_value(4, 4), 1e-8),
+    ]),
+    "bracket": lambda cfg: _selftest_bracket(cfg, [
+        ("bracket beta-star r=3 m=10 p=3", gen_beta_star(3, 10), 3.0, beta_star_value(3, 10, 3)),
+        ("bracket beta-star r=3 m=10 p=5", gen_beta_star(3, 10), 5.0, beta_star_value(3, 10, 5)),
+        ("bracket loose-path r=4 m=3 p=4", gen_loose_path(4, 3), 4.0, loose_path_value(4, 3)),
+        ("bracket loose-path r=4 m=4 p=4", gen_loose_path(4, 4), 4.0, loose_path_value(4, 4)),
     ]),
     "tetrahedron-z": lambda cfg: _selftest_closed_forms(
         cfg, [("tetrahedron-z p=2 vs 3.0", gen_complete(4, 3), 2.0, 3.0, 3e-8)]),
@@ -243,7 +268,7 @@ def cmd_selftest(args) -> int:
               "ok": bool(err <= tol), "accuracy": accuracy}  # a non-finite err fails
              for name, err, tol, accuracy in report]
     passed = sum(case["ok"] for case in cases)
-    text = [f"{'PASS' if case['ok'] else 'FAIL'}  {name:<28} err={err:.3e}  tol={tol:.0e}"
+    text = [f"{'PASS' if case['ok'] else 'FAIL'}  {name:<30} err={err:.3e}  tol={tol:.0e}"
             + (f"  accu={accuracy:.2f}" if accuracy is not None else "")
             for case, (name, err, tol, accuracy) in zip(cases, report)]
     text.append(f"{passed}/{len(cases)} cases passed in {wall:.1f} s")

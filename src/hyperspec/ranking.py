@@ -59,7 +59,7 @@ class RankingReport:
     entries: RankedEntries  # (1-based vertex id, impact factor) pairs
     p: float
     lam: float
-    runs: int
+    runs: int               # the runs made, at most cfg.runs
 
 
 def ranked_order(impact: np.ndarray) -> np.ndarray:
@@ -81,7 +81,9 @@ def rank_vertices(g: Hypergraph, cfg: SolverConfig, top_k: int | None = None) ->
     "known_maximum" stop).  That stop ends a second run that rejoins the
     first one's maximum; its weighting is stationary to 1e-6 relative
     (``solver.KNOWN_GRAD_TOL``), and the report's weighting never comes
-    from such a run.
+    from such a run.  At p >= r the multistart stops at the first run whose
+    upper bound proves the best value global, and ``runs`` counts the runs
+    made.
     """
     if top_k is not None and not (isinstance(top_k, numbers.Integral) and 1 <= top_k <= g.n):
         raise ValueError(f"need integer top_k in [1, {g.n}], got top_k={top_k!r}")
@@ -89,4 +91,4 @@ def rank_vertices(g: Hypergraph, cfg: SolverConfig, top_k: int | None = None) ->
     impact = res.best.weighting
     order = ranked_order(impact)[:top_k]
     entries = RankedEntries(order + 1, impact[order])
-    return RankingReport(entries=entries, p=cfg.p, lam=res.best.lam, runs=cfg.runs)
+    return RankingReport(entries=entries, p=cfg.p, lam=res.best.lam, runs=len(res.all_lambdas))

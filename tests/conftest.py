@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -35,6 +36,43 @@ def record_starts(monkeypatch) -> list:
 
     monkeypatch.setattr(solver, "solve_single", recorded)
     return starts
+
+
+def replay_runs(g: Hypergraph, cfg, track=False, orthant=False) -> list:
+    """Every run of ``solve_multistart(g, cfg, track, orthant=orthant)``
+    without its certified stop, replayed from the documented rules: run i is
+    solve_single from the uniform start drawn with seed cfg.seed + i, given
+    one known maximum per grad_tol run j < i whose lam and weighting rejoin
+    no maximum kept before it."""
+    eps, delta = solver.KNOWN_LAM_TOL, solver.KNOWN_DIST
+    runs, known = [], []
+    for i in range(cfg.runs):
+        x0 = solver.random_unit_sphere(g.n, np.random.default_rng(cfg.seed + i))
+        run = solver.solve_single(g, cfg, np.abs(x0) if orthant else x0, track,
+                                  known=tuple(known))
+        runs.append(run)
+        lam, w = run.lam, run.weighting
+        if run.stop_reason == "grad_tol" and not any(
+            m.lam * (1.0 - eps) <= lam <= m.lam and np.linalg.norm(w - m.weighting) <= delta
+            for m in known
+        ):
+            known.append(solver.KnownMaximum(i, lam, w))
+    return runs
+
+
+def certified_run(runs: list) -> int | None:
+    """The first run at which the least upper bound so far is at most the
+    best lam so far times 1 + CERT_TOL, the run a multistart stops after;
+    None when no run certifies."""
+    upper, best = math.inf, -math.inf
+    for i, run in enumerate(runs):
+        if run.upper is not None:
+            upper = min(upper, run.upper)
+        if math.isfinite(run.lam):
+            best = max(best, run.lam)
+        if upper <= best * (1.0 + solver.CERT_TOL):
+            return i
+    return None
 
 
 def evaluated(g: Hypergraph, x: np.ndarray, p: float) -> tensor_ops._Eval:

@@ -47,7 +47,7 @@ from hyperspec import (
 from hyperspec import solver
 from hyperspec.solver import random_unit_sphere
 
-from conftest import make_random_graph
+from conftest import make_random_graph, replay_runs
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -82,9 +82,13 @@ def test_criterion_1_beta_star_closed_forms(r, m, p):
 def test_criterion_2_loose_paths(m):
     g = gen_loose_path(4, m)
     ref = loose_path_value(4, m)
-    res = solve_multistart(g, SolverConfig(p=4.0, runs=100, seed=20))
+    cfg = SolverConfig(p=4.0, runs=100, seed=20)
+    res = solve_multistart(g, cfg)
     rel = abs(res.best.lam - ref) / ref
-    success = float(np.mean(np.abs(np.array(res.all_lambdas) - ref) / ref <= 1e-8))
+    # p = r: the multistart may stop at a certified run, so the per-run
+    # success is read off the full sequence of 100 runs
+    lams = np.array([run.lam for run in replay_runs(g, cfg)])
+    success = float(np.mean(np.abs(lams - ref) / ref <= 1e-8))
     report("criterion 2", rel <= 1e-8 and success >= 0.30,
            f"loose path r=4 m={m}: rel err {rel:.2e}, per-run success {success:.2f}")
     assert rel <= 1e-8
@@ -342,14 +346,16 @@ def test_criterion_8_retained_result_bytes():
     _warm_up(cfg)
     rep, report_bytes = _retained(lambda: rank_vertices(g, cfg))
     res, runs_bytes = _retained(lambda: solve_multistart(g, cfg, orthant=True))
-    assert len(rep.entries) == g.n and len(res.run_summaries) == cfg.runs
+    # at p = r the multistart may stop at a certified run: the bound is per run made
+    runs = len(res.run_summaries)
+    assert len(rep.entries) == g.n and rep.runs == runs and 1 <= runs <= cfg.runs
     ok = (report_bytes <= 2 * 8 * g.n + RETAINED_SLACK
-          and runs_bytes <= cfg.runs * (8 * g.n + RETAINED_SLACK))
+          and runs_bytes <= runs * (8 * g.n + RETAINED_SLACK))
     report("criterion 8", ok,
            f"n={g.n}: the report retains {report_bytes} B (arrays {2 * 8 * g.n} B), "
-           f"{cfg.runs} runs retain {runs_bytes} B (x {cfg.runs * 8 * g.n} B)")
+           f"{runs} runs retain {runs_bytes} B (x {runs * 8 * g.n} B)")
     assert report_bytes <= 2 * 8 * g.n + RETAINED_SLACK
-    assert runs_bytes <= cfg.runs * (8 * g.n + RETAINED_SLACK)
+    assert runs_bytes <= runs * (8 * g.n + RETAINED_SLACK)
 
 
 @pytest.mark.long

@@ -71,7 +71,8 @@ class TestSolve:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["lambda"] == pytest.approx(1.0, abs=1e-10)
-        assert set(payload) == {"lambda", "p", "r", "n", "m", "runs", "best_run", "converged"}
+        assert set(payload) == {"lambda", "p", "r", "n", "m", "runs", "best_run", "converged",
+                                "upper"}
         assert (payload["r"], payload["n"], payload["m"]) == (2, 2, 1)
 
     def test_beta_star_value(self, beta_star_file, capsys):
@@ -153,15 +154,28 @@ class TestSolve:
         assert finishes > 0
         assert f"finishes    {finishes} moves from a sign-mixed converged x to |x|\n" in out
 
-    def test_text_reports_stop_reasons(self, beta_star_file, capsys):
-        # the stop-reason histogram over all runs, in order of first
-        # appearance; the JSON form keeps its keys
+    def test_text_reports_stop_reasons(self, beta_star_file, tmp_path, capsys):
+        # the stop-reason histogram over the runs made, in order of first
+        # appearance, and the runs made of --runs: at p = r run 0 certifies
+        # its value and is the only run; the JSON form keeps its keys, with
+        # runs the runs made and upper the bound
         main(["solve", beta_star_file, "--p", "3", "--seed", "1"])
         out = capsys.readouterr().out
-        assert "stops       grad_tol 9, known_maximum 91\n" in out
+        assert "runs        1 of 100 (best run 0, converged, certified)\n" in out
+        assert "stops       grad_tol 1\n" in out
         main(["solve", beta_star_file, "--p", "3", "--seed", "1", "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
-        assert list(payload) == ["lambda", "p", "r", "n", "m", "runs", "best_run", "converged"]
+        assert list(payload) == ["lambda", "p", "r", "n", "m", "runs", "best_run", "converged",
+                                 "upper"]
+        assert payload["runs"] == 1 and payload["lambda"] <= payload["upper"]
+        # complete(4,3) at p = 2 < r: no bound, so every run is made
+        path = str(tmp_path / "k43.txt")
+        main(["gen", "complete", "--n", "4", "--r", "3", "--out", path])
+        main(["solve", path, "--p", "2", "--seed", "1"])
+        out = capsys.readouterr().out
+        assert "runs        100 of 100 (best run 8, converged)\n" in out
+        assert "stops       grad_tol 88, known_maximum 12\n" in out
+        assert "bound       none (p < r, or no grad_tol run at a positive weighting)\n" in out
 
     def test_fractional_p(self, single_edge_file, capsys):
         rc = main(["solve", single_edge_file, "--p", "4/3", "--runs", "2", "--format", "json"])
@@ -453,12 +467,32 @@ class TestSelftest:
         assert 0.0 < case["accuracy"] <= 1.0
 
     def test_runs_reaches_the_brute_force_case(self, monkeypatch):
-        # the oracle is stubbed out: only the solver's starts are counted
+        # the oracle is stubbed out: only the solver's starts are counted,
+        # one per run made; at p = 3 = r a run may certify the best value
         monkeypatch.setattr(cli, "brute_force_radius", lambda g, p, budget, seed: (0.0, None))
         for runs in (1, 3):
             starts = record_starts(monkeypatch)
+            results = TestArrayOutputs.capture(monkeypatch, "solve_multistart",
+                                               solver.solve_multistart)
             main(["selftest", "--case", "brute-force", "--runs", str(runs)])
-            assert len(starts) == 5 * 2 * runs  # five graphs, each at p = 2 and 3
+            made = [len(res.run_summaries) for res in results]
+            assert len(made) == 5 * 2  # five graphs, each at p = 2 and 3
+            assert made[::2] == [runs] * 5  # p = 2 < r makes every run
+            assert all(1 <= k <= runs for k in made[1::2])
+            assert len(starts) == sum(made)
+
+    def test_bracket_case(self, capsys, monkeypatch):
+        # the closed forms at p >= r lie in [best lam, upper]
+        assert main(["selftest", "--case", "bracket", "--format", "json"]) == 0
+        cases = json.loads(capsys.readouterr().out)["cases"]
+        assert len(cases) == 4 and all(case["name"].startswith("bracket ") for case in cases)
+        assert all(case["ok"] and case["err"] <= 1e-14 for case in cases)
+        # a multistart that gives no bound fails the case
+        no_bound = lambda g, cfg: replace(solver.solve_multistart(g, cfg), upper=None)
+        monkeypatch.setattr(cli, "solve_multistart", no_bound)
+        assert main(["selftest", "--case", "bracket", "--format", "json"]) == 1
+        cases = json.loads(capsys.readouterr().out)["cases"]
+        assert all(case["err"] is None and not case["ok"] for case in cases)
 
     def test_runs_is_checked_for_every_case(self, capsys):
         assert main(["selftest", "--case", "gradient-fd", "--runs", "0"]) == 2
@@ -490,7 +524,7 @@ class TestSelftest:
 
     def test_case_choices_are_the_table_keys(self, capsys):
         assert list(cli.SELFTEST_CASES) == [
-            "closed-forms", "tetrahedron-z", "gradient-fd", "brute-force"]
+            "closed-forms", "bracket", "tetrahedron-z", "gradient-fd", "brute-force"]
         with pytest.raises(SystemExit):
             main(["selftest", "--help"])
         assert "{" + ",".join(cli.SELFTEST_CASES) + "}" in capsys.readouterr().out

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from hyperspec import Hypergraph, SolverConfig, gen_complete, random_unit_sphere, rank_vertices
+from hyperspec import (
+    Hypergraph,
+    SolverConfig,
+    gen_complete,
+    random_unit_sphere,
+    rank_vertices,
+    solve_multistart,
+)
 from hyperspec import ranking
 from hyperspec.ranking import RankedEntries, ranked_order
 
@@ -78,6 +85,13 @@ class TestRankVertices:
         rep = rank_vertices(gen_complete(4, 3), cfg)
         assert rep.p == 2.0 and rep.runs == 30
         assert rep.lam == pytest.approx(3.0, abs=1e-7)
+
+    def test_runs_counts_the_runs_made(self):
+        # p = r: the first run's bound proves the uniform vector global
+        g, cfg = gen_complete(4, 3), SolverConfig(p=3.0, runs=10, seed=0)
+        rep = rank_vertices(g, cfg)
+        res = solve_multistart(g, cfg, orthant=True)
+        assert res.certified and rep.runs == len(res.all_lambdas) == 1
 
 
 class TestRankedEntries:

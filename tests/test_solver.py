@@ -26,7 +26,7 @@ from hyperspec import solver
 from hyperspec.solver import cayley_step_length, line_search_wolfe
 from hyperspec.tensor_ops import value_and_grad
 
-from conftest import evaluated, make_random_graph, record_starts
+from conftest import certified_run, evaluated, make_random_graph, record_starts, replay_runs
 
 
 def draw(n, seed):
@@ -1165,61 +1165,70 @@ class TestSolveMultistart:
     def test_single_run_equals_solo(self):
         # run i is solve_single from the uniform start drawn with seed
         # cfg.seed + i, given the maxima of the grad_tol runs j < i: one per
-        # run whose lam and weighting rejoin no maximum kept before it
-        eps, delta = solver.KNOWN_LAM_TOL, solver.KNOWN_DIST
-        reasons = set()
+        # run whose lam and weighting rejoin no maximum kept before it; the
+        # runs end at the first run whose bound certifies the best lam
+        reasons, made = set(), []
         for g, p in ((gen_beta_star(3, 4), 3.0), (gen_complete(4, 3), 2.0)):
             cfg = SolverConfig(p=p, runs=20, seed=5)
             multi = solve_multistart(g, cfg)
-            assert len(multi.run_summaries) == cfg.runs
-            known = []
-            for i, run in enumerate(multi.run_summaries):
-                x0 = random_unit_sphere(g.n, np.random.default_rng(cfg.seed + i))
-                solo = solve_single(g, cfg, x0, known=tuple(known))
+            replay = replay_runs(g, cfg)
+            stop = certified_run(replay)
+            expected = replay if stop is None else replay[: stop + 1]
+            assert len(multi.run_summaries) == len(multi.all_lambdas) == len(expected)
+            for i, (run, solo) in enumerate(zip(multi.run_summaries, expected)):
                 assert run.lam == solo.lam == multi.all_lambdas[i]
                 assert run.iterations == solo.iterations
                 assert run.stop_reason == solo.stop_reason
                 assert run.rejoined == solo.rejoined
+                assert run.upper == solo.upper
                 assert run.weighting.tobytes() == solo.weighting.tobytes()
                 assert (run.evals, run.grad_evals) == (solo.evals, solo.grad_evals)
-                reasons.add(run.stop_reason)
-                lam, w = run.lam, run.weighting
-                if run.stop_reason == "grad_tol" and not any(
-                    m.lam * (1.0 - eps) <= lam <= m.lam and np.linalg.norm(w - m.weighting) <= delta
-                    for m in known
-                ):
-                    known.append(solver.KnownMaximum(i, lam, w))
+            reasons.update(run.stop_reason for run in replay)
+            uppers = [run.upper for run in expected if run.upper is not None]
+            assert multi.upper == (min(uppers) if uppers else None)
+            assert multi.certified == (stop is not None)
             assert multi.best is multi.run_summaries[multi.best_run]
+            made.append(len(multi.run_summaries))
         assert reasons == {"grad_tol", "known_maximum"}
+        # p = r: run 0 certifies its value; p < r: no bound, every run is made
+        assert made == [1, 20]
 
     def test_weighting_is_abs_x_of_every_signed_run(self):
         # x is the one stored vector; weighting is |x|, derived on access
         assert "weighting" not in {f.name for f in fields(solver.SolveResult)}
-        # r = 2: f(-x) = f(x), so some runs end at a negative maximizer
-        res = solve_multistart(gen_complete(4, 2), SolverConfig(p=2.0, runs=20, seed=1))
-        assert any((run.x < 0.0).any() for run in res.run_summaries)
-        for run in res.run_summaries:
+        # r = 2: f(-x) = f(x), so some runs of the full sequence end at a
+        # negative maximizer; at p = r the multistart makes a prefix of it
+        g, cfg = gen_complete(4, 2), SolverConfig(p=2.0, runs=20, seed=1)
+        replay = replay_runs(g, cfg)
+        assert any((run.x < 0.0).any() for run in replay)
+        for run in replay + list(solve_multistart(g, cfg).run_summaries):
             assert run.weighting.tobytes() == np.abs(run.x).tobytes()
 
     def test_default_starts_are_signed(self, monkeypatch):
         # the paper's law: run i from the uniform draw with seed cfg.seed + i
         starts = record_starts(monkeypatch)
-        g = gen_loose_path(4, 3)
-        cfg = SolverConfig(p=4.0, runs=6, seed=3)
-        solve_multistart(g, cfg)
+        # one start per run made; complete(4,3) at p = 2 < r makes all six
+        for g, p in ((gen_loose_path(4, 3), 4.0), (gen_complete(4, 3), 2.0)):
+            cfg = SolverConfig(p=p, runs=6, seed=3)
+            starts.clear()
+            res = solve_multistart(g, cfg)
+            assert len(starts) == len(res.run_summaries)
+            for i, x0 in enumerate(starts):
+                assert x0.tobytes() == draw(g.n, cfg.seed + i).tobytes()
+            assert any((x0 < 0.0).any() for x0 in starts)
         assert len(starts) == cfg.runs
-        for i, x0 in enumerate(starts):
-            assert x0.tobytes() == draw(g.n, cfg.seed + i).tobytes()
-        assert any((x0 < 0.0).any() for x0 in starts)
 
     def test_orthant_starts(self, monkeypatch):
         starts = record_starts(monkeypatch)
-        g = gen_loose_path(4, 3)
-        cfg = SolverConfig(p=4.0, runs=6, seed=3)
-        solve_multistart(g, cfg, orthant=True)
+        # one start per run made; complete(4,3) at p = 2 < r makes all six
+        for g, p in ((gen_loose_path(4, 3), 4.0), (gen_complete(4, 3), 2.0)):
+            cfg = SolverConfig(p=p, runs=6, seed=3)
+            starts.clear()
+            res = solve_multistart(g, cfg, orthant=True)
+            assert len(starts) == len(res.run_summaries)
+            for i, x0 in enumerate(starts):
+                assert x0.tobytes() == np.abs(draw(g.n, cfg.seed + i)).tobytes()
         assert len(starts) == cfg.runs
-        for i, x0 in enumerate(starts):
-            assert x0.tobytes() == np.abs(draw(g.n, cfg.seed + i)).tobytes()
 
     @pytest.mark.parametrize(
         "build, p, exact",
@@ -1375,7 +1384,9 @@ class TestSolveMultistart:
 class TestKnownMaximum:
     """The known_maximum stop on the benchmark's closed-form instances: the
     five multistart-small instances (100 runs, seed 1) and beta-star(6,4) at
-    p = 4 (40 runs, seed 0), every run traced."""
+    p = 4 (40 runs, seed 0), every run traced.  At p >= r the multistart
+    stops at a certified run, so the stops are read off the full run
+    sequence that :func:`replay_runs` replays."""
 
     @pytest.fixture(scope="class")
     def instances(self):
@@ -1387,18 +1398,26 @@ class TestKnownMaximum:
             (gen_complete(10, 3), SolverConfig(p=2.0, seed=1), 6 * math.comb(10, 3) * 10**-1.5),
             (gen_beta_star(6, 4), SolverConfig(p=4.0, runs=40, seed=0), beta_star_value(6, 4, 4.0)),
         ]
-        return [(g, cfg, ref, solve_multistart(g, cfg, track=True)) for g, cfg, ref in cases]
+        return [(g, cfg, ref, solve_multistart(g, cfg, track=True), replay_runs(g, cfg, track=True))
+                for g, cfg, ref in cases]
 
     def test_best_is_a_grad_tol_run_at_the_closed_form(self, instances):
-        for _, _, ref, res in instances:
+        for _, _, ref, res, _ in instances:
             assert res.best.stop_reason == "grad_tol"
             assert abs(res.best.lam - ref) <= 1e-14 * ref
             assert all(abs(lam - ref) <= 1e-8 * ref for lam in res.all_lambdas)
 
+    def test_p_ge_r_instances_stop_certified_at_run_0(self, instances):
+        # run 0 reaches the closed form, and its bound proves it global
+        for _, cfg, ref, res, _ in instances[:3]:
+            assert len(res.run_summaries) == 1 and res.certified
+            assert abs(res.best.lam - ref) <= 1e-14 * ref
+            assert res.best.lam <= ref * (1.0 + 1e-14) and ref <= res.upper
+
     def test_stopped_run_is_its_solo_run_truncated(self, instances):
         stopped = 0
-        for g, cfg, _, res in instances:
-            for i, run in enumerate(res.run_summaries):
+        for g, cfg, _, _, replay in instances:
+            for i, run in enumerate(replay):
                 if run.stop_reason != "known_maximum":
                     continue
                 stopped += 1
@@ -1410,19 +1429,132 @@ class TestKnownMaximum:
 
     def test_stopped_run_is_certified(self, instances):
         tau, eps = solver.KNOWN_GRAD_TOL, solver.KNOWN_LAM_TOL
-        for g, cfg, _, res in instances:
-            for i, run in enumerate(res.run_summaries):
-                if run.stop_reason != "known_maximum":
-                    assert run.rejoined is None
-                    continue
-                assert not run.converged
-                j = res.run_summaries[run.rejoined]
-                assert run.rejoined < i and j.stop_reason == "grad_tol"
-                f, grad = value_and_grad(g, run.weighting, cfg.p)
-                assert f == run.lam
-                assert np.linalg.norm(grad) <= tau * f
-                assert j.lam * (1.0 - eps) <= run.lam <= j.lam
-                assert np.linalg.norm(run.weighting - j.weighting) <= solver.KNOWN_DIST
+        for g, cfg, _, res, replay in instances:
+            for runs in (res.run_summaries, replay):
+                for i, run in enumerate(runs):
+                    if run.stop_reason != "known_maximum":
+                        assert run.rejoined is None
+                        continue
+                    assert not run.converged and run.upper is None
+                    j = runs[run.rejoined]
+                    assert run.rejoined < i and j.stop_reason == "grad_tol"
+                    f, grad = value_and_grad(g, run.weighting, cfg.p)
+                    assert f == run.lam
+                    assert np.linalg.norm(grad) <= tau * f
+                    assert j.lam * (1.0 - eps) <= run.lam <= j.lam
+                    assert np.linalg.norm(run.weighting - j.weighting) <= solver.KNOWN_DIST
+
+
+def disjoint_union(a, b):
+    """The r-graphs a and b side by side, b's vertices after a's."""
+    edges = np.vstack([a.slots, b.slots + a.n]) + 1
+    return Hypergraph.from_edges(a.n + b.n, a.r, edges, np.concatenate([a.weights, b.weights]))
+
+
+def complete_value(n, r, p):
+    """lambda^(p) of the complete r-graph, r! C(n,r) n^(-r/p): the uniform
+    vector is optimal for every p >= 1."""
+    return math.factorial(r) * math.comb(n, r) * n ** (-r / p)
+
+
+def union_value(lam_a, lam_b, r, p):
+    """lambda^(p) of a disjoint union from its parts' values at p >= r.  With
+    s the p-mass on the first part the value is lam_a s^(r/p) + lam_b
+    (1 - s)^(r/p), whose maximum is (lam_a^q + lam_b^q)^(1/q), q = p / (p - r),
+    for p > r, and max(lam_a, lam_b) at p = r."""
+    if p == r:
+        return max(lam_a, lam_b)
+    q = p / (p - r)
+    return (lam_a**q + lam_b**q) ** (1.0 / q)
+
+
+def star_and_complete():
+    return disjoint_union(gen_beta_star(3, 10), gen_complete(6, 3))
+
+
+def star_and_complete_value(p):
+    return union_value(beta_star_value(3, 10, p), complete_value(6, 3, p), 3, p)
+
+
+class TestUpperBound:
+    """The Collatz-Wielandt bound at p >= r, checked as a theorem: at every
+    entrywise positive point it is at least lambda^(p)."""
+
+    @pytest.mark.parametrize(
+        "build, p, exact",
+        [
+            (lambda: gen_beta_star(3, 10), 3.0, lambda p: beta_star_value(3, 10, p)),
+            (lambda: gen_beta_star(3, 10), 3.5, lambda p: beta_star_value(3, 10, p)),
+            (lambda: gen_beta_star(3, 10), 5.0, lambda p: beta_star_value(3, 10, p)),
+            (lambda: gen_loose_path(4, 3), 4.0, lambda p: loose_path_value(4, 3)),
+            (lambda: gen_loose_path(4, 3), 6.0, None),
+            (lambda: gen_complete(6, 3), 3.0, lambda p: complete_value(6, 3, p)),
+            (lambda: gen_complete(6, 3), 4.5, lambda p: complete_value(6, 3, p)),
+            (star_and_complete, 4.0, star_and_complete_value),
+            (star_and_complete, 6.0, star_and_complete_value),
+        ],
+        ids=["beta-star(3,10) p=3", "beta-star(3,10) p=3.5", "beta-star(3,10) p=5",
+             "loose-path(4,3) p=4", "loose-path(4,3) p=6", "complete(6,3) p=3",
+             "complete(6,3) p=4.5", "beta-star+complete(6,3) p=4", "beta-star+complete(6,3) p=6"],
+    )
+    def test_bound_holds_at_positive_points(self, build, p, exact):
+        g = build()
+        res = solve_multistart(g, SolverConfig(p=p, seed=0))
+        # with no closed form, the best value found, at most lambda^(p)
+        lam = exact(p) if exact is not None else res.best.lam
+        assert abs(res.best.lam - lam) <= 1e-12 * lam
+        assert res.certified and lam <= res.upper
+        rng = np.random.default_rng(1)
+        points = [rng.uniform(1e-3, 1.0, g.n) for _ in range(20)]
+        points += [rng.exponential(size=g.n) for _ in range(20)]
+        # around the maximizer, whose entries are all positive here
+        maximizer = res.best.weighting
+        assert (maximizer > 0.0).all()
+        for scale in 10.0 ** np.arange(-8, 0):
+            points += [maximizer * np.exp(scale * rng.standard_normal(g.n)) for _ in range(5)]
+        gaps = []
+        for x in points:
+            upper = solver.upper_bound(g, evaluated(g, x / np.linalg.norm(x), p))
+            assert upper is not None
+            gaps.append((upper - lam) / lam)
+        assert min(gaps) >= -1e-14
+
+    def test_no_bound_below_r_or_at_a_nonpositive_entry(self):
+        g = gen_beta_star(3, 10)
+        x = np.full(g.n, g.n**-0.5)
+        assert solver.upper_bound(g, evaluated(g, x, 2.9)) is None
+        assert solver.upper_bound(g, evaluated(g, x, 3.0)) is not None
+        for entry in (0.0, -0.1):
+            y = x.copy()
+            y[3] = entry
+            assert solver.upper_bound(g, evaluated(g, y / np.linalg.norm(y), 3.0)) is None
+
+    def test_bound_only_after_a_grad_tol_stop(self):
+        g, x0 = gen_loose_path(4, 3), draw(10, 0)
+        capped = solve_single(g, SolverConfig(p=4.0, max_iter=2), x0)
+        assert capped.stop_reason == "max_iter" and capped.upper is None
+        run = solve_single(g, SolverConfig(p=4.0), x0)
+        assert run.stop_reason == "grad_tol"
+        assert run.upper == solver.upper_bound(g, evaluated(g, run.weighting, 4.0))
+        assert run.lam <= run.upper <= run.lam * (1.0 + solver.CERT_TOL)
+
+    def test_every_run_is_made_below_r(self):
+        cfg = SolverConfig(p=2.0, runs=10, seed=0)
+        res = solve_multistart(gen_beta_star(3, 10), cfg)
+        assert len(res.run_summaries) == cfg.runs
+        assert res.upper is None and not res.certified
+        assert all(run.upper is None for run in res.run_summaries)
+
+    def test_every_run_is_made_at_a_zero_entry(self):
+        # p = r: the maximizer is complete(6,3)'s uniform vector, zero on the star
+        g = star_and_complete()
+        cfg = SolverConfig(p=3.0, runs=20, seed=0)
+        res = solve_multistart(g, cfg)
+        assert len(res.run_summaries) == cfg.runs and not res.certified
+        assert abs(res.best.lam - star_and_complete_value(3.0)) <= 1e-12 * res.best.lam
+        assert (res.best.weighting == 0.0).any() and res.best.upper is None
+        # a run that ends at a positive point bounds lambda^(p) from above
+        assert res.upper is None or res.upper >= res.best.lam
 
 
 class TestLagrangianApprox:
