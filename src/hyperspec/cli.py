@@ -185,13 +185,22 @@ def cmd_gen(args) -> int:
 
 def _selftest_closed_forms(cfg: SolverConfig, cases: list) -> list:
     """Per (name, graph, p, closed form, tolerance): the best value's relative
-    error and the share of runs that hit the closed form to 1e-8."""
-    report = []
+    error and the share of runs that hit the closed form to 1e-8, None when
+    the multistart stopped at a certified run, whose runs made sample no
+    per-run success.  Then, per case at p >= r, a row "bracket <name>": how
+    far, relative, the closed form lies outside [best lam, upper] (inf when
+    no run gave a bound), to 1e-14."""
+    report, brackets = [], []
     for name, g, p, ref, tol in cases:
         res = solve_multistart(g, replace(cfg, p=p))
         rel = np.abs(np.array(res.all_lambdas) - ref) / abs(ref)
-        report.append((name, rel[res.best_run], tol, float(np.mean(rel <= 1e-8))))
-    return report
+        accuracy = None if res.certified else float(np.mean(rel <= 1e-8))
+        report.append((name, rel[res.best_run], tol, accuracy))
+        if p >= g.r:
+            upper = res.upper if res.upper is not None else -math.inf
+            outside = max(res.best.lam - ref, ref - upper, 0.0) / ref
+            brackets.append((f"bracket {name}", outside, 1e-14, None))
+    return report + brackets
 
 
 def _selftest_gradient_fd(cfg: SolverConfig) -> list:
@@ -225,31 +234,15 @@ def _selftest_brute_force(cfg: SolverConfig) -> list:
     return [("brute-force 5 graphs p=2,3", worst, 1e-4, None)]
 
 
-def _selftest_bracket(cfg: SolverConfig, cases: list) -> list:
-    """Per (name, graph, p, closed form) at p >= r: how far, relative, the
-    closed form lies outside [best lam, upper]; inf when no run gave a bound."""
-    report = []
-    for name, g, p, ref in cases:
-        res = solve_multistart(g, replace(cfg, p=p))
-        upper = res.upper if res.upper is not None else -math.inf
-        report.append((name, max(res.best.lam - ref, ref - upper, 0.0) / ref, 1e-14, None))
-    return report
-
-
 # case -> its report rows (name, err, tol, accuracy or None), in report order
 SELFTEST_CASES = {
     "closed-forms": lambda cfg: _selftest_closed_forms(cfg, [
         ("beta-star r=3 m=10 p=3", gen_beta_star(3, 10), 3.0, beta_star_value(3, 10, 3), 1e-8),
+        ("beta-star r=3 m=10 p=5", gen_beta_star(3, 10), 5.0, beta_star_value(3, 10, 5), 1e-8),
         ("beta-star r=6 m=4 p=4", gen_beta_star(6, 4), 4.0, beta_star_value(6, 4, 4), 1e-8),
         ("beta-star r=3 m=10 p=2", gen_beta_star(3, 10), 2.0, beta_star_value(3, 10, 2), 1e-8),
         ("loose-path r=4 m=3 p=4", gen_loose_path(4, 3), 4.0, loose_path_value(4, 3), 1e-8),
         ("loose-path r=4 m=4 p=4", gen_loose_path(4, 4), 4.0, loose_path_value(4, 4), 1e-8),
-    ]),
-    "bracket": lambda cfg: _selftest_bracket(cfg, [
-        ("bracket beta-star r=3 m=10 p=3", gen_beta_star(3, 10), 3.0, beta_star_value(3, 10, 3)),
-        ("bracket beta-star r=3 m=10 p=5", gen_beta_star(3, 10), 5.0, beta_star_value(3, 10, 5)),
-        ("bracket loose-path r=4 m=3 p=4", gen_loose_path(4, 3), 4.0, loose_path_value(4, 3)),
-        ("bracket loose-path r=4 m=4 p=4", gen_loose_path(4, 4), 4.0, loose_path_value(4, 4)),
     ]),
     "tetrahedron-z": lambda cfg: _selftest_closed_forms(
         cfg, [("tetrahedron-z p=2 vs 3.0", gen_complete(4, 3), 2.0, 3.0, 3e-8)]),

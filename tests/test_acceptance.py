@@ -216,12 +216,14 @@ TRACKED_INSTANCES = [
 @pytest.mark.parametrize("name, build, p, runs", TRACKED_INSTANCES,
                          ids=[t[0] for t in TRACKED_INSTANCES])
 def test_criterion_6_iteration_invariants(name, build, p, runs):
+    # every run of the multistart's sequence: at p >= r it makes a prefix
     cfg = SolverConfig(p=p, runs=runs, seed=60)
-    multi = solve_multistart(build(), cfg, track=True)
+    traced = replay_runs(build(), cfg, track=True)
+    assert len(traced) == runs
     coeff = solver.ASCENT_COEFF
     cap = solver.DIRECTION_BOUND
     steps = 0
-    for res in multi.run_summaries:
+    for res in traced:
         trace = res.trace
         for prev, cur in zip(trace, trace[1:]):
             if cur.finish:  # a move to |x| between the records: f(|x|) >= f(x)
@@ -243,10 +245,10 @@ def test_criterion_6_iteration_invariants(name, build, p, runs):
             assert abs(rec.step_norm - rec.step_pred) <= 1e-10
             cos_angle = rec.ascent / (rec.gnorm * rec.dir_norm)
             assert cos_angle >= coeff / cap * (1.0 - 1e-12)
-    support = sum(res.support_steps for res in multi.run_summaries)
-    finishes = sum(res.finishes for res in multi.run_summaries)
+    support = sum(res.support_steps for res in traced)
+    finishes = sum(res.finishes for res in traced)
     report("criterion 6", True, f"{name}: {steps} accepted steps ({support} support steps, "
-           f"{finishes} finishes) across {runs} runs, all invariants hold")
+           f"{finishes} finishes) across {len(traced)} runs, all invariants hold")
 
 
 # --- 7. brute-force oracle equivalence ------------------------------------------

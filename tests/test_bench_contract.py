@@ -14,6 +14,8 @@ import numpy as np
 
 from hyperspec import SolverConfig, gen_beta_star, solver, tensor_ops
 
+from conftest import replay_runs
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import tracing  # noqa: E402
 import workloads  # noqa: E402
@@ -38,13 +40,19 @@ def test_tracer_records_kernel_spans_and_changes_nothing():
     tracer = tracing.Tracer()
     with tracer.patched():
         traced = solver.solve_multistart(g, cfg)
+        # p = r: the multistart makes a prefix of its run sequence, so all
+        # three runs are also compared one by one
+        traced_runs = replay_runs(g, cfg)
     kernel = [span for span in tracer.spans if span[0] == tracing.KERNEL]
     # one span per value pass, gradient pass and increment
-    passes = sum(run.evals + run.grad_evals for run in traced.run_summaries)
+    passes = sum(run.evals + run.grad_evals for run in traced.run_summaries + tuple(traced_runs))
     assert len(kernel) >= passes > 0
     assert all(info == (g.n, g.m, g.r) for *_, info in kernel)
     assert plain.all_lambdas == traced.all_lambdas
-    for a, b in zip(plain.run_summaries, traced.run_summaries):
+    assert len(traced_runs) == cfg.runs
+    pairs = zip(plain.run_summaries + tuple(replay_runs(g, cfg)),
+                traced.run_summaries + tuple(traced_runs))
+    for a, b in pairs:
         assert (a.iterations, a.stop_reason, a.evals, a.grad_evals) == (
             b.iterations, b.stop_reason, b.evals, b.grad_evals)
         assert a.weighting.tobytes() == b.weighting.tobytes()

@@ -12,7 +12,7 @@ import hyperspec
 from hyperspec import SolverConfig, SolverError, cli, parse_edge_list, ranking, solver
 from hyperspec.cli import main, parse_p
 
-from conftest import record_starts
+from conftest import certified_run, record_starts, replay_runs
 
 
 @pytest.fixture
@@ -468,31 +468,54 @@ class TestSelftest:
 
     def test_runs_reaches_the_brute_force_case(self, monkeypatch):
         # the oracle is stubbed out: only the solver's starts are counted,
-        # one per run made; at p = 3 = r a run may certify the best value
+        # one per run made: every run at p = 2 < r, and at p = 3 = r the runs
+        # up to the first certified run of the full sequence
         monkeypatch.setattr(cli, "brute_force_radius", lambda g, p, budget, seed: (0.0, None))
         for runs in (1, 3):
             starts = record_starts(monkeypatch)
-            results = TestArrayOutputs.capture(monkeypatch, "solve_multistart",
-                                               solver.solve_multistart)
-            main(["selftest", "--case", "brute-force", "--runs", str(runs)])
-            made = [len(res.run_summaries) for res in results]
-            assert len(made) == 5 * 2  # five graphs, each at p = 2 and 3
-            assert made[::2] == [runs] * 5  # p = 2 < r makes every run
-            assert all(1 <= k <= runs for k in made[1::2])
-            assert len(starts) == sum(made)
+            calls = []
 
-    def test_bracket_case(self, capsys, monkeypatch):
-        # the closed forms at p >= r lie in [best lam, upper]
-        assert main(["selftest", "--case", "bracket", "--format", "json"]) == 0
+            def solve(g, cfg):
+                calls.append((g, cfg, solver.solve_multistart(g, cfg)))
+                return calls[-1][2]
+
+            monkeypatch.setattr(cli, "solve_multistart", solve)
+            main(["selftest", "--case", "brute-force", "--runs", str(runs)])
+            assert [cfg.p for _, cfg, _ in calls] == [2.0, 3.0] * 5  # five graphs
+            assert all(cfg.runs == runs for _, cfg, _ in calls)
+            made = [len(res.run_summaries) for _, _, res in calls]
+            assert len(starts) == sum(made)
+            expected = []
+            for g, cfg, _ in calls:
+                stop = certified_run(replay_runs(g, cfg))
+                assert stop is None or cfg.p >= g.r
+                expected.append(runs if stop is None else stop + 1)
+            assert made == expected
+
+    def test_closed_forms_bracket_rows(self, capsys, monkeypatch):
+        # the closed forms at p >= r lie in [best lam, upper], one bracket row
+        # each after the closed-form rows; a certified multistart reports no
+        # per-run success
+        assert main(["selftest", "--case", "closed-forms", "--format", "json"]) == 0
         cases = json.loads(capsys.readouterr().out)["cases"]
-        assert len(cases) == 4 and all(case["name"].startswith("bracket ") for case in cases)
-        assert all(case["ok"] and case["err"] <= 1e-14 for case in cases)
-        # a multistart that gives no bound fails the case
+        names = [case["name"] for case in cases]
+        assert names[6:] == ["bracket " + name for name in (
+            "beta-star r=3 m=10 p=3", "beta-star r=3 m=10 p=5",
+            "loose-path r=4 m=3 p=4", "loose-path r=4 m=4 p=4")]
+        assert all(case["ok"] for case in cases)
+        assert all(case["err"] <= 1e-14 and case["accuracy"] is None for case in cases[6:])
+        accuracy = {case["name"]: case["accuracy"] for case in cases[:6]}
+        assert {name for name, acc in accuracy.items() if acc is None} == {
+            name[len("bracket "):] for name in names[6:]}
+        assert all(0.0 < acc <= 1.0 for acc in accuracy.values() if acc is not None)
+        # a multistart that gives no bound fails the bracket rows and is no
+        # longer certified, so its closed-form rows report a success rate
         no_bound = lambda g, cfg: replace(solver.solve_multistart(g, cfg), upper=None)
         monkeypatch.setattr(cli, "solve_multistart", no_bound)
-        assert main(["selftest", "--case", "bracket", "--format", "json"]) == 1
+        assert main(["selftest", "--case", "closed-forms", "--format", "json"]) == 1
         cases = json.loads(capsys.readouterr().out)["cases"]
-        assert all(case["err"] is None and not case["ok"] for case in cases)
+        assert all(case["err"] is None and not case["ok"] for case in cases[6:])
+        assert all(case["ok"] and case["accuracy"] is not None for case in cases[:6])
 
     def test_runs_is_checked_for_every_case(self, capsys):
         assert main(["selftest", "--case", "gradient-fd", "--runs", "0"]) == 2
@@ -524,7 +547,7 @@ class TestSelftest:
 
     def test_case_choices_are_the_table_keys(self, capsys):
         assert list(cli.SELFTEST_CASES) == [
-            "closed-forms", "bracket", "tetrahedron-z", "gradient-fd", "brute-force"]
+            "closed-forms", "tetrahedron-z", "gradient-fd", "brute-force"]
         with pytest.raises(SystemExit):
             main(["selftest", "--help"])
         assert "{" + ",".join(cli.SELFTEST_CASES) + "}" in capsys.readouterr().out

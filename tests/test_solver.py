@@ -914,14 +914,16 @@ class TestSolveSingle:
             return real(g, point)
 
         monkeypatch.setattr(solver, "_gradient", counted)
-        runs = solve_multistart(g, cfg).run_summaries
+        # p = r: the full run sequence, of which a multistart makes a prefix
+        runs = replay_runs(g, cfg)
+        assert len(runs) == cfg.runs
         for run in runs:
             # one gradient at the start and one per accepted step, and at
             # least one value pass (the final lam's) without a gradient
             assert run.iterations + 1 <= run.grad_evals < run.evals
         # every search got its base record from the solver, none built one
         assert len(grads) == sum(run.grad_evals for run in runs)
-        again = solve_multistart(g, cfg).run_summaries
+        again = replay_runs(g, cfg)
         counts = [(run.evals, run.grad_evals) for run in runs]
         assert counts == [(run.evals, run.grad_evals) for run in again]
 
@@ -1007,7 +1009,9 @@ class TestSolveSingle:
             (gen_complete(10, 3), 2.0),
         ]
         for g, p in instances:
-            runs = solve_multistart(g, SolverConfig(p=p, runs=100, seed=seed)).run_summaries
+            # all 100 runs, also at p >= r where a multistart makes a prefix
+            runs = replay_runs(g, SolverConfig(p=p, runs=100, seed=seed))
+            assert len(runs) == 100
             assert sum(run.support_steps for run in runs) == 0
 
     def test_support_steps_shorten_sublinear_tail(self):
@@ -1244,7 +1248,8 @@ class TestSolveMultistart:
         # no grad_tol stop reports a weighting that is not stationary
         g = build()
         cfg = SolverConfig(p=p, runs=100, seed=1)
-        runs = solve_multistart(g, cfg).run_summaries
+        # all 100 runs, also at p >= r where a multistart makes a prefix
+        runs = replay_runs(g, cfg)
         converged = [run for run in runs if run.stop_reason == "grad_tol"]
         assert converged
         for run in converged:
@@ -1282,9 +1287,11 @@ class TestSolveMultistart:
     def test_sign_flip_never_loses_value(self):
         # nonnegative edge weights: f(|x|) >= f(x), so the reported value
         # dominates every traced objective value
+        # all 10 runs, of which a multistart at p = r makes a prefix
         g = gen_loose_path(4, 3)
-        res = solve_multistart(g, SolverConfig(p=4.0, runs=10, seed=7), track=True)
-        for run in res.run_summaries:
+        runs = replay_runs(g, SolverConfig(p=4.0, runs=10, seed=7), track=True)
+        assert len(runs) == 10
+        for run in runs:
             assert run.lam >= run.trace[-1].f_next - 1e-12 * abs(run.lam)
 
     def test_converged_only_at_certified_stationarity(self):
@@ -1319,12 +1326,16 @@ class TestSolveMultistart:
                 best.weighting_scaled(order)
 
     def test_determinism_across_calls(self):
+        # p = r stops at a certified run, p = 2 < r makes all 8 runs
         g = gen_beta_star(3, 6)
-        cfg = SolverConfig(p=3.0, runs=8, seed=123)
-        a = solve_multistart(g, cfg)
-        b = solve_multistart(g, cfg)
-        assert a.all_lambdas == b.all_lambdas
-        assert np.array_equal(a.best.weighting, b.best.weighting)
+        for p in (3.0, 2.0):
+            cfg = SolverConfig(p=p, runs=8, seed=123)
+            a = solve_multistart(g, cfg)
+            b = solve_multistart(g, cfg)
+            assert a.all_lambdas == b.all_lambdas
+            assert (a.upper, a.certified) == (b.upper, b.certified)
+            assert np.array_equal(a.best.weighting, b.best.weighting)
+        assert len(a.all_lambdas) == cfg.runs
 
     def test_success_frequency_nondecreasing_in_run_count(self):
         # empirical multistart success over prefixes of a run sequence
@@ -1402,10 +1413,13 @@ class TestKnownMaximum:
                 for g, cfg, ref in cases]
 
     def test_best_is_a_grad_tol_run_at_the_closed_form(self, instances):
-        for _, _, ref, res, _ in instances:
+        for _, cfg, ref, res, replay in instances:
             assert res.best.stop_reason == "grad_tol"
             assert abs(res.best.lam - ref) <= 1e-14 * ref
-            assert all(abs(lam - ref) <= 1e-8 * ref for lam in res.all_lambdas)
+            # every run of the full sequence, of which the multistart made a prefix
+            assert len(replay) == cfg.runs
+            assert all(abs(run.lam - ref) <= 1e-8 * ref for run in replay)
+            assert res.all_lambdas == tuple(run.lam for run in replay[: len(res.all_lambdas)])
 
     def test_p_ge_r_instances_stop_certified_at_run_0(self, instances):
         # run 0 reaches the closed form, and its bound proves it global
