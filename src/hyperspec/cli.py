@@ -113,7 +113,8 @@ def cmd_solve(args) -> int:
     runs = len(res.all_lambdas)
     payload = {"lambda": res.best.lam, "p": cfg.p, "r": g.r, "n": g.n, "m": g.m,
                "runs": runs, "best_run": res.best_run, "converged": res.best.converged,
-               "upper": res.upper}
+               "upper": res.upper, "hits": res.hits, "maxima": res.maxima,
+               "expected_maxima": res.expected_maxima}
     if args.emit_weighting:
         payload["weighting"] = res.best.weighting.tolist()
     if res.upper is None:
@@ -126,8 +127,9 @@ def cmd_solve(args) -> int:
         f"p           {cfg.p:g}",
         f"graph       r={g.r} n={g.n} m={g.m}",
         f"runs        {runs} of {cfg.runs} (best run {res.best_run}, "
-        f"{'converged' if res.best.converged else res.best.stop_reason}"
-        f"{', certified' if res.certified else ''})",
+        f"{'converged' if res.best.converged else res.best.stop_reason}; "
+        f"{res.stop or 'no early'} stop: hits {res.hits}, maxima {res.maxima}, expected maxima "
+        f"{'none' if res.expected_maxima is None else format(res.expected_maxima, '.3g')})",
         f"stops       {', '.join(f'{reason} {count}' for reason, count in stops.items())}",
         f"iterations  {total['iterations']} total",
         f"kernel      {total['evals']} value passes, {total['grad_evals']} gradient passes",
@@ -186,15 +188,15 @@ def cmd_gen(args) -> int:
 def _selftest_closed_forms(cfg: SolverConfig, cases: list) -> list:
     """Per (name, graph, p, closed form, tolerance): the best value's relative
     error and the share of runs that hit the closed form to 1e-8, None when
-    the multistart stopped at a certified run, whose runs made sample no
-    per-run success.  Then, per case at p >= r, a row "bracket <name>": how
-    far, relative, the closed form lies outside [best lam, upper] (inf when
-    no run gave a bound), to 1e-14."""
+    the multistart stopped before cfg.runs runs, since a sequence cut by a
+    stop rule samples no per-run success.  Then, per case at p >= r, a row
+    "bracket <name>": how far, relative, the closed form lies outside
+    [best lam, upper] (inf when no run gave a bound), to 1e-14."""
     report, brackets = [], []
     for name, g, p, ref, tol in cases:
         res = solve_multistart(g, replace(cfg, p=p))
         rel = np.abs(np.array(res.all_lambdas) - ref) / abs(ref)
-        accuracy = None if res.certified else float(np.mean(rel <= 1e-8))
+        accuracy = None if rel.size < cfg.runs else float(np.mean(rel <= 1e-8))
         report.append((name, rel[res.best_run], tol, accuracy))
         if p >= g.r:
             upper = res.upper if res.upper is not None else -math.inf

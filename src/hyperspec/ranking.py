@@ -82,8 +82,10 @@ def rank_vertices(g: Hypergraph, cfg: SolverConfig, top_k: int | None = None) ->
     first one's maximum; its weighting is stationary to 1e-6 relative
     (``solver.KNOWN_GRAD_TOL``), and the report's weighting never comes
     from such a run.  At p >= r the multistart stops at the first run whose
-    upper bound proves the best value global, and ``runs`` counts the runs
-    made.
+    upper bound proves the best value global, and at any p once the
+    converged runs make a further maximum unlikely (8 runs at one value);
+    ``runs`` counts the runs made.  With 2 runs, as on rank-large, the
+    statistical stop cannot act, since it needs at least 4 converged runs.
     """
     if top_k is not None and not (isinstance(top_k, numbers.Integral) and 1 <= top_k <= g.n):
         raise ValueError(f"need integer top_k in [1, {g.n}], got top_k={top_k!r}")

@@ -71,6 +71,12 @@ KNOWN_DIST = 1e-3
 # (upper - lam) / lam of 1.1e-12 to 3.6e-9.  A known_maximum run gives no
 # bound, so at 1e-9 four of those 18 multistarts would make all 100 runs
 CERT_TOL = 1e-8
+# statistical stop: the lam of converged runs (stop reason grad_tol or
+# known_maximum) within MAXIMA_TOL relative of a value seen first count as one
+# maximum.  A known_maximum run ends within KNOWN_LAM_TOL below lam_j, so it
+# counts as a hit on run j's maximum; 1e-8 is the agreement that the
+# benchmark counts as a success
+MAXIMA_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -79,7 +85,8 @@ class SolverConfig:
 
     grad_tol is the stationarity stop, max_iter the iteration cap per run,
     and runs/seed drive the multistart: at most ``runs`` runs, fewer when a
-    run's upper bound proves the best value global (:func:`solve_multistart`).
+    run's upper bound proves the best value global or when a further maximum
+    has become unlikely (:func:`solve_multistart`).
     """
 
     p: float
@@ -181,19 +188,35 @@ class KnownMaximum:
 
 @dataclass(frozen=True)
 class MultistartResult:
-    """Every run's result, in run order, the best of them, and the least
-    upper bound on lambda^(p) that a run gave (None when none gave one)."""
+    """Every run made's result, in run order, the best of them, the least
+    upper bound on lambda^(p) that a run gave (None when none gave one), and
+    the counts of the statistical stop: ``hits``, the runs within MAXIMA_TOL
+    relative of the best lam; ``maxima``, the distinct values w among the
+    converged runs; ``expected_maxima``, the posterior expected number of
+    maxima after N converged runs, w (N - 1) / (N - w - 2), None while
+    N < w + 3 (:func:`expected_maxima`)."""
 
     best: SolveResult
     best_run: int
     all_lambdas: tuple[float, ...]
     run_summaries: tuple[SolveResult, ...]
     upper: float | None = None
+    hits: int = 0
+    maxima: int = 0
+    expected_maxima: float | None = None
 
     @property
     def certified(self) -> bool:
         """``upper`` proves ``best.lam`` global to CERT_TOL relative."""
         return certifies(self.upper, self.best.lam)
+
+    @property
+    def stop(self) -> str | None:
+        """Which rule ended the run sequence: "certified", "estimate" or
+        None, when neither held after the last run made."""
+        if self.certified:
+            return "certified"
+        return "estimate" if estimate_stops(self.maxima, self.expected_maxima) else None
 
 
 @dataclass(slots=True)
@@ -256,6 +279,24 @@ def upper_bound(g: Hypergraph, point: _Eval) -> float | None:
 def certifies(upper: float | None, lam: float) -> bool:
     """upper <= lam * (1 + CERT_TOL): the bound proves lam global."""
     return upper is not None and upper <= lam * (1.0 + CERT_TOL)
+
+
+def expected_maxima(samples: int, maxima: int) -> float | None:
+    """The posterior expected number of maxima, w (N - 1) / (N - w - 2), after
+    N = ``samples`` converged runs that reached w = ``maxima`` distinct values
+    (Boender & Rinnooy Kan, Math. Programming 37, 1987), under a uniform
+    prior on the number of maxima and on their basins' relative sizes.  None
+    while N < w + 3, where the posterior mean is not finite."""
+    if samples < maxima + 3:
+        return None
+    return maxima * (samples - 1) / (samples - maxima - 2)
+
+
+def estimate_stops(maxima: int, expected: float | None) -> bool:
+    """expected < w + 0.5: a maximum beyond the w seen is unlikely
+    (Boender & Rinnooy Kan 1987; Rinnooy Kan & Timmer, Math. Programming
+    39, 1987).  With w = 1 it first holds at N = 8, where expected = 1.4."""
+    return expected is not None and expected < maxima + 0.5
 
 
 def random_unit_sphere(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -733,10 +774,20 @@ def solve_multistart(
     1 + CERT_TOL, and ``certified`` is then True.  The runs made are runs
     0..i of the sequence above, so ``all_lambdas`` and ``run_summaries`` may
     hold fewer than cfg.runs entries.  At p < r, or when no run ends at a
-    positive weighting, ``upper`` is None and every run is made.
+    positive weighting, ``upper`` is None.
+
+    Statistical stop, at every p: a run that stopped at grad_tol or
+    known_maximum is a sample, and samples whose lam lie within MAXIMA_TOL
+    relative of a value seen first count as one maximum.  After N samples
+    with w distinct values the multistart ends once N >= w + 3 and
+    w (N - 1) / (N - w - 2) < w + 0.5 (:func:`estimate_stops`); with one
+    maximum that is N = 8.  Runs that stop at max_iter, line_search_failure
+    or numerical_failure are not samples, so stalled runs never end the
+    sequence.  ``stop`` says which rule ended it; when neither held, every
+    run is made.
     """
-    results, known = [], []
-    upper, best = None, -math.inf
+    results, known, values = [], [], []
+    upper, best, samples = None, -math.inf, 0
     for i in range(cfg.runs):
         x0 = random_unit_sphere(g.n, np.random.default_rng(cfg.seed + i))
         res = solve_single(g, cfg, np.abs(x0) if orthant else x0, track, known=tuple(known))
@@ -744,10 +795,15 @@ def solve_multistart(
         lam, weighting = res.lam, res.weighting
         if res.stop_reason == "grad_tol" and not any(e.rejoined_by(lam, weighting) for e in known):
             known.append(KnownMaximum(i, lam, weighting))
+        if res.stop_reason in ("grad_tol", "known_maximum"):
+            samples += 1
+            if not any(abs(lam - v) <= MAXIMA_TOL * abs(v) for v in values):
+                values.append(lam)
         if res.upper is not None:
             upper = res.upper if upper is None else min(upper, res.upper)
         best = max(best, lam)  # a nan lam compares False and leaves best
-        if certifies(upper, best):
+        expected = expected_maxima(samples, len(values))
+        if certifies(upper, best) or estimate_stops(len(values), expected):
             break
     lams = np.array([res.lam for res in results])
     if not np.isfinite(lams).any():
@@ -759,6 +815,9 @@ def solve_multistart(
         all_lambdas=tuple(float(v) for v in lams),
         run_summaries=tuple(results),
         upper=upper,
+        hits=int(np.sum(np.abs(lams - best) <= MAXIMA_TOL * abs(best))),
+        maxima=len(values),
+        expected_maxima=expected,
     )
 
 
@@ -776,7 +835,10 @@ def lagrangian_approx(g: Hypergraph, cfg: SolverConfig, steps: int) -> Lagrangia
     The estimate is the normalized value at the last schedule point.  Each
     schedule point's multistart starts in the nonnegative orthant
     (``solve_multistart(..., orthant=True)``), where the Lagrangian's
-    simplex maximizer lies.
+    simplex maximizer lies, and ends by the stops of
+    :func:`solve_multistart`.  On complete(4,3) and complete(10,3), whose
+    maximizer is the uniform vector at every p, every schedule point of 20
+    runs stops by the estimate after 8 runs at one value.
     """
     rfact = math.factorial(g.r)
     rows = []

@@ -39,11 +39,13 @@ def record_starts(monkeypatch) -> list:
 
 
 def replay_runs(g: Hypergraph, cfg, track=False, orthant=False) -> list:
-    """Every run of ``solve_multistart(g, cfg, track, orthant=orthant)``
-    without its certified stop, replayed from the documented rules: run i is
+    """Every one of the cfg.runs runs of ``solve_multistart(g, cfg, track,
+    orthant=orthant)`` without either early stop, the certified one or the
+    statistical one, replayed from the documented rules: run i is
     solve_single from the uniform start drawn with seed cfg.seed + i, given
     one known maximum per grad_tol run j < i whose lam and weighting rejoin
-    no maximum kept before it."""
+    no maximum kept before it.  A multistart makes a prefix of these runs,
+    up to :func:`stop_run`."""
     eps, delta = solver.KNOWN_LAM_TOL, solver.KNOWN_DIST
     runs, known = [], []
     for i in range(cfg.runs):
@@ -60,17 +62,26 @@ def replay_runs(g: Hypergraph, cfg, track=False, orthant=False) -> list:
     return runs
 
 
-def certified_run(runs: list) -> int | None:
-    """The first run at which the least upper bound so far is at most the
-    best lam so far times 1 + CERT_TOL, the run a multistart stops after;
-    None when no run certifies."""
-    upper, best = math.inf, -math.inf
+def stop_run(runs: list) -> int | None:
+    """The run a multistart stops after, read off its full run sequence:
+    the first run at which the least upper bound so far is at most the best
+    lam so far times 1 + CERT_TOL, or at which N >= w + 3 converged runs
+    (grad_tol or known_maximum) with w distinct values (each lam within
+    MAXIMA_TOL of the first of its value) give w (N - 1) / (N - w - 2) <
+    w + 0.5.  None when neither rule holds at any run."""
+    upper, best, samples, values = math.inf, -math.inf, 0, []
     for i, run in enumerate(runs):
         if run.upper is not None:
             upper = min(upper, run.upper)
         if math.isfinite(run.lam):
             best = max(best, run.lam)
-        if upper <= best * (1.0 + solver.CERT_TOL):
+        if run.stop_reason in ("grad_tol", "known_maximum"):
+            samples += 1
+            if all(abs(run.lam - v) > solver.MAXIMA_TOL * abs(v) for v in values):
+                values.append(run.lam)
+        w = len(values)
+        if upper <= best * (1.0 + solver.CERT_TOL) or (
+                samples >= w + 3 and w * (samples - 1) < (w + 0.5) * (samples - w - 2)):
             return i
     return None
 

@@ -12,7 +12,7 @@ import hyperspec
 from hyperspec import SolverConfig, SolverError, cli, parse_edge_list, ranking, solver
 from hyperspec.cli import main, parse_p
 
-from conftest import certified_run, record_starts, replay_runs
+from conftest import record_starts, replay_runs, stop_run
 
 
 @pytest.fixture
@@ -72,7 +72,7 @@ class TestSolve:
         payload = json.loads(capsys.readouterr().out)
         assert payload["lambda"] == pytest.approx(1.0, abs=1e-10)
         assert set(payload) == {"lambda", "p", "r", "n", "m", "runs", "best_run", "converged",
-                                "upper"}
+                                "upper", "hits", "maxima", "expected_maxima"}
         assert (payload["r"], payload["n"], payload["m"]) == (2, 2, 1)
 
     def test_beta_star_value(self, beta_star_file, capsys):
@@ -156,26 +156,45 @@ class TestSolve:
 
     def test_text_reports_stop_reasons(self, beta_star_file, tmp_path, capsys):
         # the stop-reason histogram over the runs made, in order of first
-        # appearance, and the runs made of --runs: at p = r run 0 certifies
-        # its value and is the only run; the JSON form keeps its keys, with
-        # runs the runs made and upper the bound
+        # appearance, and the runs made of --runs with the stop that ended
+        # them and its counts: at p = r run 0 certifies its value and is the
+        # only run; the JSON form keeps its keys, with runs the runs made and
+        # upper the bound, and adds the counts
         main(["solve", beta_star_file, "--p", "3", "--seed", "1"])
         out = capsys.readouterr().out
-        assert "runs        1 of 100 (best run 0, converged, certified)\n" in out
+        assert ("runs        1 of 100 (best run 0, converged; certified stop: hits 1, "
+                "maxima 1, expected maxima none)\n") in out
         assert "stops       grad_tol 1\n" in out
         main(["solve", beta_star_file, "--p", "3", "--seed", "1", "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert list(payload) == ["lambda", "p", "r", "n", "m", "runs", "best_run", "converged",
-                                 "upper"]
+                                 "upper", "hits", "maxima", "expected_maxima"]
         assert payload["runs"] == 1 and payload["lambda"] <= payload["upper"]
-        # complete(4,3) at p = 2 < r: no bound, so every run is made
+        assert (payload["hits"], payload["maxima"], payload["expected_maxima"]) == (1, 1, None)
+        # complete(4,3) at p = 2 < r: no bound; 8 converged runs at one value
+        # make a further maximum unlikely
         path = str(tmp_path / "k43.txt")
         main(["gen", "complete", "--n", "4", "--r", "3", "--out", path])
         main(["solve", path, "--p", "2", "--seed", "1"])
         out = capsys.readouterr().out
-        assert "runs        100 of 100 (best run 8, converged)\n" in out
-        assert "stops       grad_tol 88, known_maximum 12\n" in out
+        assert ("runs        8 of 100 (best run 7, converged; estimate stop: hits 8, "
+                "maxima 1, expected maxima 1.4)\n") in out
+        assert "stops       grad_tol 8\n" in out
         assert "bound       none (p < r, or no grad_tol run at a positive weighting)\n" in out
+        main(["solve", path, "--p", "2", "--seed", "1", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["runs"], payload["hits"], payload["maxima"]) == (8, 8, 1)
+        assert payload["expected_maxima"] == 1.4
+        # with fewer runs than the estimate needs, no rule ends the sequence;
+        # with --max-iter 2 no run converges, so there is no sample at all
+        main(["solve", path, "--p", "2", "--seed", "1", "--runs", "5"])
+        out = capsys.readouterr().out
+        assert ("runs        5 of 5 (best run 0, converged; no early stop: hits 5, "
+                "maxima 1, expected maxima 2)\n") in out
+        main(["solve", path, "--p", "2", "--seed", "1", "--runs", "12", "--max-iter", "2"])
+        out = capsys.readouterr().out
+        assert "; no early stop: hits " in out and ", maxima 0, expected maxima none)\n" in out
+        assert "runs        12 of 12 (best run " in out and "stops       max_iter 12\n" in out
 
     def test_fractional_p(self, single_edge_file, capsys):
         rc = main(["solve", single_edge_file, "--p", "4/3", "--runs", "2", "--format", "json"])
@@ -448,13 +467,19 @@ class TestSelftest:
         assert "PASS" in out and "FAIL" not in out
 
     def test_tetrahedron_case(self, capsys):
+        # a per-run success rate only when every run was made: 5 runs are
+        # fewer than the statistical stop needs, and of 40 it makes 8
+        rc = main(["selftest", "--case", "tetrahedron-z", "--runs", "5"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "accu=1.00" in out
         rc = main(["selftest", "--case", "tetrahedron-z", "--runs", "40"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "accu=" in out
+        assert "PASS" in out and "accu=" not in out
 
     def test_json_format(self, capsys):
-        argv = ["selftest", "--case", "tetrahedron-z", "--runs", "40", "--format", "json"]
+        argv = ["selftest", "--case", "tetrahedron-z", "--runs", "5", "--format", "json"]
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert main(argv) == 0
@@ -487,15 +512,16 @@ class TestSelftest:
             assert len(starts) == sum(made)
             expected = []
             for g, cfg, _ in calls:
-                stop = certified_run(replay_runs(g, cfg))
+                stop = stop_run(replay_runs(g, cfg))
+                # three runs are too few for the estimate: only a certificate stops
                 assert stop is None or cfg.p >= g.r
                 expected.append(runs if stop is None else stop + 1)
             assert made == expected
 
     def test_closed_forms_bracket_rows(self, capsys, monkeypatch):
         # the closed forms at p >= r lie in [best lam, upper], one bracket row
-        # each after the closed-form rows; a certified multistart reports no
-        # per-run success
+        # each after the closed-form rows; a multistart that stopped before
+        # --runs runs reports no per-run success
         assert main(["selftest", "--case", "closed-forms", "--format", "json"]) == 0
         cases = json.loads(capsys.readouterr().out)["cases"]
         names = [case["name"] for case in cases]
@@ -503,19 +529,26 @@ class TestSelftest:
             "beta-star r=3 m=10 p=3", "beta-star r=3 m=10 p=5",
             "loose-path r=4 m=3 p=4", "loose-path r=4 m=4 p=4")]
         assert all(case["ok"] for case in cases)
-        assert all(case["err"] <= 1e-14 and case["accuracy"] is None for case in cases[6:])
-        accuracy = {case["name"]: case["accuracy"] for case in cases[:6]}
-        assert {name for name, acc in accuracy.items() if acc is None} == {
-            name[len("bracket "):] for name in names[6:]}
-        assert all(0.0 < acc <= 1.0 for acc in accuracy.values() if acc is not None)
-        # a multistart that gives no bound fails the bracket rows and is no
-        # longer certified, so its closed-form rows report a success rate
+        assert all(case["err"] <= 1e-14 for case in cases[6:])
+        # of 100 runs each case makes a prefix: the certificate stops at
+        # p >= r, the estimate at p < r
+        assert all(case["accuracy"] is None for case in cases)
+        # 5 runs are too few for the estimate, so the two p < r cases make
+        # every run and report their success rate
+        assert main(["selftest", "--case", "closed-forms", "--runs", "5", "--format", "json"]) == 0
+        cases = json.loads(capsys.readouterr().out)["cases"]
+        accuracy = {case["name"]: case["accuracy"] for case in cases}
+        measured = {name for name, acc in accuracy.items() if acc is not None}
+        assert measured == {"beta-star r=6 m=4 p=4", "beta-star r=3 m=10 p=2"}
+        assert all(0.0 < accuracy[name] <= 1.0 for name in measured)
+        # a multistart that gives no bound fails the bracket rows; the
+        # closed-form rows still pass
         no_bound = lambda g, cfg: replace(solver.solve_multistart(g, cfg), upper=None)
         monkeypatch.setattr(cli, "solve_multistart", no_bound)
         assert main(["selftest", "--case", "closed-forms", "--format", "json"]) == 1
         cases = json.loads(capsys.readouterr().out)["cases"]
         assert all(case["err"] is None and not case["ok"] for case in cases[6:])
-        assert all(case["ok"] and case["accuracy"] is not None for case in cases[:6])
+        assert all(case["ok"] for case in cases[:6])
 
     def test_runs_is_checked_for_every_case(self, capsys):
         assert main(["selftest", "--case", "gradient-fd", "--runs", "0"]) == 2

@@ -12,7 +12,7 @@ from hyperspec import (
 from hyperspec import ranking
 from hyperspec.ranking import RankedEntries, ranked_order
 
-from conftest import record_starts
+from conftest import make_random_graph, record_starts, replay_runs
 
 
 def two_edge_graph():
@@ -81,9 +81,10 @@ class TestRankVertices:
             assert x0.tobytes() == expected.tobytes()
 
     def test_report_metadata(self):
+        # p = 2 < r: the statistical stop ends the runs after 8 at one value
         cfg = SolverConfig(p=2.0, runs=30, seed=3)
         rep = rank_vertices(gen_complete(4, 3), cfg)
-        assert rep.p == 2.0 and rep.runs == 30
+        assert rep.p == 2.0 and rep.runs == 8
         assert rep.lam == pytest.approx(3.0, abs=1e-7)
 
     def test_runs_counts_the_runs_made(self):
@@ -92,6 +93,20 @@ class TestRankVertices:
         rep = rank_vertices(g, cfg)
         res = solve_multistart(g, cfg, orthant=True)
         assert res.certified and rep.runs == len(res.all_lambdas) == 1
+
+    def test_two_runs_are_never_stopped(self):
+        # two runs give at most two samples, fewer than the estimate needs,
+        # so at p < r the report is the one built from both runs of the full
+        # sequence, byte for byte, as before the stop existed
+        g = make_random_graph(np.random.default_rng(5), 300, 3, 900)
+        cfg = SolverConfig(p=2.0, runs=2, seed=1)
+        rep = rank_vertices(g, cfg)
+        runs = replay_runs(g, cfg, orthant=True)
+        best = runs[int(np.nanargmax([run.lam for run in runs]))]
+        order = ranked_order(best.weighting)
+        assert rep.runs == 2 and rep.lam == best.lam
+        assert rep.entries.vertices.tobytes() == (order + 1).tobytes()
+        assert rep.entries.impact.tobytes() == best.weighting[order].tobytes()
 
 
 class TestRankedEntries:

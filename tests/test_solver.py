@@ -26,7 +26,7 @@ from hyperspec import solver
 from hyperspec.solver import cayley_step_length, line_search_wolfe
 from hyperspec.tensor_ops import value_and_grad
 
-from conftest import certified_run, evaluated, make_random_graph, record_starts, replay_runs
+from conftest import evaluated, make_random_graph, record_starts, replay_runs, stop_run
 
 
 def draw(n, seed):
@@ -945,8 +945,9 @@ class TestSolveSingle:
 
     @pytest.fixture(scope="class")
     def star_tail(self):
-        """beta-star(6,4) at p = 5 = r - 1, starts 0..199, traced, with every
-        line search recorded as (run, iterate, ok, value passes).  Its slow
+        """beta-star(6,4) at p = 5 = r - 1, starts 0..199 of the full run
+        sequence (a multistart stops it early), traced, with every line
+        search recorded as (run, iterate, ok, value passes).  Its slow
         tails have 532 failed searches, each followed by a second search from
         the same iterate: 528 along the same direction from the default
         trial, and 4 steepest-ascent retries after those failed too (starts
@@ -967,7 +968,8 @@ class TestSolveSingle:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "line_search_wolfe", search)
             mp.setattr(solver, "solve_single", single)
-            solve_multistart(gen_beta_star(6, 4), SolverConfig(p=5.0, runs=200, seed=0), track=True)
+            replay_runs(gen_beta_star(6, 4), SolverConfig(p=5.0, runs=200, seed=0), track=True)
+        assert len(runs) == 200
         return runs, searches
 
     def test_failed_searches_are_cheap_in_sublinear_tail(self, star_tail):
@@ -1027,7 +1029,9 @@ class TestSolveSingle:
         # p = 3 < r - 1: support steps end the signed tails before a search
         # meets a direction flat to rounding
         cfg = SolverConfig(p=3.0, runs=30, seed=0)
-        runs = solve_multistart(gen_loose_path(4, 4), cfg).run_summaries
+        # all 30 runs, of which a multistart makes a prefix
+        runs = replay_runs(gen_loose_path(4, 4), cfg)
+        assert len(runs) == 30
         assert not any(run.stop_reason == "line_search_failure" for run in runs)
 
     @pytest.mark.parametrize(
@@ -1170,13 +1174,14 @@ class TestSolveMultistart:
         # run i is solve_single from the uniform start drawn with seed
         # cfg.seed + i, given the maxima of the grad_tol runs j < i: one per
         # run whose lam and weighting rejoin no maximum kept before it; the
-        # runs end at the first run whose bound certifies the best lam
+        # runs end at the first run whose bound certifies the best lam or
+        # whose estimate makes a further maximum unlikely
         reasons, made = set(), []
         for g, p in ((gen_beta_star(3, 4), 3.0), (gen_complete(4, 3), 2.0)):
             cfg = SolverConfig(p=p, runs=20, seed=5)
             multi = solve_multistart(g, cfg)
             replay = replay_runs(g, cfg)
-            stop = certified_run(replay)
+            stop = stop_run(replay)
             expected = replay if stop is None else replay[: stop + 1]
             assert len(multi.run_summaries) == len(multi.all_lambdas) == len(expected)
             for i, (run, solo) in enumerate(zip(multi.run_summaries, expected)):
@@ -1190,12 +1195,13 @@ class TestSolveMultistart:
             reasons.update(run.stop_reason for run in replay)
             uppers = [run.upper for run in expected if run.upper is not None]
             assert multi.upper == (min(uppers) if uppers else None)
-            assert multi.certified == (stop is not None)
+            assert multi.stop == ("certified" if g.r == p else "estimate")
             assert multi.best is multi.run_summaries[multi.best_run]
             made.append(len(multi.run_summaries))
         assert reasons == {"grad_tol", "known_maximum"}
-        # p = r: run 0 certifies its value; p < r: no bound, every run is made
-        assert made == [1, 20]
+        # p = r: run 0 certifies its value; p < r: no bound, and the estimate
+        # ends the sequence after 8 runs at one value
+        assert made == [1, 8]
 
     def test_weighting_is_abs_x_of_every_signed_run(self):
         # x is the one stored vector; weighting is |x|, derived on access
@@ -1272,7 +1278,8 @@ class TestSolveMultistart:
         g = gen_complete(4, 3)
         res = solve_multistart(g, SolverConfig(p=2.0, runs=20, seed=1))
         assert res.best.lam == max(res.all_lambdas)
-        assert len(res.run_summaries) == 20
+        # the statistical stop: 8 converged runs at one value
+        assert len(res.run_summaries) == 8 and res.stop == "estimate"
         assert res.run_summaries[res.best_run].lam == res.best.lam
         assert all(s.iterations >= 0 for s in res.run_summaries)
 
@@ -1338,10 +1345,11 @@ class TestSolveMultistart:
         assert len(a.all_lambdas) == cfg.runs
 
     def test_success_frequency_nondecreasing_in_run_count(self):
-        # empirical multistart success over prefixes of a run sequence
+        # empirical multistart success over prefixes of the full run
+        # sequence, of which a multistart makes a prefix
         g = gen_complete(4, 3)
-        res = solve_multistart(g, SolverConfig(p=2.0, runs=60, seed=11))
-        lams = np.array(res.all_lambdas)
+        lams = np.array([run.lam for run in replay_runs(g, SolverConfig(p=2.0, runs=60, seed=11))])
+        assert lams.size == 60
         hits = np.abs(lams - 3.0) / 3.0 <= 1e-8
         prefix_success = np.maximum.accumulate(hits)
         assert np.all(np.diff(prefix_success.astype(int)) >= 0)
@@ -1395,9 +1403,10 @@ class TestSolveMultistart:
 class TestKnownMaximum:
     """The known_maximum stop on the benchmark's closed-form instances: the
     five multistart-small instances (100 runs, seed 1) and beta-star(6,4) at
-    p = 4 (40 runs, seed 0), every run traced.  At p >= r the multistart
-    stops at a certified run, so the stops are read off the full run
-    sequence that :func:`replay_runs` replays."""
+    p = 4 (40 runs, seed 0), every run traced.  The multistart stops early,
+    at a certified run at p >= r and by the statistical stop at p < r, so the
+    stops are read off the full run sequence that :func:`replay_runs`
+    replays."""
 
     @pytest.fixture(scope="class")
     def instances(self):
@@ -1552,23 +1561,106 @@ class TestUpperBound:
         assert run.upper == solver.upper_bound(g, evaluated(g, run.weighting, 4.0))
         assert run.lam <= run.upper <= run.lam * (1.0 + solver.CERT_TOL)
 
-    def test_every_run_is_made_below_r(self):
-        cfg = SolverConfig(p=2.0, runs=10, seed=0)
-        res = solve_multistart(gen_beta_star(3, 10), cfg)
-        assert len(res.run_summaries) == cfg.runs
-        assert res.upper is None and not res.certified
-        assert all(run.upper is None for run in res.run_summaries)
+    def test_no_certified_stop_below_r(self):
+        # no run gives a bound, so only the statistical stop ends the runs
+        g, cfg = gen_beta_star(3, 10), SolverConfig(p=2.0, runs=10, seed=0)
+        res = solve_multistart(g, cfg)
+        replay = replay_runs(g, cfg)
+        assert len(res.run_summaries) == stop_run(replay) + 1 == 8
+        assert res.upper is None and not res.certified and res.stop == "estimate"
+        assert all(run.upper is None for run in replay)
 
-    def test_every_run_is_made_at_a_zero_entry(self):
-        # p = r: the maximizer is complete(6,3)'s uniform vector, zero on the star
+    def test_no_certified_stop_at_a_zero_entry(self):
+        # p = r: the maximizer is complete(6,3)'s uniform vector, zero on the
+        # star, so only the statistical stop ends the runs
         g = star_and_complete()
         cfg = SolverConfig(p=3.0, runs=20, seed=0)
         res = solve_multistart(g, cfg)
-        assert len(res.run_summaries) == cfg.runs and not res.certified
+        assert len(res.run_summaries) == 8 and not res.certified and res.stop == "estimate"
         assert abs(res.best.lam - star_and_complete_value(3.0)) <= 1e-12 * res.best.lam
         assert (res.best.weighting == 0.0).any() and res.best.upper is None
         # a run that ends at a positive point bounds lambda^(p) from above
         assert res.upper is None or res.upper >= res.best.lam
+
+
+def two_groups():
+    """Two disjoint 3-edges of weights 1 and 1.5: at p < r each edge's
+    uniform weighting is a local maximum, so a multistart meets two values."""
+    return Hypergraph.from_edges(n=6, r=3, edges=[(1, 2, 3), (4, 5, 6)], weights=[1.0, 1.5])
+
+
+class TestStatisticalStop:
+    """The Boender-Rinnooy Kan stop: after N converged runs at w distinct
+    values the multistart ends once w (N - 1) / (N - w - 2) < w + 0.5."""
+
+    def test_expected_maxima(self):
+        assert solver.expected_maxima(3, 1) is None  # N < w + 3
+        assert solver.expected_maxima(4, 1) == 3.0
+        assert solver.expected_maxima(7, 1) == 1.5
+        assert solver.expected_maxima(8, 1) == 1.4
+        assert not solver.estimate_stops(1, 1.5) and solver.estimate_stops(1, 1.4)
+        assert not solver.estimate_stops(0, None)
+        # w = 2 first stops at N = 17
+        assert not solver.estimate_stops(2, solver.expected_maxima(16, 2))
+        assert solver.estimate_stops(2, solver.expected_maxima(17, 2))
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: gen_complete(4, 3), lambda: gen_complete(10, 3),
+         lambda: make_random_graph(np.random.default_rng(2), 12, 3, 10)],
+        ids=["complete(4,3)", "complete(10,3)", "random(12,3,10)"],
+    )
+    def test_runs_made_are_a_prefix_of_the_full_sequence(self, build):
+        g, cfg = build(), SolverConfig(p=2.0, runs=30, seed=1)
+        res = solve_multistart(g, cfg)
+        replay = replay_runs(g, cfg)
+        made = len(res.run_summaries)
+        assert made == stop_run(replay) + 1 < cfg.runs
+        for run, full in zip(res.run_summaries, replay[:made]):
+            assert (run.lam, run.iterations, run.stop_reason) == (
+                full.lam, full.iterations, full.stop_reason)
+            assert run.x.tobytes() == full.x.tobytes()
+        assert res.all_lambdas == tuple(run.lam for run in replay[:made])
+
+    def test_one_maximum_stops_after_eight_runs(self):
+        res = solve_multistart(gen_complete(4, 3), SolverConfig(p=2.0, seed=1))
+        assert len(res.run_summaries) == 8 and res.stop == "estimate"
+        assert (res.hits, res.maxima, res.expected_maxima) == (8, 1, 1.4)
+        assert {run.stop_reason for run in res.run_summaries} <= {"grad_tol", "known_maximum"}
+
+    def test_runs_that_do_not_converge_are_not_samples(self):
+        # every run stops at max_iter: no sample, so every run is made
+        cfg = SolverConfig(p=2.0, runs=12, seed=1, max_iter=2)
+        res = solve_multistart(gen_complete(4, 3), cfg)
+        assert len(res.run_summaries) == cfg.runs and res.stop is None
+        assert all(run.stop_reason == "max_iter" for run in res.run_summaries)
+        assert (res.maxima, res.expected_maxima) == (0, None)
+
+    def test_two_maxima_go_on_past_run_eight(self):
+        g, cfg = two_groups(), SolverConfig(p=2.0, runs=100, seed=0)
+        res = solve_multistart(g, cfg)
+        replay = replay_runs(g, cfg)
+        assert res.maxima == 2 and res.stop == "estimate"
+        assert len(res.run_summaries) == stop_run(replay) + 1 == 17
+        # the heavier edge's value, 3! 1.5 / 3^(3/2), and its hits
+        best = 6 * 1.5 * 3**-1.5
+        assert abs(res.best.lam - best) <= 1e-12 * best
+        hits = [lam for lam in res.all_lambdas if abs(lam - best) <= solver.MAXIMA_TOL * best]
+        assert res.hits == len(hits) < len(res.run_summaries)
+        assert res.expected_maxima == solver.expected_maxima(17, 2)
+
+    def test_known_maximum_run_is_a_hit_on_its_maximum(self):
+        # a run that rejoins run j ends within KNOWN_LAM_TOL below lam_j, so
+        # it adds a sample and no value
+        res = solve_multistart(two_groups(), SolverConfig(p=2.0, seed=0))
+        runs = res.run_summaries
+        rejoined = [run for run in runs if run.stop_reason == "known_maximum"]
+        assert rejoined and res.maxima == 2
+        for run in rejoined:
+            lam_j = runs[run.rejoined].lam
+            assert lam_j * (1.0 - solver.KNOWN_LAM_TOL) <= run.lam <= lam_j
+        values = {run.lam for run in runs if run.stop_reason == "grad_tol"}
+        assert len(values) > res.maxima  # grad_tol runs differ in the last bits too
 
 
 class TestLagrangianApprox:
