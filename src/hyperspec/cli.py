@@ -114,7 +114,7 @@ def cmd_solve(args) -> int:
     payload = {"lambda": res.best.lam, "p": cfg.p, "r": g.r, "n": g.n, "m": g.m,
                "runs": runs, "best_run": res.best_run, "converged": res.best.converged,
                "upper": res.upper, "hits": res.hits, "maxima": res.maxima,
-               "expected_maxima": res.expected_maxima}
+               "expected_maxima": res.expected_maxima, "stop": res.stop, "stops": dict(stops)}
     if args.emit_weighting:
         payload["weighting"] = res.best.weighting.tolist()
     if res.upper is None:

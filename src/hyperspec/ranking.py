@@ -78,8 +78,8 @@ def rank_vertices(g: Hypergraph, cfg: SolverConfig, top_k: int | None = None) ->
     of the rank-large benchmark at p = 2, 2 runs each, both laws agree to
     4e-16 on every graph, and orthant starts take 609 iterations in all
     against 1276 for signed ones (725 against 1391 before the multistart's
-    "known_maximum" stop).  That stop ends a second run that rejoins the
-    first one's maximum; its weighting is stationary to 1e-6 relative
+    "known_maximum" stop).  That stop ends a second run that reaches the
+    first one's value; its weighting is stationary to 1e-6 relative
     (``solver.KNOWN_GRAD_TOL``), and the report's weighting never comes
     from such a run.  At p >= r the multistart stops at the first run whose
     upper bound proves the best value global, and at any p once the
@@ -87,7 +87,8 @@ def rank_vertices(g: Hypergraph, cfg: SolverConfig, top_k: int | None = None) ->
     ``runs`` counts the runs made.  With 2 runs, as on rank-large, the
     statistical stop cannot act, since it needs at least 4 converged runs.
     """
-    if top_k is not None and not (isinstance(top_k, numbers.Integral) and 1 <= top_k <= g.n):
+    if top_k is not None and (isinstance(top_k, bool) or not (
+            isinstance(top_k, numbers.Integral) and 1 <= top_k <= g.n)):
         raise ValueError(f"need integer top_k in [1, {g.n}], got top_k={top_k!r}")
     res = solve_multistart(g, cfg, orthant=True)
     impact = res.best.weighting

@@ -45,8 +45,8 @@ KAPPA = 0.5
 # loose-path(4,3) at p = 4 from 92 of 100; at 1e-6, loose-path(4,3) from 98.
 # At 1e-8 both keep every success, and smaller values only add iterations
 SUPPORT_GAIN = 1e-8
-# known_maximum stop: a run stops where it has rejoined a maximum that an
-# earlier grad_tol run of the same multistart reached (see solve_single).
+# known_maximum stop: a run stops where it has reached the value of a maximum
+# that an earlier run of the same multistart converged to (see solve_single).
 # Measured on the three benchmark workloads at seed 1 (multistart-small,
 # tail-small-p, rank-large).  The test runs only at ||grad|| <= KNOWN_GRAD_TOL
 # * |f|.  Without that gate, the second run of each rank-large graph stopped
@@ -55,14 +55,11 @@ SUPPORT_GAIN = 1e-8
 # 9.98e-7, a factor 10 inside that bound
 KNOWN_GRAD_TOL = 1e-6
 # f must lie in [lam_j (1 - KNOWN_LAM_TOL), lam_j].  Behind the gradient gate,
-# stopped runs end at most 4.3e-13 below lam_j; every value from 1e-12 to 1e-6
-# stops the same runs, and 1e-10 stays 100 times inside the 1e-8 agreement
-# that the benchmark counts as a success
+# stopped runs end at most 4.0e-13 below lam_j; every value from 1e-12 to 1e-5
+# stops the same runs (1e-13 stops fewer, for ten more iterations), and 1e-10
+# stays 100 times inside the 1e-8 agreement that the benchmark counts as a
+# success
 KNOWN_LAM_TOL = 1e-10
-# ||x| - |x_j|| <= KNOWN_DIST.  Stopped runs end at most 3.3e-4 from |x_j|.
-# At 1e-4, tail-small-p takes 15 more iterations; at 1e-2 it saves 4 and
-# admits a run 1.4e-3 from |x_j|
-KNOWN_DIST = 1e-3
 # certified stop: a multistart ends after the first run at which the least
 # Collatz-Wielandt bound so far is at most best lam * (1 + CERT_TOL), so the
 # best lam is then within CERT_TOL of lambda^(p), the 1e-8 agreement that the
@@ -71,10 +68,10 @@ KNOWN_DIST = 1e-3
 # (upper - lam) / lam of 1.1e-12 to 3.6e-9.  A known_maximum run gives no
 # bound, so at 1e-9 four of those 18 multistarts would make all 100 runs
 CERT_TOL = 1e-8
-# statistical stop: the lam of converged runs (stop reason grad_tol or
-# known_maximum) within MAXIMA_TOL relative of a value seen first count as one
-# maximum.  A known_maximum run ends within KNOWN_LAM_TOL below lam_j, so it
-# counts as a hit on run j's maximum; 1e-8 is the agreement that the
+# value groups of the multistart: a converged run (stop reason grad_tol or
+# known_maximum) joins the first group whose lam it lies within MAXIMA_TOL
+# relative of.  A known_maximum run ends within KNOWN_LAM_TOL below its
+# group's lam, so it is a hit on that maximum; 1e-8 is the agreement that the
 # benchmark counts as a success
 MAXIMA_TOL = 1e-8
 
@@ -102,7 +99,8 @@ class SolverConfig:
             raise ValueError(f"need finite grad_tol > 0, got grad_tol={self.grad_tol}")
         for name, low in (("max_iter", 1), ("runs", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= low):
+            if isinstance(value, bool) or not (
+                    isinstance(value, numbers.Integral) and value >= low):
                 raise ValueError(f"need integer {name} >= {low}, got {name}={value!r}")
 
 
@@ -151,7 +149,7 @@ class SolveResult:
     support_steps: int = 0  # accepted steps along the support direction
     finishes: int = 0      # moves from a sign-mixed converged x to |x|
     trace: tuple[IterationRecord, ...] | None = None
-    rejoined: int | None = None  # after a known_maximum stop, the run it rejoined
+    rejoined: int | None = None  # after a known_maximum stop, the run whose value it reached
     upper: float | None = None   # after a grad_tol stop at p >= r, lambda^(p) <= upper
 
     @property
@@ -172,29 +170,14 @@ class SolveResult:
 
 
 @dataclass(frozen=True)
-class KnownMaximum:
-    """A maximum that a grad_tol run of a multistart converged to."""
-
-    run: int
-    lam: float
-    weighting: np.ndarray
-
-    def rejoined_by(self, f: float, weighting: np.ndarray) -> bool:
-        """f lies in [lam (1 - KNOWN_LAM_TOL), lam] and the weighting within
-        KNOWN_DIST of this one's."""
-        return (self.lam * (1.0 - KNOWN_LAM_TOL) <= f <= self.lam
-                and _norm(weighting - self.weighting) <= KNOWN_DIST)
-
-
-@dataclass(frozen=True)
 class MultistartResult:
     """Every run made's result, in run order, the best of them, the least
     upper bound on lambda^(p) that a run gave (None when none gave one), and
     the counts of the statistical stop: ``hits``, the runs within MAXIMA_TOL
-    relative of the best lam; ``maxima``, the distinct values w among the
-    converged runs; ``expected_maxima``, the posterior expected number of
-    maxima after N converged runs, w (N - 1) / (N - w - 2), None while
-    N < w + 3 (:func:`expected_maxima`)."""
+    relative of the best lam; ``maxima``, the number w of value groups of
+    the converged runs (:func:`solve_multistart`); ``expected_maxima``, the
+    posterior expected number of maxima after N converged runs,
+    w (N - 1) / (N - w - 2), None while N < w + 3 (:func:`expected_maxima`)."""
 
     best: SolveResult
     best_run: int
@@ -532,7 +515,7 @@ def solve_single(
     x0: np.ndarray,
     track: bool = False,
     *,
-    known: tuple[KnownMaximum, ...] = (),
+    known: tuple[tuple[int, float], ...] = (),
 ) -> SolveResult:
     """Run the iteration from one unit starting point.
 
@@ -556,17 +539,18 @@ def solve_single(
     or first gradient, "numerical_failure" (the line search accepts finite
     ones).
 
-    Known maximum: ``known`` holds maxima that earlier runs reached, empty
-    by default.  After the grad_tol test, at ||grad|| <= KNOWN_GRAD_TOL *
-    |f|, the run stops when for some entry j f lies in [lam_j (1 -
-    KNOWN_LAM_TOL), lam_j], ||x| - |x_j|| <= KNOWN_DIST, and the value pass
-    that gives lam, f(|x|), is at most lam_j; when that pass exceeds every
-    such lam_j, the run goes on.  Its lam is its own f(|x|), ``converged``
-    is False and ``rejoined`` names run j.  Such a stop certifies the
-    iterate's stationarity to KNOWN_GRAD_TOL relative, not grad_tol, and a
-    lam within KNOWN_LAM_TOL of lam_j and no larger.  The test changes no
-    state, so the run is its run without ``known``, truncated: the same
-    trace up to the stop.
+    Known maximum: ``known`` holds (run j, lam_j) pairs, the values of
+    maxima that earlier runs reached, empty by default.  After the grad_tol
+    test, at ||grad|| <= KNOWN_GRAD_TOL * |f|, the run stops when for some
+    entry j f lies in [lam_j (1 - KNOWN_LAM_TOL), lam_j] and the value pass
+    that gives lam, f(|x|), is at most lam_j; when x has entries of both
+    signs, the gradient stage also runs at |x|, and the run stops only if
+    ||grad f(|x|)|| <= KNOWN_GRAD_TOL * |f(|x|)|.  Otherwise the run goes
+    on.  Its lam is its own f(|x|), ``converged`` is False and ``rejoined``
+    names run j.  Such a stop certifies the weighting's stationarity to
+    KNOWN_GRAD_TOL relative, not grad_tol, and a lam within KNOWN_LAM_TOL of
+    lam_j and no larger.  The test changes no state, so the run is its run
+    without ``known``, truncated: the same trace up to the stop.
 
     Nonnegative finish: at ||grad|| <= grad_tol with entries of both signs,
     f and grad are evaluated at |x|.  When f(|x|) is finite and
@@ -632,13 +616,19 @@ def solve_single(
             stop = "grad_tol"
             break
         if known and gnorm <= KNOWN_GRAD_TOL * abs(f):
-            weighting = np.abs(x)
-            near = [entry for entry in known if entry.rejoined_by(f, weighting)]
+            near = [(j, lam_j) for j, lam_j in known
+                    if lam_j * (1.0 - KNOWN_LAM_TOL) <= f <= lam_j]
             if near:
                 # the value pass of the final lam, made here instead of after the loop
-                final = _value(g, weighting, cfg.p)
+                final = _value(g, np.abs(x), cfg.p)
                 evals += 1
-                rejoined = next((entry.run for entry in near if final.f <= entry.lam), None)
+                rejoined = next((j for j, lam_j in near if final.f <= lam_j), None)
+                if rejoined is not None and (x < 0.0).any() and (x > 0.0).any():
+                    # the gate read grad f at x; the reported |x| must pass it too
+                    _gradient(g, final)
+                    grad_evals += 1
+                    if not _norm(final.grad) <= KNOWN_GRAD_TOL * abs(final.f):
+                        rejoined = None
                 if rejoined is not None:
                     stop = "known_maximum"
                     break
@@ -761,11 +751,14 @@ def solve_multistart(
     point whose |x| is not stationary goes on from |x| inside
     :func:`solve_single`.
 
-    The multistart keeps one :class:`KnownMaximum` (run j, lam_j, |x_j|) for
-    each grad_tol run that rejoins no entry already kept, and passes run i
-    the entries of runs j < i, so run i is its solo run from start i,
-    truncated at a "known_maximum" stop.  A rejoined run's lam is at most
-    lam_j and ties keep the earlier run, so ``best`` is never one.
+    Value groups: the multistart keeps one entry (run j, lam_j) per value
+    group of the converged runs (stop reason grad_tol or known_maximum).  A
+    converged run joins the first group whose lam_j it lies within
+    MAXIMA_TOL relative of, or starts a new one; a grad_tol run with a
+    larger lam becomes its group's entry.  Run i gets the entries of runs
+    j < i (:func:`solve_single`'s ``known``), so it is its solo run from
+    start i, truncated at a "known_maximum" stop.  A stopped run's lam is at
+    most lam_j and ties keep the earlier run, so ``best`` is never one.
 
     Certified stop: at p >= r every grad_tol run whose weighting is
     entrywise positive gives an upper bound on lambda^(p)
@@ -776,34 +769,35 @@ def solve_multistart(
     hold fewer than cfg.runs entries.  At p < r, or when no run ends at a
     positive weighting, ``upper`` is None.
 
-    Statistical stop, at every p: a run that stopped at grad_tol or
-    known_maximum is a sample, and samples whose lam lie within MAXIMA_TOL
-    relative of a value seen first count as one maximum.  After N samples
-    with w distinct values the multistart ends once N >= w + 3 and
+    Statistical stop, at every p: a converged run is a sample, and each
+    value group is one maximum.  After N samples in w groups the
+    multistart ends once N >= w + 3 and
     w (N - 1) / (N - w - 2) < w + 0.5 (:func:`estimate_stops`); with one
     maximum that is N = 8.  Runs that stop at max_iter, line_search_failure
     or numerical_failure are not samples, so stalled runs never end the
     sequence.  ``stop`` says which rule ended it; when neither held, every
     run is made.
     """
-    results, known, values = [], [], []
+    results, maxima = [], []   # maxima: the (run j, lam_j) entry of each value group
     upper, best, samples = None, -math.inf, 0
     for i in range(cfg.runs):
         x0 = random_unit_sphere(g.n, np.random.default_rng(cfg.seed + i))
-        res = solve_single(g, cfg, np.abs(x0) if orthant else x0, track, known=tuple(known))
+        res = solve_single(g, cfg, np.abs(x0) if orthant else x0, track, known=tuple(maxima))
         results.append(res)
-        lam, weighting = res.lam, res.weighting
-        if res.stop_reason == "grad_tol" and not any(e.rejoined_by(lam, weighting) for e in known):
-            known.append(KnownMaximum(i, lam, weighting))
+        lam = res.lam
         if res.stop_reason in ("grad_tol", "known_maximum"):
             samples += 1
-            if not any(abs(lam - v) <= MAXIMA_TOL * abs(v) for v in values):
-                values.append(lam)
+            group = next((k for k, (_, v) in enumerate(maxima)
+                          if abs(lam - v) <= MAXIMA_TOL * abs(v)), None)
+            if group is None:
+                maxima.append((i, lam))
+            elif res.converged and lam > maxima[group][1]:
+                maxima[group] = (i, lam)
         if res.upper is not None:
             upper = res.upper if upper is None else min(upper, res.upper)
         best = max(best, lam)  # a nan lam compares False and leaves best
-        expected = expected_maxima(samples, len(values))
-        if certifies(upper, best) or estimate_stops(len(values), expected):
+        expected = expected_maxima(samples, len(maxima))
+        if certifies(upper, best) or estimate_stops(len(maxima), expected):
             break
     lams = np.array([res.lam for res in results])
     if not np.isfinite(lams).any():
@@ -816,14 +810,14 @@ def solve_multistart(
         run_summaries=tuple(results),
         upper=upper,
         hits=int(np.sum(np.abs(lams - best) <= MAXIMA_TOL * abs(best))),
-        maxima=len(values),
+        maxima=len(maxima),
         expected_maxima=expected,
     )
 
 
 def lagrangian_schedule(steps: int) -> list[float]:
     """The p values 1 + 1/(2 theta + 1) for theta = 1..steps."""
-    if not (isinstance(steps, numbers.Integral) and steps >= 1):
+    if isinstance(steps, bool) or not (isinstance(steps, numbers.Integral) and steps >= 1):
         raise ValueError(f"need integer steps >= 1, got steps={steps!r}")
     return [1.0 + 1.0 / (2 * theta + 1) for theta in range(1, steps + 1)]
 

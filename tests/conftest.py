@@ -25,6 +25,12 @@ def pytest_collection_modifyitems(config, items):
 make_random_graph = families.gen_random  # random r-graph, distinct-vertex edges
 
 
+def disjoint_union(a: Hypergraph, b: Hypergraph) -> Hypergraph:
+    """The r-graphs a and b side by side, b's vertices after a's."""
+    edges = np.vstack([a.slots, b.slots + a.n]) + 1
+    return Hypergraph.from_edges(a.n + b.n, a.r, edges, np.concatenate([a.weights, b.weights]))
+
+
 def record_starts(monkeypatch) -> list:
     """Rebind solver.solve_single so that each run's start is recorded."""
     starts = []
@@ -43,43 +49,51 @@ def replay_runs(g: Hypergraph, cfg, track=False, orthant=False) -> list:
     orthant=orthant)`` without either early stop, the certified one or the
     statistical one, replayed from the documented rules: run i is
     solve_single from the uniform start drawn with seed cfg.seed + i, given
-    one known maximum per grad_tol run j < i whose lam and weighting rejoin
-    no maximum kept before it.  A multistart makes a prefix of these runs,
-    up to :func:`stop_run`."""
-    eps, delta = solver.KNOWN_LAM_TOL, solver.KNOWN_DIST
-    runs, known = [], []
+    the (run j, lam_j) entry of each value group of the converged runs
+    j < i (:func:`value_groups`).  A multistart makes a prefix of these
+    runs, up to :func:`stop_run`."""
+    runs = []
     for i in range(cfg.runs):
         x0 = solver.random_unit_sphere(g.n, np.random.default_rng(cfg.seed + i))
-        run = solver.solve_single(g, cfg, np.abs(x0) if orthant else x0, track,
-                                  known=tuple(known))
-        runs.append(run)
-        lam, w = run.lam, run.weighting
-        if run.stop_reason == "grad_tol" and not any(
-            m.lam * (1.0 - eps) <= lam <= m.lam and np.linalg.norm(w - m.weighting) <= delta
-            for m in known
-        ):
-            known.append(solver.KnownMaximum(i, lam, w))
+        runs.append(solver.solve_single(g, cfg, np.abs(x0) if orthant else x0, track,
+                                        known=tuple(value_groups(runs))))
     return runs
+
+
+def value_groups(runs: list) -> list:
+    """The (run j, lam_j) entry of each value group of the converged runs
+    (grad_tol or known_maximum): a run joins the first group whose lam_j it
+    lies within MAXIMA_TOL relative of, or starts a new one, and a grad_tol
+    run with a larger lam becomes its group's entry."""
+    groups = []
+    for i, run in enumerate(runs):
+        if run.stop_reason not in ("grad_tol", "known_maximum"):
+            continue
+        for k, (_, lam_j) in enumerate(groups):
+            if abs(run.lam - lam_j) <= solver.MAXIMA_TOL * abs(lam_j):
+                if run.stop_reason == "grad_tol" and run.lam > lam_j:
+                    groups[k] = (i, run.lam)
+                break
+        else:
+            groups.append((i, run.lam))
+    return groups
 
 
 def stop_run(runs: list) -> int | None:
     """The run a multistart stops after, read off its full run sequence:
     the first run at which the least upper bound so far is at most the best
     lam so far times 1 + CERT_TOL, or at which N >= w + 3 converged runs
-    (grad_tol or known_maximum) with w distinct values (each lam within
-    MAXIMA_TOL of the first of its value) give w (N - 1) / (N - w - 2) <
-    w + 0.5.  None when neither rule holds at any run."""
-    upper, best, samples, values = math.inf, -math.inf, 0, []
+    (grad_tol or known_maximum) in w value groups (:func:`value_groups`)
+    give w (N - 1) / (N - w - 2) < w + 0.5.  None when neither rule holds
+    at any run."""
+    upper, best, samples = math.inf, -math.inf, 0
     for i, run in enumerate(runs):
         if run.upper is not None:
             upper = min(upper, run.upper)
         if math.isfinite(run.lam):
             best = max(best, run.lam)
-        if run.stop_reason in ("grad_tol", "known_maximum"):
-            samples += 1
-            if all(abs(run.lam - v) > solver.MAXIMA_TOL * abs(v) for v in values):
-                values.append(run.lam)
-        w = len(values)
+        samples += run.stop_reason in ("grad_tol", "known_maximum")
+        w = len(value_groups(runs[: i + 1]))
         if upper <= best * (1.0 + solver.CERT_TOL) or (
                 samples >= w + 3 and w * (samples - 1) < (w + 0.5) * (samples - w - 2)):
             return i

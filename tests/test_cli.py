@@ -72,7 +72,7 @@ class TestSolve:
         payload = json.loads(capsys.readouterr().out)
         assert payload["lambda"] == pytest.approx(1.0, abs=1e-10)
         assert set(payload) == {"lambda", "p", "r", "n", "m", "runs", "best_run", "converged",
-                                "upper", "hits", "maxima", "expected_maxima"}
+                                "upper", "hits", "maxima", "expected_maxima", "stop", "stops"}
         assert (payload["r"], payload["n"], payload["m"]) == (2, 2, 1)
 
     def test_beta_star_value(self, beta_star_file, capsys):
@@ -159,7 +159,7 @@ class TestSolve:
         # appearance, and the runs made of --runs with the stop that ended
         # them and its counts: at p = r run 0 certifies its value and is the
         # only run; the JSON form keeps its keys, with runs the runs made and
-        # upper the bound, and adds the counts
+        # upper the bound, and adds the counts, the stop and the histogram
         main(["solve", beta_star_file, "--p", "3", "--seed", "1"])
         out = capsys.readouterr().out
         assert ("runs        1 of 100 (best run 0, converged; certified stop: hits 1, "
@@ -168,9 +168,10 @@ class TestSolve:
         main(["solve", beta_star_file, "--p", "3", "--seed", "1", "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert list(payload) == ["lambda", "p", "r", "n", "m", "runs", "best_run", "converged",
-                                 "upper", "hits", "maxima", "expected_maxima"]
+                                 "upper", "hits", "maxima", "expected_maxima", "stop", "stops"]
         assert payload["runs"] == 1 and payload["lambda"] <= payload["upper"]
         assert (payload["hits"], payload["maxima"], payload["expected_maxima"]) == (1, 1, None)
+        assert (payload["stop"], payload["stops"]) == ("certified", {"grad_tol": 1})
         # complete(4,3) at p = 2 < r: no bound; 8 converged runs at one value
         # make a further maximum unlikely
         path = str(tmp_path / "k43.txt")
@@ -185,6 +186,7 @@ class TestSolve:
         payload = json.loads(capsys.readouterr().out)
         assert (payload["runs"], payload["hits"], payload["maxima"]) == (8, 8, 1)
         assert payload["expected_maxima"] == 1.4
+        assert (payload["stop"], payload["stops"]) == ("estimate", {"grad_tol": 8})
         # with fewer runs than the estimate needs, no rule ends the sequence;
         # with --max-iter 2 no run converges, so there is no sample at all
         main(["solve", path, "--p", "2", "--seed", "1", "--runs", "5"])
@@ -195,6 +197,10 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "; no early stop: hits " in out and ", maxima 0, expected maxima none)\n" in out
         assert "runs        12 of 12 (best run " in out and "stops       max_iter 12\n" in out
+        main(["solve", path, "--p", "2", "--seed", "1", "--runs", "12", "--max-iter", "2",
+              "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["stop"], payload["stops"]) == (None, {"max_iter": 12})
 
     def test_fractional_p(self, single_edge_file, capsys):
         rc = main(["solve", single_edge_file, "--p", "4/3", "--runs", "2", "--format", "json"])
