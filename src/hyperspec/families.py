@@ -15,12 +15,12 @@ the two is a meaningful cross-check.
 from __future__ import annotations
 
 import math
-import numbers
 from itertools import chain, combinations
 
 import numpy as np
 
 from .hypergraph import Hypergraph
+from .solver import _is_count
 
 
 def gen_beta_star(r: int, m: int) -> Hypergraph:
@@ -161,7 +161,7 @@ def brute_force_radius(
         raise ValueError(f"brute force is restricted to n <= 8, got n={g.n}")
     if not 1.0 < p < math.inf:  # SolverConfig's rule
         raise ValueError(f"need finite p > 1, got p={p}")
-    if isinstance(budget, bool) or not (isinstance(budget, numbers.Integral) and budget >= 1):
+    if not _is_count(budget, 1):
         raise ValueError(f"need integer budget >= 1, got budget={budget!r}")
 
     rng = np.random.default_rng(seed)

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hypergraph import Hypergraph
-from .solver import SolverConfig, solve_multistart
+from .solver import SolverConfig, _is_count, solve_multistart
 
 
 class RankedEntries(Sequence):
@@ -87,8 +86,7 @@ def rank_vertices(g: Hypergraph, cfg: SolverConfig, top_k: int | None = None) ->
     ``runs`` counts the runs made.  With 2 runs, as on rank-large, the
     statistical stop cannot act, since it needs at least 4 converged runs.
     """
-    if top_k is not None and (isinstance(top_k, bool) or not (
-            isinstance(top_k, numbers.Integral) and 1 <= top_k <= g.n)):
+    if top_k is not None and not _is_count(top_k, 1, g.n):
         raise ValueError(f"need integer top_k in [1, {g.n}], got top_k={top_k!r}")
     res = solve_multistart(g, cfg, orthant=True)
     impact = res.best.weighting

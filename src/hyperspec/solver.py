@@ -76,6 +76,12 @@ CERT_TOL = 1e-8
 MAXIMA_TOL = 1e-8
 
 
+def _is_count(value, low: int, high: float = math.inf) -> bool:
+    """Whether value is an integer in [low, high]; a bool is not a count."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and low <= value <= high)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """The settable solver parameters, validated on construction.
@@ -98,9 +104,7 @@ class SolverConfig:
         if not 0.0 < self.grad_tol < math.inf:
             raise ValueError(f"need finite grad_tol > 0, got grad_tol={self.grad_tol}")
         for name, low in (("max_iter", 1), ("runs", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (
-                    isinstance(value, numbers.Integral) and value >= low):
+            if not _is_count(value := getattr(self, name), low):
                 raise ValueError(f"need integer {name} >= {low}, got {name}={value!r}")
 
 
@@ -817,7 +821,7 @@ def solve_multistart(
 
 def lagrangian_schedule(steps: int) -> list[float]:
     """The p values 1 + 1/(2 theta + 1) for theta = 1..steps."""
-    if isinstance(steps, bool) or not (isinstance(steps, numbers.Integral) and steps >= 1):
+    if not _is_count(steps, 1):
         raise ValueError(f"need integer steps >= 1, got steps={steps!r}")
     return [1.0 + 1.0 / (2 * theta + 1) for theta in range(1, steps + 1)]
 
