@@ -57,9 +57,10 @@ cases = [
     ("loose path r=4 m=3   p=4", gen_loose_path(4, 3), 4.0, loose_path_value(4, 3)),
     ("loose path r=4 m=4   p=4", gen_loose_path(4, 4), 4.0, loose_path_value(4, 4)),
 ]
-# at p >= r a run that ends at a positive weighting also gives an upper
-# bound; the multistart stops once the bound proves the best value global
-# (certified), and at any p once a further maximum is unlikely (estimate)
+# at p >= r the multistart reads an upper bound off the weighting of each
+# grad_tol run that is positive on every vertex of an edge; it stops once
+# the bound proves the best value global (certified), and at any p once a
+# further maximum is unlikely (estimate)
 print(f"{'instance':<28} {'computed':>18} {'closed form':>18} {'rel err':>10} "
       f"{'upper bound':>18} {'runs':>5} {'stop':>9} {'hits':>4} {'maxima':>6} {'E[max]':>6}")
 for name, g, p, ref in cases:

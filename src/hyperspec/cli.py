@@ -118,7 +118,7 @@ def cmd_solve(args) -> int:
     if args.emit_weighting:
         payload["weighting"] = res.best.weighting.tolist()
     if res.upper is None:
-        bound = "none (p < r, or no grad_tol run at a positive weighting)"
+        bound = "none (p < r, or no grad_tol run at a weighting positive on every edge)"
     else:
         bound = f"lambda <= {res.upper!r} (gap {res.upper - res.best.lam:.1e})"
     _write(args, payload, [

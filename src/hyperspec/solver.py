@@ -60,19 +60,17 @@ KNOWN_GRAD_TOL = 1e-6
 # stays 100 times inside the 1e-8 agreement that the benchmark counts as a
 # success
 KNOWN_LAM_TOL = 1e-10
-# certified stop: a multistart ends after the first run at which the least
-# Collatz-Wielandt bound so far is at most best lam * (1 + CERT_TOL), so the
-# best lam is then within CERT_TOL of lambda^(p), the 1e-8 agreement that the
-# benchmark counts as a success.  On beta-star(3,10), beta-star(3,200) and
-# loose-path(4,3) at p = r, seeds 1, 3, 5, 7, 11 and 20, run 0 ends with a gap
-# (upper - lam) / lam of 1.1e-12 to 3.6e-9.  A known_maximum run gives no
-# bound, so at 1e-9 four of those 18 multistarts would make all 100 runs
-CERT_TOL = 1e-8
-# value groups of the multistart: a converged run (stop reason grad_tol or
-# known_maximum) joins the first group whose lam it lies within MAXIMA_TOL
-# relative of.  A known_maximum run ends within KNOWN_LAM_TOL below its
-# group's lam, so it is a hit on that maximum; 1e-8 is the agreement that the
-# benchmark counts as a success
+# value groups and certified stop of the multistart, one tolerance: the 1e-8
+# agreement that the benchmark counts as a success.  A converged run (stop
+# reason grad_tol or known_maximum) joins the first group whose lam it lies
+# within MAXIMA_TOL relative of; a known_maximum run ends within KNOWN_LAM_TOL
+# below its group's lam, so it is a hit on that maximum.  The multistart ends
+# after the first run at which the least Collatz-Wielandt bound so far is at
+# most best lam * (1 + MAXIMA_TOL), so the best lam is then within MAXIMA_TOL
+# of lambda^(p).  On beta-star(3,10), beta-star(3,200) and loose-path(4,3) at
+# p = r, seeds 1, 3, 5, 7, 11 and 20, run 0 ends with a gap (upper - lam) / lam
+# of 1.1e-12 to 3.6e-9.  A known_maximum run gives no bound, so at 1e-9 four
+# of those 18 multistarts would make all 100 runs
 MAXIMA_TOL = 1e-8
 
 
@@ -87,9 +85,9 @@ class SolverConfig:
     """The settable solver parameters, validated on construction.
 
     grad_tol is the stationarity stop, max_iter the iteration cap per run,
-    and runs/seed drive the multistart: at most ``runs`` runs, fewer when a
-    run's upper bound proves the best value global or when a further maximum
-    has become unlikely (:func:`solve_multistart`).
+    and runs/seed drive the multistart: at most ``runs`` runs, fewer when an
+    upper bound proves the best value global or when a further maximum has
+    become unlikely (:func:`solve_multistart`).
     """
 
     p: float
@@ -154,7 +152,6 @@ class SolveResult:
     finishes: int = 0      # moves from a sign-mixed converged x to |x|
     trace: tuple[IterationRecord, ...] | None = None
     rejoined: int | None = None  # after a known_maximum stop, the run whose value it reached
-    upper: float | None = None   # after a grad_tol stop at p >= r, lambda^(p) <= upper
 
     @property
     def weighting(self) -> np.ndarray:
@@ -176,12 +173,14 @@ class SolveResult:
 @dataclass(frozen=True)
 class MultistartResult:
     """Every run made's result, in run order, the best of them, the least
-    upper bound on lambda^(p) that a run gave (None when none gave one), and
-    the counts of the statistical stop: ``hits``, the runs within MAXIMA_TOL
-    relative of the best lam; ``maxima``, the number w of value groups of
-    the converged runs (:func:`solve_multistart`); ``expected_maxima``, the
-    posterior expected number of maxima after N converged runs,
-    w (N - 1) / (N - w - 2), None while N < w + 3 (:func:`expected_maxima`)."""
+    upper bound on lambda^(p) at a run's weighting (None when none gave
+    one), the counts of the statistical stop: ``hits``, the runs within
+    MAXIMA_TOL relative of the best lam; ``maxima``, the number w of value
+    groups of the converged runs; ``expected_maxima``, the posterior
+    expected number of maxima after N converged runs, w (N - 1) /
+    (N - w - 2), None while N < w + 3 (:func:`expected_maxima`); and
+    ``stop``, the rule that ended the runs, "certified", "estimate" or None
+    (:func:`solve_multistart`)."""
 
     best: SolveResult
     best_run: int
@@ -191,19 +190,12 @@ class MultistartResult:
     hits: int = 0
     maxima: int = 0
     expected_maxima: float | None = None
+    stop: str | None = None
 
     @property
     def certified(self) -> bool:
-        """``upper`` proves ``best.lam`` global to CERT_TOL relative."""
-        return certifies(self.upper, self.best.lam)
-
-    @property
-    def stop(self) -> str | None:
-        """Which rule ended the run sequence: "certified", "estimate" or
-        None, when neither held after the last run made."""
-        if self.certified:
-            return "certified"
-        return "estimate" if estimate_stops(self.maxima, self.expected_maxima) else None
+        """``upper`` proves ``best.lam`` global to MAXIMA_TOL relative."""
+        return self.stop == "certified"
 
 
 @dataclass(slots=True)
@@ -239,33 +231,37 @@ def _norm(v: np.ndarray) -> float:
 
 def upper_bound(g: Hypergraph, point: _Eval) -> float | None:
     """The Collatz-Wielandt bound lambda^(p) <= f(x) + P max_i grad_i /
-    (r x_i^(p-1)), P = ||x||_p^p, for p >= r and an entrywise positive x,
-    read off ``point``, the kernel record of x after its gradient stage.
-    None when p < r, when an entry of x is not positive or when the bound is
-    not finite.
+    (r x_i^(p-1)), P = ||x||_p^p, the maximum over the vertices i of
+    positive degree, for p >= r and an x positive on them, read off
+    ``point``, the kernel record of x after its gradient stage.  None when
+    p < r, when an entry of x at such a vertex is not positive or when the
+    bound is not finite.
 
     The bound is max_i rho_i, rho_i = r! dw/dx_i / (r x_i^(p-1)) at
     x / ||x||_p (Friedland, Gaubert & Han, LAA 2013; Gautier, Tudisco &
-    Hein, SIMAX 2019).  Proof: scale x to unit p-norm, let y >= 0 be a
-    maximizer of unit p-norm and t = max_k y_k / x_k, taken at k; t >= 1
-    since both have unit p-norm.  On supp(y) the KKT condition reads
-    r! dw/dx_k(y) = r lambda y_k^(p-1).  The weights are nonnegative, so
-    dw/dx_k is monotone and dw/dx_k(y) <= t^(r-1) dw/dx_k(x).  With
-    y_k = t x_k this gives lambda <= rho_k t^(r-p) <= max_i rho_i, as
-    t^(r-p) <= 1 for p >= r.  Connectivity is not needed; for p < r the last
-    step fails.  The maximum has no summation order, so the bound does not
-    depend on the BLAS.
+    Hein, SIMAX 2019).  Proof: scale x to unit p-norm and let y >= 0 be a
+    maximizer of unit p-norm.  A maximizer is zero at an isolated vertex,
+    since zeroing that entry keeps w and lowers the norm, so t = max_k
+    y_k / x_k, taken at k, ranges over the vertices of positive degree
+    only; t >= 1 since y's unit p-mass lies on them.  On supp(y) the KKT
+    condition reads r! dw/dx_k(y) = r lambda y_k^(p-1).  The weights are
+    nonnegative, so dw/dx_k is monotone and dw/dx_k(y) <= t^(r-1)
+    dw/dx_k(x).  With y_k = t x_k this gives lambda <= rho_k t^(r-p) <=
+    max_i rho_i, as t^(r-p) <= 1 for p >= r.  Connectivity is not needed;
+    for p < r the last step fails.  The maximum has no summation order, so
+    the bound does not depend on the BLAS.
     """
-    if point.p < g.r or not (point.x > 0.0).all():
+    if point.p < g.r:
         return None
-    ratio = point.grad / (g.r * point.x ** (point.p - 1.0))
+    x, grad = point.x, point.grad
+    if not (x > 0.0).all():
+        live = np.bincount(g._incidence, minlength=g.n) > 0
+        x, grad = x[live], grad[live]
+        if not x.size or not (x > 0.0).all():
+            return None
+    ratio = grad / (g.r * x ** (point.p - 1.0))
     upper = point.f + point.pnorm_p * float(np.max(ratio))
     return upper if math.isfinite(upper) else None
-
-
-def certifies(upper: float | None, lam: float) -> bool:
-    """upper <= lam * (1 + CERT_TOL): the bound proves lam global."""
-    return upper is not None and upper <= lam * (1.0 + CERT_TOL)
 
 
 def expected_maxima(samples: int, maxima: int) -> float | None:
@@ -277,13 +273,6 @@ def expected_maxima(samples: int, maxima: int) -> float | None:
     if samples < maxima + 3:
         return None
     return maxima * (samples - 1) / (samples - maxima - 2)
-
-
-def estimate_stops(maxima: int, expected: float | None) -> bool:
-    """expected < w + 0.5: a maximum beyond the w seen is unlikely
-    (Boender & Rinnooy Kan 1987; Rinnooy Kan & Timmer, Math. Programming
-    39, 1987).  With w = 1 it first holds at N = 8, where expected = 1.4."""
-    return expected is not None and expected < maxima + 0.5
 
 
 def random_unit_sphere(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -572,9 +561,7 @@ def solve_single(
 
     The reported weighting is the entrywise absolute value of the final
     iterate, which can only increase the objective because edge weights are
-    nonnegative; after a grad_tol stop it is stationary.  After a grad_tol
-    stop at p >= r the gradient stage also runs at |x|, and ``upper`` is
-    :func:`upper_bound` there, None when an entry of |x| is zero.
+    nonnegative; after a grad_tol stop it is stationary.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     if x.shape != (g.n,):
@@ -714,15 +701,8 @@ def solve_single(
     if final is None and math.isfinite(f):
         final = _value(g, np.abs(x), cfg.p)
         evals += 1
-    lam = final.f if final is not None else math.nan
-    upper = None
-    if stop == "grad_tol" and cfg.p >= g.r:
-        if final.grad is None:  # a nonnegative finish's record has its gradient
-            _gradient(g, final)
-            grad_evals += 1
-        upper = upper_bound(g, final)
     return SolveResult(
-        lam=lam,
+        lam=final.f if final is not None else math.nan,
         x=x,
         iterations=k,
         converged=stop == "grad_tol",
@@ -736,7 +716,6 @@ def solve_single(
         finishes=finishes,
         trace=tuple(trace) if track else None,
         rejoined=rejoined,
-        upper=upper,
     )
 
 
@@ -764,26 +743,27 @@ def solve_multistart(
     start i, truncated at a "known_maximum" stop.  A stopped run's lam is at
     most lam_j and ties keep the earlier run, so ``best`` is never one.
 
-    Certified stop: at p >= r every grad_tol run whose weighting is
-    entrywise positive gives an upper bound on lambda^(p)
-    (:func:`upper_bound`).  The multistart ends after the first run at
-    which the least bound so far is at most the best lam so far times
-    1 + CERT_TOL, and ``certified`` is then True.  The runs made are runs
-    0..i of the sequence above, so ``all_lambdas`` and ``run_summaries`` may
-    hold fewer than cfg.runs entries.  At p < r, or when no run ends at a
-    positive weighting, ``upper`` is None.
+    Certified stop: at p >= r the multistart builds the kernel record of
+    the weighting of every grad_tol run, a value and a gradient pass that
+    no run's ``evals`` or ``grad_evals`` counts, and reads an upper bound on
+    lambda^(p) off it (:func:`upper_bound`).  The multistart ends after the
+    first run at which the least bound so far is at most the best lam so
+    far times 1 + MAXIMA_TOL, with ``stop`` "certified".  The runs made are
+    runs 0..i of the sequence above, so ``all_lambdas`` and
+    ``run_summaries`` may hold fewer than cfg.runs entries.  ``upper`` is
+    None when no run gave a bound, as at p < r.
 
     Statistical stop, at every p: a converged run is a sample, and each
     value group is one maximum.  After N samples in w groups the
-    multistart ends once N >= w + 3 and
-    w (N - 1) / (N - w - 2) < w + 0.5 (:func:`estimate_stops`); with one
+    multistart ends once N >= w + 3 and w (N - 1) / (N - w - 2) < w + 0.5,
+    a further maximum unlikely (Boender & Rinnooy Kan 1987; Rinnooy Kan &
+    Timmer, Math. Programming 39, 1987), with ``stop`` "estimate"; with one
     maximum that is N = 8.  Runs that stop at max_iter, line_search_failure
     or numerical_failure are not samples, so stalled runs never end the
-    sequence.  ``stop`` says which rule ended it; when neither held, every
-    run is made.
+    sequence.  When neither rule held, every run is made and ``stop`` is None.
     """
     results, maxima = [], []   # maxima: the (run j, lam_j) entry of each value group
-    upper, best, samples = None, -math.inf, 0
+    upper, best, samples, stop = None, -math.inf, 0, None
     for i in range(cfg.runs):
         x0 = random_unit_sphere(g.n, np.random.default_rng(cfg.seed + i))
         res = solve_single(g, cfg, np.abs(x0) if orthant else x0, track, known=tuple(maxima))
@@ -797,11 +777,19 @@ def solve_multistart(
                 maxima.append((i, lam))
             elif res.converged and lam > maxima[group][1]:
                 maxima[group] = (i, lam)
-        if res.upper is not None:
-            upper = res.upper if upper is None else min(upper, res.upper)
+        if res.stop_reason == "grad_tol" and cfg.p >= g.r:
+            point = _value(g, res.weighting, cfg.p)
+            _gradient(g, point)
+            bound = upper_bound(g, point)
+            if bound is not None and (upper is None or bound < upper):
+                upper = bound
         best = max(best, lam)  # a nan lam compares False and leaves best
         expected = expected_maxima(samples, len(maxima))
-        if certifies(upper, best) or estimate_stops(len(maxima), expected):
+        if upper is not None and upper <= best * (1.0 + MAXIMA_TOL):
+            stop = "certified"
+        elif expected is not None and expected < len(maxima) + 0.5:
+            stop = "estimate"
+        if stop is not None:
             break
     lams = np.array([res.lam for res in results])
     if not np.isfinite(lams).any():
@@ -816,6 +804,7 @@ def solve_multistart(
         hits=int(np.sum(np.abs(lams - best) <= MAXIMA_TOL * abs(best))),
         maxima=len(maxima),
         expected_maxima=expected,
+        stop=stop,
     )
 
 

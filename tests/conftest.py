@@ -79,22 +79,31 @@ def value_groups(runs: list) -> list:
     return groups
 
 
-def stop_run(runs: list) -> int | None:
+def run_upper(g: Hypergraph, p: float, run) -> float | None:
+    """The upper bound on lambda^(p) that a multistart reads off a grad_tol
+    run: :func:`solver.upper_bound` at the kernel record of its weighting.
+    None for every other stop, and at p < r."""
+    if run.stop_reason != "grad_tol":
+        return None
+    return solver.upper_bound(g, evaluated(g, run.weighting, p))
+
+
+def stop_run(g: Hypergraph, p: float, runs: list) -> int | None:
     """The run a multistart stops after, read off its full run sequence:
-    the first run at which the least upper bound so far is at most the best
-    lam so far times 1 + CERT_TOL, or at which N >= w + 3 converged runs
-    (grad_tol or known_maximum) in w value groups (:func:`value_groups`)
-    give w (N - 1) / (N - w - 2) < w + 0.5.  None when neither rule holds
-    at any run."""
+    the first run at which the least upper bound so far (:func:`run_upper`)
+    is at most the best lam so far times 1 + MAXIMA_TOL, or at which
+    N >= w + 3 converged runs (grad_tol or known_maximum) in w value groups
+    (:func:`value_groups`) give w (N - 1) / (N - w - 2) < w + 0.5.  None
+    when neither rule holds at any run."""
     upper, best, samples = math.inf, -math.inf, 0
     for i, run in enumerate(runs):
-        if run.upper is not None:
-            upper = min(upper, run.upper)
+        if (bound := run_upper(g, p, run)) is not None:
+            upper = min(upper, bound)
         if math.isfinite(run.lam):
             best = max(best, run.lam)
         samples += run.stop_reason in ("grad_tol", "known_maximum")
         w = len(value_groups(runs[: i + 1]))
-        if upper <= best * (1.0 + solver.CERT_TOL) or (
+        if upper <= best * (1.0 + solver.MAXIMA_TOL) or (
                 samples >= w + 3 and w * (samples - 1) < (w + 0.5) * (samples - w - 2)):
             return i
     return None

@@ -181,7 +181,8 @@ class TestSolve:
         assert ("runs        8 of 100 (best run 7, converged; estimate stop: hits 8, "
                 "maxima 1, expected maxima 1.4)\n") in out
         assert "stops       grad_tol 8\n" in out
-        assert "bound       none (p < r, or no grad_tol run at a positive weighting)\n" in out
+        assert ("bound       none (p < r, or no grad_tol run at a weighting positive on "
+                "every edge)\n") in out
         main(["solve", path, "--p", "2", "--seed", "1", "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert (payload["runs"], payload["hits"], payload["maxima"]) == (8, 8, 1)
@@ -518,7 +519,7 @@ class TestSelftest:
             assert len(starts) == sum(made)
             expected = []
             for g, cfg, _ in calls:
-                stop = stop_run(replay_runs(g, cfg))
+                stop = stop_run(g, cfg.p, replay_runs(g, cfg))
                 # three runs are too few for the estimate: only a certificate stops
                 assert stop is None or cfg.p >= g.r
                 expected.append(runs if stop is None else stop + 1)

@@ -55,6 +55,19 @@ def test_relations(k, p):
     check_relations(k, p, 1e-14)
 
 
+@pytest.mark.parametrize("p", [3.0, 4.0])
+@pytest.mark.parametrize("k", GRAPHS)
+def test_padded_graph_certifies_after_one_run(k, p):
+    # p >= r: run 0's upper bound, taken over the vertices of positive
+    # degree, proves its value even where it ends at zero on an isolated one
+    g = make_random_graph(np.random.default_rng(k), 40, 3, 80)
+    cfg = SolverConfig(p=p, runs=20, seed=0)
+    res = solve_multistart(padded(g), cfg)
+    assert len(res.run_summaries) == 1 and res.stop == "certified"
+    base = solve_multistart(g, cfg).best.lam
+    assert abs(res.best.lam - base) <= 1e-14 * base
+
+
 # the relabeled k = 0 graph's multistart ends at 1.7905 against 2.0868, 16 of
 # its 20 runs stopping at max_iter: the run stall near p = 1 of ROADMAP item
 # 17, which the relation exposes.  Strict, so the case fails once it passes

@@ -29,7 +29,8 @@ from hyperspec.solver import cayley_step_length, line_search_wolfe
 from hyperspec.tensor_ops import value_and_grad
 
 from conftest import (
-    disjoint_union, evaluated, make_random_graph, record_starts, replay_runs, stop_run)
+    disjoint_union, evaluated, make_random_graph, record_starts, replay_runs, run_upper,
+    stop_run)
 
 
 def draw(n, seed):
@@ -1199,7 +1200,7 @@ class TestSolveMultistart:
             cfg = SolverConfig(p=p, runs=20, seed=5)
             multi = solve_multistart(g, cfg)
             replay = replay_runs(g, cfg)
-            stop = stop_run(replay)
+            stop = stop_run(g, p, replay)
             expected = replay if stop is None else replay[: stop + 1]
             assert len(multi.run_summaries) == len(multi.all_lambdas) == len(expected)
             for i, (run, solo) in enumerate(zip(multi.run_summaries, expected)):
@@ -1207,11 +1208,10 @@ class TestSolveMultistart:
                 assert run.iterations == solo.iterations
                 assert run.stop_reason == solo.stop_reason
                 assert run.rejoined == solo.rejoined
-                assert run.upper == solo.upper
                 assert run.weighting.tobytes() == solo.weighting.tobytes()
                 assert (run.evals, run.grad_evals) == (solo.evals, solo.grad_evals)
             reasons.update(run.stop_reason for run in replay)
-            uppers = [run.upper for run in expected if run.upper is not None]
+            uppers = [u for run in expected if (u := run_upper(g, p, run)) is not None]
             assert multi.upper == (min(uppers) if uppers else None)
             assert multi.stop == ("certified" if g.r == p else "estimate")
             assert multi.best is multi.run_summaries[multi.best_run]
@@ -1476,7 +1476,7 @@ class TestKnownMaximum:
                     if run.stop_reason != "known_maximum":
                         assert run.rejoined is None
                         continue
-                    assert not run.converged and run.upper is None
+                    assert not run.converged and run_upper(g, cfg.p, run) is None
                     j = runs[run.rejoined]
                     assert run.rejoined < i and j.stop_reason == "grad_tol"
                     f, grad = value_and_grad(g, run.weighting, cfg.p)
@@ -1597,23 +1597,53 @@ class TestUpperBound:
             y[3] = entry
             assert solver.upper_bound(g, evaluated(g, y / np.linalg.norm(y), 3.0)) is None
 
+    def test_bound_holds_at_points_zero_at_isolated_vertices(self):
+        # a maximizer is zero at an isolated vertex, so the bound needs x
+        # positive on the vertices of positive degree only
+        base = gen_beta_star(3, 10)
+        g = Hypergraph.from_edges(base.n + 3, base.r, base.slots + 1, base.weights)
+        lam = beta_star_value(3, 10, 3.0)
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            x = np.concatenate([rng.uniform(1e-3, 1.0, base.n), np.zeros(3)])
+            upper = solver.upper_bound(g, evaluated(g, x / np.linalg.norm(x), 3.0))
+            assert upper is not None and upper >= lam * (1.0 - 1e-14)
+            x[0] = 0.0  # a vertex of positive degree
+            assert solver.upper_bound(g, evaluated(g, x / np.linalg.norm(x), 3.0)) is None
+
+    def test_edgeless_graph_certifies_zero(self):
+        # no edges: f is 0 everywhere, and run 0's bound at its positive
+        # weighting is 0.0; the maximum over no vertex of positive degree
+        # is never taken
+        g = Hypergraph.from_edges(5, 3, np.empty((0, 3), dtype=np.int64))
+        res = solve_multistart(g, SolverConfig(p=3.0))
+        assert len(res.run_summaries) == 1 and res.stop == "certified"
+        assert (res.best.lam, res.upper) == (0.0, 0.0)
+        x = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+        assert solver.upper_bound(g, evaluated(g, x, 3.0)) is None
+
     def test_bound_only_after_a_grad_tol_stop(self):
-        g, x0 = gen_loose_path(4, 3), draw(10, 0)
-        capped = solve_single(g, SolverConfig(p=4.0, max_iter=2), x0)
-        assert capped.stop_reason == "max_iter" and capped.upper is None
-        run = solve_single(g, SolverConfig(p=4.0), x0)
+        # run 0 from seed 0: capped at a positive weighting, which would give
+        # a bound, and then run to grad_tol
+        g = gen_loose_path(4, 3)
+        capped = solve_multistart(g, SolverConfig(p=4.0, max_iter=2, runs=1))
+        run = capped.best
+        assert run.stop_reason == "max_iter" and (run.weighting > 0.0).all()
+        assert capped.upper is None and capped.stop is None
+        res = solve_multistart(g, SolverConfig(p=4.0, runs=1))
+        run = res.best
         assert run.stop_reason == "grad_tol"
-        assert run.upper == solver.upper_bound(g, evaluated(g, run.weighting, 4.0))
-        assert run.lam <= run.upper <= run.lam * (1.0 + solver.CERT_TOL)
+        assert res.upper == solver.upper_bound(g, evaluated(g, run.weighting, 4.0))
+        assert run.lam <= res.upper <= run.lam * (1.0 + solver.MAXIMA_TOL)
 
     def test_no_certified_stop_below_r(self):
         # no run gives a bound, so only the statistical stop ends the runs
         g, cfg = gen_beta_star(3, 10), SolverConfig(p=2.0, runs=10, seed=0)
         res = solve_multistart(g, cfg)
         replay = replay_runs(g, cfg)
-        assert len(res.run_summaries) == stop_run(replay) + 1 == 8
+        assert len(res.run_summaries) == stop_run(g, cfg.p, replay) + 1 == 8
         assert res.upper is None and not res.certified and res.stop == "estimate"
-        assert all(run.upper is None for run in replay)
+        assert all(run_upper(g, cfg.p, run) is None for run in replay)
 
     def test_no_certified_stop_at_a_zero_entry(self):
         # p = r: the maximizer is complete(6,3)'s uniform vector, zero on the
@@ -1623,7 +1653,7 @@ class TestUpperBound:
         res = solve_multistart(g, cfg)
         assert len(res.run_summaries) == 8 and not res.certified and res.stop == "estimate"
         assert abs(res.best.lam - star_and_complete_value(3.0)) <= 1e-12 * res.best.lam
-        assert (res.best.weighting == 0.0).any() and res.best.upper is None
+        assert (res.best.weighting == 0.0).any() and run_upper(g, 3.0, res.best) is None
         # a run that ends at a positive point bounds lambda^(p) from above
         assert res.upper is None or res.upper >= res.best.lam
 
@@ -1643,11 +1673,13 @@ class TestStatisticalStop:
         assert solver.expected_maxima(4, 1) == 3.0
         assert solver.expected_maxima(7, 1) == 1.5
         assert solver.expected_maxima(8, 1) == 1.4
-        assert not solver.estimate_stops(1, 1.5) and solver.estimate_stops(1, 1.4)
-        assert not solver.estimate_stops(0, None)
         # w = 2 first stops at N = 17
-        assert not solver.estimate_stops(2, solver.expected_maxima(16, 2))
-        assert solver.estimate_stops(2, solver.expected_maxima(17, 2))
+        assert solver.expected_maxima(16, 2) >= 2.5 > solver.expected_maxima(17, 2)
+        # the multistart stops by the rule expected < w + 0.5 at N = 8, not 7
+        cfg = SolverConfig(p=2.0, seed=1)
+        for runs, stop in ((7, None), (8, "estimate")):
+            res = solve_multistart(gen_complete(4, 3), replace(cfg, runs=runs))
+            assert len(res.run_summaries) == runs and (res.maxima, res.stop) == (1, stop)
 
     @pytest.mark.parametrize(
         "build",
@@ -1660,7 +1692,7 @@ class TestStatisticalStop:
         res = solve_multistart(g, cfg)
         replay = replay_runs(g, cfg)
         made = len(res.run_summaries)
-        assert made == stop_run(replay) + 1 < cfg.runs
+        assert made == stop_run(g, cfg.p, replay) + 1 < cfg.runs
         for run, full in zip(res.run_summaries, replay[:made]):
             assert (run.lam, run.iterations, run.stop_reason) == (
                 full.lam, full.iterations, full.stop_reason)
@@ -1686,7 +1718,7 @@ class TestStatisticalStop:
         res = solve_multistart(g, cfg)
         replay = replay_runs(g, cfg)
         assert res.maxima == 2 and res.stop == "estimate"
-        assert len(res.run_summaries) == stop_run(replay) + 1 == 17
+        assert len(res.run_summaries) == stop_run(g, cfg.p, replay) + 1 == 17
         # the heavier edge's value, 3! 1.5 / 3^(3/2), and its hits
         best = 6 * 1.5 * 3**-1.5
         assert abs(res.best.lam - best) <= 1e-12 * best
