@@ -45,7 +45,7 @@ def parse_p(text: str) -> float:
 
 def _load_graph(path: str) -> Hypergraph:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:  # a BOM is skipped
             g = parse_edge_list(handle)
     except OSError as exc:
         raise SystemExit(f"error: cannot read {path}: {exc}")

@@ -229,13 +229,13 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
-def upper_bound(g: Hypergraph, point: _Eval) -> float | None:
+def upper_bound(g: Hypergraph, x: np.ndarray, p: float) -> float | None:
     """The Collatz-Wielandt bound lambda^(p) <= f(x) + P max_i grad_i /
     (r x_i^(p-1)), P = ||x||_p^p, the maximum over the vertices i of
-    positive degree, for p >= r and an x positive on them, read off
-    ``point``, the kernel record of x after its gradient stage.  None when
-    p < r, when an entry of x at such a vertex is not positive or when the
-    bound is not finite.
+    positive degree, for p >= r and an x positive on them, from one value
+    and one gradient pass at x, any weighting of shape (n,).  None, with no
+    kernel pass, when p < r; None when an entry of x at such a vertex is
+    not positive or when the bound is not finite.
 
     The bound is max_i rho_i, rho_i = r! dw/dx_i / (r x_i^(p-1)) at
     x / ||x||_p (Friedland, Gaubert & Han, LAA 2013; Gautier, Tudisco &
@@ -251,15 +251,19 @@ def upper_bound(g: Hypergraph, point: _Eval) -> float | None:
     for p < r the last step fails.  The maximum has no summation order, so
     the bound does not depend on the BLAS.
     """
-    if point.p < g.r:
+    if p < g.r:
         return None
-    x, grad = point.x, point.grad
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (g.n,):
+        raise ValueError(f"vector has shape {x.shape}, expected ({g.n},)")
+    point = _value(g, x, p)
+    grad = _gradient(g, point)
     if not (x > 0.0).all():
         live = np.bincount(g._incidence, minlength=g.n) > 0
         x, grad = x[live], grad[live]
         if not x.size or not (x > 0.0).all():
             return None
-    ratio = grad / (g.r * x ** (point.p - 1.0))
+    ratio = grad / (g.r * x ** (p - 1.0))
     upper = point.f + point.pnorm_p * float(np.max(ratio))
     return upper if math.isfinite(upper) else None
 
@@ -401,7 +405,6 @@ def _interpolate(lo: float, f_lo: float, d_lo: float, hi: float, f_hi: float) ->
 
 def line_search_wolfe(
     g: Hypergraph,
-    cfg: SolverConfig,
     point: _Eval,
     direction: np.ndarray,
     trial: float | None = None,
@@ -412,7 +415,7 @@ def line_search_wolfe(
         grad(x(alpha)) . direction <= c2 * grad0 . direction
 
     where x, f0 and grad0 come from ``point``, the kernel record of x after
-    its gradient stage.  Trials:
+    its gradient stage; every trial is evaluated at that record's p.  Trials:
     ``trial`` when it is finite and positive, else 2 / (1 + ||direction||);
     then doubling until the peak of the curve section is bracketed (the
     increase test fails, the increase drops below the bracket floor, or the
@@ -453,7 +456,7 @@ def line_search_wolfe(
     evals = grad_evals = increments = 0
     for _ in range(MAX_LINESEARCH_STEPS):
         x_t = cayley_step(x, direction, trial, xd, dd)
-        point_t = _value(g, x_t, cfg.p)
+        point_t = _value(g, x_t, point.p)
         f_t = point_t.f
         evals += 1
         required = C1 * trial * slope0
@@ -660,7 +663,7 @@ def solve_single(
             else:  # restart policy: retry the iteration with plain steepest ascent
                 direction, trial = grad.copy(), None
                 restarts += 1
-            search = line_search_wolfe(g, cfg, point, direction, trial)
+            search = line_search_wolfe(g, point, direction, trial)
             step_evals += search.evals
             grad_evals += search.grad_evals
             increments += search.increments
@@ -743,15 +746,14 @@ def solve_multistart(
     start i, truncated at a "known_maximum" stop.  A stopped run's lam is at
     most lam_j and ties keep the earlier run, so ``best`` is never one.
 
-    Certified stop: at p >= r the multistart builds the kernel record of
-    the weighting of every grad_tol run, a value and a gradient pass that
-    no run's ``evals`` or ``grad_evals`` counts, and reads an upper bound on
-    lambda^(p) off it (:func:`upper_bound`).  The multistart ends after the
-    first run at which the least bound so far is at most the best lam so
-    far times 1 + MAXIMA_TOL, with ``stop`` "certified".  The runs made are
-    runs 0..i of the sequence above, so ``all_lambdas`` and
-    ``run_summaries`` may hold fewer than cfg.runs entries.  ``upper`` is
-    None when no run gave a bound, as at p < r.
+    Certified stop: :func:`upper_bound` at the weighting of every grad_tol
+    run, a value and a gradient pass at p >= r that no run's ``evals`` or
+    ``grad_evals`` counts.  The multistart ends after the first run at which
+    the least bound so far is at most the best lam so far times
+    1 + MAXIMA_TOL, with ``stop`` "certified".  The runs made are runs 0..i
+    of the sequence above, so ``all_lambdas`` and ``run_summaries`` may hold
+    fewer than cfg.runs entries.  ``upper`` is None when no run gave a
+    bound, as at p < r.
 
     Statistical stop, at every p: a converged run is a sample, and each
     value group is one maximum.  After N samples in w groups the
@@ -763,7 +765,7 @@ def solve_multistart(
     sequence.  When neither rule held, every run is made and ``stop`` is None.
     """
     results, maxima = [], []   # maxima: the (run j, lam_j) entry of each value group
-    upper, best, samples, stop = None, -math.inf, 0, None
+    upper, best, samples, stop = math.inf, -math.inf, 0, None
     for i in range(cfg.runs):
         x0 = random_unit_sphere(g.n, np.random.default_rng(cfg.seed + i))
         res = solve_single(g, cfg, np.abs(x0) if orthant else x0, track, known=tuple(maxima))
@@ -777,15 +779,11 @@ def solve_multistart(
                 maxima.append((i, lam))
             elif res.converged and lam > maxima[group][1]:
                 maxima[group] = (i, lam)
-        if res.stop_reason == "grad_tol" and cfg.p >= g.r:
-            point = _value(g, res.weighting, cfg.p)
-            _gradient(g, point)
-            bound = upper_bound(g, point)
-            if bound is not None and (upper is None or bound < upper):
-                upper = bound
+        bound = upper_bound(g, res.weighting, cfg.p) if res.stop_reason == "grad_tol" else None
+        upper = upper if bound is None else min(upper, bound)
         best = max(best, lam)  # a nan lam compares False and leaves best
         expected = expected_maxima(samples, len(maxima))
-        if upper is not None and upper <= best * (1.0 + MAXIMA_TOL):
+        if upper <= best * (1.0 + MAXIMA_TOL):
             stop = "certified"
         elif expected is not None and expected < len(maxima) + 0.5:
             stop = "estimate"
@@ -800,7 +798,7 @@ def solve_multistart(
         best_run=best_run,
         all_lambdas=tuple(float(v) for v in lams),
         run_summaries=tuple(results),
-        upper=upper,
+        upper=upper if upper < math.inf else None,
         hits=int(np.sum(np.abs(lams - best) <= MAXIMA_TOL * abs(best))),
         maxima=len(maxima),
         expected_maxima=expected,

@@ -81,11 +81,11 @@ def value_groups(runs: list) -> list:
 
 def run_upper(g: Hypergraph, p: float, run) -> float | None:
     """The upper bound on lambda^(p) that a multistart reads off a grad_tol
-    run: :func:`solver.upper_bound` at the kernel record of its weighting.
-    None for every other stop, and at p < r."""
+    run: :func:`solver.upper_bound` at its weighting.  None for every other
+    stop, and at p < r."""
     if run.stop_reason != "grad_tol":
         return None
-    return solver.upper_bound(g, evaluated(g, run.weighting, p))
+    return solver.upper_bound(g, run.weighting, p)
 
 
 def stop_run(g: Hypergraph, p: float, runs: list) -> int | None:

@@ -90,6 +90,16 @@ class TestSolve:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_byte_order_mark_is_read_as_nothing(self, beta_star_file, tmp_path, capsys):
+        # a UTF-8 byte-order mark before the header is no part of the file
+        marked = tmp_path / "bom.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(beta_star_file).read_bytes())
+        reports = []
+        for path in (beta_star_file, str(marked)):
+            assert main(["solve", path, "--p", "3", "--format", "json"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
     def test_emit_weighting(self, single_edge_file, capsys):
         main(["solve", single_edge_file, "--p", "2", "--runs", "1", "--format", "json",
               "--emit-weighting"])

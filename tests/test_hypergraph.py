@@ -120,6 +120,13 @@ class TestParse:
             parse_edge_list(text)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("text, line", [("3 4\n1 2 3 abc\n", 2),
+                                            ("3 4\n1 2 3 1.5\n\n2 3 4 x\n", 4)])
+    def test_non_numeric_weight_is_named(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_edge_list(text)
+        assert str(err.value) == f"line {line}: weight must be a number"
+
     def test_empty_input(self):
         with pytest.raises(ParseError, match="header"):
             parse_edge_list("# nothing here\n")

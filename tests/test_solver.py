@@ -31,6 +31,7 @@ from hyperspec.tensor_ops import value_and_grad
 from conftest import (
     disjoint_union, evaluated, make_random_graph, record_starts, replay_runs, run_upper,
     stop_run)
+from test_metamorphic import GRAPHS, padded
 
 
 def draw(n, seed):
@@ -245,10 +246,9 @@ class TestCayleyStep:
 class TestLineSearch:
     def test_wolfe_conditions_hold_on_single_edge(self):
         g = Hypergraph.from_edges(n=2, r=2, edges=[(1, 2)])
-        cfg = SolverConfig(p=2.0)
         point = evaluated(g, np.array([0.6, 0.8]), 2.0)
         f0, grad0 = point.f, point.grad
-        res = line_search_wolfe(g, cfg, point, grad0.copy())
+        res = line_search_wolfe(g, point, grad0.copy())
         assert res.ok and res.alpha > 0
         slope0 = float(grad0 @ grad0)
         assert res.point.f >= f0 + solver.C1 * res.alpha * slope0
@@ -260,17 +260,16 @@ class TestLineSearch:
 
     def test_accepts_initial_trial_in_one_evaluation(self):
         g = gen_beta_star(3, 10)
-        cfg = SolverConfig(p=3.0)
         rng = np.random.default_rng(0)
         point = evaluated(g, random_unit_sphere(g.n, rng), 3.0)
-        res = line_search_wolfe(g, cfg, point, point.grad.copy())
+        res = line_search_wolfe(g, point, point.grad.copy())
         assert res.ok and res.evals == 1
 
     @staticmethod
     def _search_setup(seed):
         g = gen_beta_star(3, 10)
         point = evaluated(g, random_unit_sphere(g.n, np.random.default_rng(seed)), 3.0)
-        return g, SolverConfig(p=3.0), point, point.grad
+        return g, point, point.grad
 
     @staticmethod
     def _same(a, b):
@@ -294,37 +293,37 @@ class TestLineSearch:
 
     def test_trial_none_is_the_default(self):
         for seed in range(5):
-            g, cfg, point, grad0 = self._search_setup(seed)
+            g, point, grad0 = self._search_setup(seed)
             for direction in (grad0.copy(), grad0 + 0.3 * np.roll(grad0, 1)):
-                plain = line_search_wolfe(g, cfg, point, direction)
-                assert self._same(plain, line_search_wolfe(g, cfg, point, direction, None))
-                keyword = line_search_wolfe(g, cfg, point, direction, trial=None)
+                plain = line_search_wolfe(g, point, direction)
+                assert self._same(plain, line_search_wolfe(g, point, direction, None))
+                keyword = line_search_wolfe(g, point, direction, trial=None)
                 assert self._same(plain, keyword)
 
     def test_first_point_is_the_given_trial(self, monkeypatch):
-        g, cfg, point, grad0 = self._search_setup(1)
+        g, point, grad0 = self._search_setup(1)
         trials = self._record_trials(monkeypatch)
         for trial in (0.37, 1e-3, 5.0):
             trials.clear()
-            res = line_search_wolfe(g, cfg, point, grad0.copy(), trial)
+            res = line_search_wolfe(g, point, grad0.copy(), trial)
             assert trials[0] == trial
             assert res.evals == len(trials)
 
     @pytest.mark.parametrize("trial", [0.0, -1.0, math.nan, math.inf])
     def test_unusable_trial_falls_back_to_default(self, monkeypatch, trial):
-        g, cfg, point, grad0 = self._search_setup(2)
+        g, point, grad0 = self._search_setup(2)
         direction = grad0.copy()
         trials = self._record_trials(monkeypatch)
-        res = line_search_wolfe(g, cfg, point, direction, trial)
+        res = line_search_wolfe(g, point, direction, trial)
         assert trials[0] == 2.0 / (1.0 + float(np.linalg.norm(direction)))
-        assert self._same(res, line_search_wolfe(g, cfg, point, direction))
+        assert self._same(res, line_search_wolfe(g, point, direction))
 
     def test_search_ends_at_exact_fixed_point(self, monkeypatch):
         # The curve is flat past alpha = 1 while still rising with the
         # curvature test unmet at 1, so the bracket shrinks onto [1, 1 + ulp]
         # and interpolation returns 1 again: a repeat of that trial would
         # repeat its evaluation and bracket update unchanged.
-        g, cfg, point, grad0 = self._search_setup(0)
+        g, point, grad0 = self._search_setup(0)
         trials = []
         real = solver.cayley_step
 
@@ -333,7 +332,7 @@ class TestLineSearch:
             return real(x, direction, alpha, *curve) if alpha <= 1.0 else x.copy()
 
         monkeypatch.setattr(solver, "cayley_step", flat_past_one)
-        res = line_search_wolfe(g, cfg, point, 1e-3 * grad0, trial=1.0)
+        res = line_search_wolfe(g, point, 1e-3 * grad0, trial=1.0)
         assert not res.ok and res.x is None and res.point is None
         assert trials[0] == trials[-1] == 1.0
         assert all(a != b for a, b in zip(trials, trials[1:]))
@@ -343,7 +342,7 @@ class TestLineSearch:
         # From the third trial gradient on, add eta * x_t: grad(x_t) . x_t
         # is then eta instead of 0, which swamps -grad(x_t) . x (the slope
         # the bracket reads) while grad(x_t) . (x_t - x) keeps its sign.
-        g, cfg, base, grad0 = self._search_setup(4)
+        g, base, grad0 = self._search_setup(4)
         x = base.x
         direction = grad0.copy()
         slope0 = float(grad0 @ direction)
@@ -368,7 +367,7 @@ class TestLineSearch:
 
         monkeypatch.setattr(solver, "cayley_step", step)
         monkeypatch.setattr(solver, "_gradient", noisy)
-        res = line_search_wolfe(g, cfg, base, direction, trial=1e-3)
+        res = line_search_wolfe(g, base, direction, trial=1e-3)
         assert not res.ok and res.x is None and res.point is None
         first = next(i for i, met, disagree in seen if not met and disagree)
         assert first == seen[-1][0] == 2
@@ -381,12 +380,12 @@ class TestLineSearch:
         # (or nan itself) carries it into grad . direction; or where the
         # direction is positive, so that grad . direction = -inf would meet
         # the curvature test
-        g, cfg, point, grad0 = self._search_setup(0)
+        g, point, grad0 = self._search_setup(0)
         i = int(np.argmax(grad0))
         direction = grad0.copy()
         if not keep:
             direction[i] = 0.0
-        assert line_search_wolfe(g, cfg, point, direction).ok
+        assert line_search_wolfe(g, point, direction).ok
         real = solver._gradient
 
         def poisoned(g, point):
@@ -396,12 +395,12 @@ class TestLineSearch:
 
         monkeypatch.setattr(solver, "_gradient", poisoned)
         with np.errstate(invalid="ignore"):
-            res = line_search_wolfe(g, cfg, point, direction)
+            res = line_search_wolfe(g, point, direction)
         assert res.grad_evals > 0  # trials passed the increase test
         assert not res.ok and res.x is None and res.point is None
 
     def test_gradient_only_for_trials_that_pass_the_increase_test(self, monkeypatch):
-        g, cfg, point, grad0 = self._search_setup(3)
+        g, point, grad0 = self._search_setup(3)
         x, f0 = point.x, point.f
         direction = grad0.copy()
         slope0 = float(grad0 @ direction)
@@ -416,7 +415,7 @@ class TestLineSearch:
 
         monkeypatch.setattr(solver, "_gradient", counted)
         # the first trial overshoots the peak of the curve section
-        res = line_search_wolfe(g, cfg, point, direction, trial=50.0)
+        res = line_search_wolfe(g, point, direction, trial=50.0)
         assert res.ok and res.evals == len(trials) > 1
         passed = [
             alpha for alpha in trials
@@ -452,7 +451,7 @@ class TestLineSearch:
         for direction in (base.grad.copy(), base.grad + 0.3 * np.roll(base.grad, 1)):
             values.clear()
             grads.clear()
-            res = line_search_wolfe(g, cfg, base, direction)
+            res = line_search_wolfe(g, base, direction)
             assert res.increments == res.evals == len(values) > 0
             assert res.grad_evals == len(grads) > 0
             assert all(x is not base.x for x in values)
@@ -483,15 +482,15 @@ class TestLineSearch:
         solve_single(g, cfg, draw(g.n, 0))
         assert len(calls) > 1
         read = 0
-        for _, _, carried, direction, trial in calls[1:]:  # calls[0] is from the start
+        for _, carried, direction, trial in calls[1:]:  # calls[0] is from the start
             fresh = evaluated(g, carried.x, cfg.p)
             fresh.f = carried.f
             bases.clear()
-            a = real_search(g, cfg, carried, direction, trial)
+            a = real_search(g, carried, direction, trial)
             assert all(base is carried for base in bases)
             read += len(bases)
             bases.clear()
-            b = real_search(g, cfg, fresh, direction, trial)
+            b = real_search(g, fresh, direction, trial)
             assert all(base is fresh for base in bases)
             assert self._same(a, b)
             counts = [(res.grad_evals, res.increments, res.increase) for res in (a, b)]
@@ -501,12 +500,50 @@ class TestLineSearch:
                 assert a.point.suffix.tobytes() == b.point.suffix.tobytes()
         assert read > 0
 
+    def test_infinite_trial_value_fails_the_increase_test(self, monkeypatch):
+        # the first trial's f reads +inf: it passes no increase test and gets
+        # no gradient pass, and the search goes on below it
+        g, point, grad0 = self._search_setup(0)
+        trials, grads = [], []
+        real_value, real_gradient = solver._value, solver._gradient
+
+        def value(g, x, p):
+            trials.append(real_value(g, x, p))
+            if len(trials) == 1:
+                trials[0].f = math.inf
+            return trials[-1]
+
+        def gradient(g, point):
+            grads.append(point)
+            return real_gradient(g, point)
+
+        monkeypatch.setattr(solver, "_value", value)
+        monkeypatch.setattr(solver, "_gradient", gradient)
+        res = line_search_wolfe(g, point, grad0.copy())
+        assert res.ok and res.evals == len(trials) > 1
+        assert res.grad_evals == len(grads) and all(t is not trials[0] for t in grads)
+
+    def test_trials_are_evaluated_at_the_base_records_p(self, monkeypatch):
+        g = gen_beta_star(3, 10)
+        ps = []
+        real = solver._value
+
+        def value(g, x, p):
+            ps.append(p)
+            return real(g, x, p)
+
+        monkeypatch.setattr(solver, "_value", value)
+        for p in (2.5, 3.0, 4.0):
+            ps.clear()
+            point = evaluated(g, draw(g.n, 0), p)
+            res = line_search_wolfe(g, point, point.grad.copy(), trial=50.0)
+            assert res.ok and res.evals > 1 and ps == [p] * res.evals and res.point.p == p
+
     def test_rejects_non_ascent_direction(self):
         g = gen_complete(4, 3)
-        cfg = SolverConfig(p=2.0)
         x = np.array([0.9, 0.3, 0.3, 0.1])
         point = evaluated(g, x / np.linalg.norm(x), 2.0)
-        res = line_search_wolfe(g, cfg, point, -point.grad)
+        res = line_search_wolfe(g, point, -point.grad)
         assert not res.ok
 
 
@@ -671,12 +708,12 @@ class TestSolveSingle:
             supports.append(real_support(*args))
             return supports[-1]
 
-        def search(g, cfg, point, direction, trial=None):
+        def search(g, point, direction, trial=None):
             along_face = supports[-1] is not None and direction is supports[-1][0]
             default = 2.0 / (1.0 + float(np.linalg.norm(direction)))
             slope = float(direction.dot(point.grad))
             searches.append([trial, None, default, None, along_face, point.x, direction, slope])
-            res = real_search(g, cfg, point, direction, trial)
+            res = real_search(g, point, direction, trial)
             searches[-1][3] = res
             return res
 
@@ -763,11 +800,11 @@ class TestSolveSingle:
             faces[id(face)] = face
             return face, 1.0
 
-        def search(g, cfg, point, direction, trial=None):
+        def search(g, point, direction, trial=None):
             if id(direction) in faces:
                 res = solver.LineSearchResult(False, 0.0, None, 2)
             else:
-                res = real_search(g, cfg, point, direction, trial)
+                res = real_search(g, point, direction, trial)
             searches.append((point.x, point.grad, direction, trial, res))
             return res
 
@@ -801,11 +838,11 @@ class TestSolveSingle:
         real_search = solver.line_search_wolfe
         searches = []
 
-        def search(g, cfg, point, direction, trial=None):
+        def search(g, point, direction, trial=None):
             searches.append((point.x, point.f, point.grad, direction, trial))
             if len(searches) >= 6:  # failed searches along grad end the run
                 return solver.LineSearchResult(False, 0.0, None, 1)
-            return real_search(g, cfg, point, direction, trial)
+            return real_search(g, point, direction, trial)
 
         # an ascent direction, but a quarter of grad . grad is under the floor
         monkeypatch.setattr(solver, "cg_direction", lambda grad, step, diff: 0.25 * grad)
@@ -831,8 +868,8 @@ class TestSolveSingle:
         accepted = []
         real_search = solver.line_search_wolfe
 
-        def search(g, cfg, point, direction, *args):
-            res = real_search(g, cfg, point, direction, *args)
+        def search(g, point, direction, *args):
+            res = real_search(g, point, direction, *args)
             if res.ok:
                 accepted.append(float(point.grad.dot(direction)))
             return res
@@ -859,8 +896,8 @@ class TestSolveSingle:
             faces.append(None if found is None else found[0])
             return found
 
-        def search(g, cfg, point, direction, trial=None):
-            res = real_search(g, cfg, point, direction, trial)
+        def search(g, point, direction, trial=None):
+            res = real_search(g, point, direction, trial)
             along_face = direction is faces[-1]
             searches.append((point.x, point.f, point.grad, direction, trial, res, along_face))
             return res
@@ -896,7 +933,7 @@ class TestSolveSingle:
         # it fails, no second search would differ from it
         trials = []
 
-        def search(g, cfg, point, direction, trial=None):
+        def search(g, point, direction, trial=None):
             trials.append(trial)
             return solver.LineSearchResult(False, 0.0, None, 1)
 
@@ -982,8 +1019,8 @@ class TestSolveSingle:
         searches, runs = [], []
         real_search = solver.line_search_wolfe
 
-        def search(g, cfg, point, *args):
-            res = real_search(g, cfg, point, *args)
+        def search(g, point, *args):
+            res = real_search(g, point, *args)
             searches.append((len(runs), point.x, res.ok, res.evals))
             return res
 
@@ -1071,8 +1108,8 @@ class TestSolveSingle:
         events = []
         real_search, real_support = solver.line_search_wolfe, solver.support_direction
 
-        def search(g, cfg, point, *args):
-            res = real_search(g, cfg, point, *args)
+        def search(g, point, *args):
+            res = real_search(g, point, *args)
             events.append(("search", res, point.f))
             return res
 
@@ -1165,6 +1202,10 @@ class TestSolveSingle:
     def test_zero_start_rejected(self):
         with pytest.raises(ValueError):
             solve_single(gen_complete(4, 3), SolverConfig(p=2.0), np.zeros(4))
+
+    def test_start_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"^vector has shape \(5,\), expected \(4,\)$"):
+            solve_single(gen_complete(4, 3), SolverConfig(p=2.0), np.ones(5))
 
     def test_trace_shapes(self):
         g = gen_beta_star(3, 5)
@@ -1582,7 +1623,7 @@ class TestUpperBound:
             points += [maximizer * np.exp(scale * rng.standard_normal(g.n)) for _ in range(5)]
         gaps = []
         for x in points:
-            upper = solver.upper_bound(g, evaluated(g, x / np.linalg.norm(x), p))
+            upper = solver.upper_bound(g, x / np.linalg.norm(x), p)
             assert upper is not None
             gaps.append((upper - lam) / lam)
         assert min(gaps) >= -1e-14
@@ -1590,12 +1631,71 @@ class TestUpperBound:
     def test_no_bound_below_r_or_at_a_nonpositive_entry(self):
         g = gen_beta_star(3, 10)
         x = np.full(g.n, g.n**-0.5)
-        assert solver.upper_bound(g, evaluated(g, x, 2.9)) is None
-        assert solver.upper_bound(g, evaluated(g, x, 3.0)) is not None
+        assert solver.upper_bound(g, x, 2.9) is None
+        assert solver.upper_bound(g, x, 3.0) is not None
         for entry in (0.0, -0.1):
             y = x.copy()
             y[3] = entry
-            assert solver.upper_bound(g, evaluated(g, y / np.linalg.norm(y), 3.0)) is None
+            assert solver.upper_bound(g, y / np.linalg.norm(y), 3.0) is None
+
+    @staticmethod
+    def _read_off(g, point):
+        """The bound read off ``point``, the kernel record of x after both
+        stages: the formula upper_bound applies to its own record."""
+        x, grad = point.x, point.grad
+        if not (x > 0.0).all():
+            live = np.bincount(g._incidence, minlength=g.n) > 0
+            x, grad = x[live], grad[live]
+            if not x.size or not (x > 0.0).all():
+                return None
+        upper = point.f + point.pnorm_p * float(np.max(grad / (g.r * x ** (point.p - 1.0))))
+        return upper if math.isfinite(upper) else None
+
+    @pytest.mark.parametrize("build", [
+        lambda: gen_beta_star(3, 10), lambda: gen_loose_path(4, 3), lambda: gen_complete(6, 3),
+        *(lambda k=k: padded(make_random_graph(np.random.default_rng(k), 40, 3, 80))
+          for k in GRAPHS)],
+        ids=["beta-star(3,10)", "loose-path(4,3)", "complete(6,3)",
+             *(f"padded random k={k}" for k in GRAPHS)])
+    def test_equals_the_bound_read_off_the_kernel_record(self, build):
+        g = build()
+        live = np.bincount(g._incidence, minlength=g.n) > 0
+        rng = np.random.default_rng(0)
+        for p in (g.r - 0.5, g.r, g.r + 0.5, 2.0 * g.r):
+            points = [rng.uniform(1e-3, 1.0, g.n) for _ in range(5)]
+            points += [x * live for x in points]  # zero at the isolated vertices
+            points.append(np.where(np.arange(g.n) == 0, -0.5, 1.0))
+            points.append(solve_multistart(g, SolverConfig(p=p, runs=1)).best.weighting)
+            for x in points:
+                expected = self._read_off(g, evaluated(g, x, p)) if p >= g.r else None
+                # repr round-trips a float64 exactly and tells None apart
+                assert repr(solver.upper_bound(g, x, p)) == repr(expected)
+            assert any(solver.upper_bound(g, x, p) is not None for x in points) == (p >= g.r)
+
+    def test_one_value_and_one_gradient_pass_from_r_on(self, monkeypatch):
+        g = gen_beta_star(3, 10)
+        x = np.full(g.n, g.n**-0.5)
+        calls = []
+        real_value, real_gradient = solver._value, solver._gradient
+
+        def value(g, x, p):
+            calls.append("value")
+            return real_value(g, x, p)
+
+        def gradient(g, point):
+            calls.append("gradient")
+            return real_gradient(g, point)
+
+        monkeypatch.setattr(solver, "_value", value)
+        monkeypatch.setattr(solver, "_gradient", gradient)
+        assert solver.upper_bound(g, x, 2.9) is None and calls == []
+        assert solver.upper_bound(g, x, 3.0) is not None and calls == ["value", "gradient"]
+
+    def test_rejects_a_vector_of_the_wrong_shape(self):
+        g = gen_beta_star(3, 10)
+        for x in (np.ones(g.n + 1), np.ones((g.n, 1))):
+            with pytest.raises(ValueError, match=rf"^vector has shape \({len(x)},"):
+                solver.upper_bound(g, x, 3.0)
 
     def test_bound_holds_at_points_zero_at_isolated_vertices(self):
         # a maximizer is zero at an isolated vertex, so the bound needs x
@@ -1606,10 +1706,10 @@ class TestUpperBound:
         rng = np.random.default_rng(0)
         for _ in range(20):
             x = np.concatenate([rng.uniform(1e-3, 1.0, base.n), np.zeros(3)])
-            upper = solver.upper_bound(g, evaluated(g, x / np.linalg.norm(x), 3.0))
+            upper = solver.upper_bound(g, x / np.linalg.norm(x), 3.0)
             assert upper is not None and upper >= lam * (1.0 - 1e-14)
             x[0] = 0.0  # a vertex of positive degree
-            assert solver.upper_bound(g, evaluated(g, x / np.linalg.norm(x), 3.0)) is None
+            assert solver.upper_bound(g, x / np.linalg.norm(x), 3.0) is None
 
     def test_edgeless_graph_certifies_zero(self):
         # no edges: f is 0 everywhere, and run 0's bound at its positive
@@ -1620,7 +1720,7 @@ class TestUpperBound:
         assert len(res.run_summaries) == 1 and res.stop == "certified"
         assert (res.best.lam, res.upper) == (0.0, 0.0)
         x = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-        assert solver.upper_bound(g, evaluated(g, x, 3.0)) is None
+        assert solver.upper_bound(g, x, 3.0) is None
 
     def test_bound_only_after_a_grad_tol_stop(self):
         # run 0 from seed 0: capped at a positive weighting, which would give
@@ -1633,7 +1733,7 @@ class TestUpperBound:
         res = solve_multistart(g, SolverConfig(p=4.0, runs=1))
         run = res.best
         assert run.stop_reason == "grad_tol"
-        assert res.upper == solver.upper_bound(g, evaluated(g, run.weighting, 4.0))
+        assert res.upper == solver.upper_bound(g, run.weighting, 4.0)
         assert run.lam <= res.upper <= run.lam * (1.0 + solver.MAXIMA_TOL)
 
     def test_no_certified_stop_below_r(self):

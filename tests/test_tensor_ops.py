@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -171,6 +172,14 @@ class TestObjectiveGrad:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             value_and_grad(gen_complete(4, 3), np.zeros(4), 2.0)
+
+    @pytest.mark.parametrize("shape", [(5,), (4, 1)])
+    def test_vector_of_the_wrong_shape_rejected(self, shape):
+        g = gen_complete(4, 3)
+        message = rf"^vector has shape {re.escape(str(shape))}, expected \(4,\)$"
+        for call in (objective, value_and_grad):
+            with pytest.raises(ValueError, match=message):
+                call(g, np.ones(shape), 2.0)
 
 
 class TestAgainstReference:
@@ -427,7 +436,7 @@ class TestIncrement:
         # give the increments and the search of a fresh evaluation of that point
         g, cfg = gen_beta_star(3, 10), SolverConfig(p=3.0)
         start = evaluated(g, random_unit_sphere(g.n, np.random.default_rng(seed)), 3.0)
-        res = line_search_wolfe(g, cfg, start, start.grad.copy())
+        res = line_search_wolfe(g, start, start.grad.copy())
         carried = res.point
         assert res.ok and carried.x is res.x
         fresh = evaluated(g, res.x, 3.0)
@@ -440,8 +449,8 @@ class TestIncrement:
             trial = _value(g, y, 3.0)
             assert _increment(g, carried, trial) == _increment(g, fresh, trial)
         direction = carried.grad + 0.3 * np.roll(carried.grad, 1)
-        a = line_search_wolfe(g, cfg, carried, direction)
-        b = line_search_wolfe(g, cfg, fresh, direction)
+        a = line_search_wolfe(g, carried, direction)
+        b = line_search_wolfe(g, fresh, direction)
         assert a.ok and (a.alpha, a.point.f, a.evals) == (b.alpha, b.point.f, b.evals)
         assert a.grad_evals == b.grad_evals and a.x.tobytes() == b.x.tobytes()
         assert a.point.grad.tobytes() == b.point.grad.tobytes()
@@ -450,7 +459,7 @@ class TestIncrement:
         # float64 spacing: its record's f is the base's f plus the increment,
         # and its tables are those of a fresh evaluation
         base = evaluated(g, solve_single(g, cfg, start.x).weighting, 3.0)
-        res = line_search_wolfe(g, cfg, base, base.grad.copy())
+        res = line_search_wolfe(g, base, base.grad.copy())
         slope0 = float(base.grad @ base.grad)
         assert res.ok and res.increments > 0
         assert base.f + solver.C1 * res.alpha * slope0 == base.f
