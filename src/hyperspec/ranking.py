@@ -75,8 +75,8 @@ def rank_vertices(g: Hypergraph, cfg: SolverConfig, top_k: int | None = None) ->
     Signed starts end with a stationary weighting too; orthant starts are
     used because they are cheaper.  On the twelve seeded 20k-edge 3-graphs
     of the rank-large benchmark at p = 2, 2 runs each, both laws agree to
-    4e-16 on every graph, and orthant starts take 609 iterations in all
-    against 1276 for signed ones (725 against 1391 before the multistart's
+    6e-16 on every graph, and orthant starts take 605 iterations in all
+    against 1257 for signed ones (725 against 1391 before the multistart's
     "known_maximum" stop).  That stop ends a second run that reaches the
     first one's value; its weighting is stationary to 1e-6 relative
     (``solver.KNOWN_GRAD_TOL``), and the report's weighting never comes

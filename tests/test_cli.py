@@ -188,7 +188,7 @@ class TestSolve:
         main(["gen", "complete", "--n", "4", "--r", "3", "--out", path])
         main(["solve", path, "--p", "2", "--seed", "1"])
         out = capsys.readouterr().out
-        assert ("runs        8 of 100 (best run 7, converged; estimate stop: hits 8, "
+        assert ("runs        8 of 100 (best run 5, converged; estimate stop: hits 8, "
                 "maxima 1, expected maxima 1.4)\n") in out
         assert "stops       grad_tol 8\n" in out
         assert ("bound       none (p < r, or no grad_tol run at a weighting positive on "
@@ -202,7 +202,7 @@ class TestSolve:
         # with --max-iter 2 no run converges, so there is no sample at all
         main(["solve", path, "--p", "2", "--seed", "1", "--runs", "5"])
         out = capsys.readouterr().out
-        assert ("runs        5 of 5 (best run 0, converged; no early stop: hits 5, "
+        assert ("runs        5 of 5 (best run 1, converged; no early stop: hits 5, "
                 "maxima 1, expected maxima 2)\n") in out
         main(["solve", path, "--p", "2", "--seed", "1", "--runs", "12", "--max-iter", "2"])
         out = capsys.readouterr().out

@@ -9,12 +9,16 @@ the multistart's best value for sparse random 3-graphs.
   and 2^((p - r) / p) lambda at p > r: with p-mass s on one copy the value
   is lambda (s^(r/p) + (1 - s)^(r/p)), largest at s in {0, 1} for p <= r
   and at s = 1/2 for p > r.
+
+One relation holds of the parser itself: an edge's line split into two
+lines of half its weight gives the same graph.
 """
 
 import numpy as np
 import pytest
 
-from hyperspec import Hypergraph, SolverConfig, solve_multistart
+from hyperspec import (
+    Hypergraph, SolverConfig, parse_edge_list, serialize_edge_list, solve_multistart)
 
 from conftest import disjoint_union, make_random_graph
 
@@ -53,6 +57,18 @@ def check_relations(k: int, p: float, tol: float) -> None:
 @pytest.mark.parametrize("k", GRAPHS)
 def test_relations(k, p):
     check_relations(k, p, 1e-14)
+
+
+@pytest.mark.parametrize("k", GRAPHS)
+def test_split_lines_give_the_same_graph(k):
+    # the weights are at least 0.5, so w / 2 is exact and w / 2 + w / 2 == w
+    g = make_random_graph(np.random.default_rng(k), 40, 3, 80)
+    header, *lines = serialize_edge_list(g).splitlines()
+    halves = []
+    for line in lines:
+        ids, w = line.rsplit(" ", 1)
+        halves += [f"{ids} {float(w) / 2.0!r}"] * 2
+    assert parse_edge_list("\n".join([header, *halves]) + "\n") == g
 
 
 @pytest.mark.parametrize("p", [3.0, 4.0])
